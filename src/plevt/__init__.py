@@ -68,6 +68,7 @@ from .sampling import (
     sample_inverse_cdf,
     sample_mixture,
     spacings,
+    top_order_statistics,
     write_values_csv,
 )
 from .tail import (
@@ -114,6 +115,7 @@ __all__ = [
     "mixture_values",
     "sample_mixture",
     "sample_inverse_cdf",
+    "top_order_statistics",
     "inverse_cdf_transform",
     "spacings",
     "read_values_csv",

@@ -19,9 +19,21 @@ compares the empirical law against its limiting reference:
 Replication r of an experiment draws from the Philox stream
 ``seed.stream_id + r`` under the experiment's master seed, so suites are
 reproducible one replication at a time and independent of worker count.
-Aggregation sorts the replication outputs before computing moments and the
+With ``workers > 1`` each thread runs one contiguous block of
+replications and the rows are put back in replication order.  Aggregation
+sorts the replication outputs before computing moments and the
 Kolmogorov-Smirnov distance, which keeps reports byte-identical whatever
-the execution order.
+the execution order.  The sorted standardized replications of
+``hill_clt``, ``dh_clt`` and ``record_clt`` are kept in
+``extras["replications"]``.
+
+No replication draws a full sample.  ``max_gumbel``, ``hill_clt`` and
+``dh_clt`` use only the top k+1 order statistics (k = 0 for the maximum),
+which :func:`plevt.sampling.top_order_statistics` draws exactly in law from
+k+1 exponentials and one gamma variate (Renyi representation), so a
+replication costs O(k) whatever n is.  ``record_clt`` draws the record's
+log tail mass G_n ~ Gamma(n) as one gamma variate, shared with
+:func:`plevt.records.simulate_record`, so it costs O(1) in n.
 
 A replicated experiment that misses its tolerances is re-run once with a
 derived master seed (documented golden-ratio increment); only a second miss
@@ -44,12 +56,12 @@ from . import gof
 from .distribution import Params, cdf
 from .errors import DomainError, ExperimentRefusedError, ParameterError
 from .quantile import quantile_exact, quantile_tail_expansion
-from .records import record_value_from_log_tail
+from .records import record_log_tail, record_value_from_log_tail
 from .sampling import (
     SeedSpec,
-    mixture_values,
     sample_inverse_cdf,
     sample_mixture,
+    top_order_statistics,
 )
 from .tail import (
     WeightFunction,
@@ -241,7 +253,7 @@ class McReport:
 
     The JSON form contains exactly the ten declared fields; ``extras``
     carries side information (diagnostics, secondary statistics, attempt
-    count) for programmatic use only.
+    count, the sorted replications) for programmatic use only.
     """
 
     kind: str
@@ -302,20 +314,31 @@ def _ks_threshold(th: Thresholds) -> float:
 
 
 def _per_rep(compute: Callable[[int], tuple], reps: int, workers: int) -> np.ndarray:
+    """Rows ``compute(r)`` for r = 0..reps-1, in replication order.
+
+    With ``workers > 1`` each thread runs one contiguous block of
+    replications, so a thread is handed work once, not once per replication.
+    """
+    workers = min(workers, reps)
     if workers <= 1:
         rows = [compute(r) for r in range(reps)]
     else:
+        cuts = [reps * i // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(compute, range(reps)))
+            blocks = pool.map(
+                lambda lo, hi: [compute(r) for r in range(lo, hi)], cuts[:-1], cuts[1:]
+            )
+            rows = [row for block in blocks for row in block]
     return np.asarray(rows, dtype=np.float64)
 
 
-def _normal_summary(values: np.ndarray) -> tuple[float, float, float]:
+def _normal_summary(values: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """Sorted values, their mean, variance and KS distance to N(0, 1)."""
     zs = np.sort(values)
     mean = float(np.mean(zs))
     var = float(np.var(zs, ddof=1))
     ks = gof.ks_distance_sorted(zs, gof.std_normal_cdf(zs))
-    return mean, var, ks
+    return zs, mean, var, ks
 
 
 def _window_checks(
@@ -344,8 +367,8 @@ def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int)
     base = seed.stream_id
 
     def compute(r: int) -> tuple:
-        vals = mixture_values(e.n, p, seed.stream(base + r))
-        return (theta * (float(np.max(vals)) - q_n),)
+        top = top_order_statistics(e.n, 0, p, seed.stream(base + r))
+        return (theta * (float(top.values[0]) - q_n),)
 
     zs = np.sort(_per_rep(compute, e.reps, workers)[:, 0])
     mean = float(np.mean(zs))
@@ -413,13 +436,13 @@ def _run_spacings_clt(
     base = seed.stream_id
 
     def compute(r: int) -> tuple:
-        sample = sample_mixture(e.n, p, seed.stream(base + r))
+        sample = top_order_statistics(e.n, k, p, seed.stream(base + r))
         ts = dh_statistic(sample, weight, k, s)
         z_a, z_b = standardize_dh(ts, gamma)
         return (z_a / scale_a, z_b * s / gamma, ts.hill)
 
     rows = _per_rep(compute, e.reps, workers)
-    mean, var, ks = _normal_summary(rows[:, 0])
+    zs, mean, var, ks = _normal_summary(rows[:, 0])
     passed = _window_checks(mean, var, ks, th)
 
     extras: dict = {
@@ -428,10 +451,11 @@ def _run_spacings_clt(
         "weight": weight.label,
         "k1": k1,
         "mean_hill": float(np.mean(np.sort(rows[:, 2]))),
+        "replications": zs,
         **diag,
     }
     if diag["growth"] >= th.growth_min:
-        zb_mean, zb_var, zb_ks = _normal_summary(rows[:, 1])
+        _, zb_mean, zb_var, zb_ks = _normal_summary(rows[:, 1])
         extras["estimator_mean"] = zb_mean
         extras["estimator_var"] = zb_var
         extras["estimator_ks"] = zb_ks
@@ -467,14 +491,13 @@ def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int)
     base = seed.stream_id
 
     def compute(r: int) -> tuple:
-        rng = seed.stream(base + r).rng()
-        g = float(np.sum(-np.log1p(-rng.random(n))))
+        g = record_log_tail(n, seed.stream(base + r))
         x = record_value_from_log_tail(g, p)
         return ((x - gamma * n) / (gamma * sqrt_n), (g - n) / sqrt_n)
 
     rows = _per_rep(compute, e.reps, workers)
-    mean, var, ks = _normal_summary(rows[:, 0])
-    ctrl_mean, ctrl_var, ctrl_ks = _normal_summary(rows[:, 1])
+    zs, mean, var, ks = _normal_summary(rows[:, 0])
+    _, ctrl_mean, ctrl_var, ctrl_ks = _normal_summary(rows[:, 1])
     passed = _window_checks(mean, var, ks, th)
     return McReport(
         kind=e.kind,
@@ -488,6 +511,7 @@ def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int)
         runtime_ms=0,
         seed=seed.master_seed,
         extras={
+            "replications": zs,
             "control_mean": ctrl_mean,
             "control_var": ctrl_var,
             "control_ks": ctrl_ks,

@@ -2,9 +2,10 @@
 
 The n-th strict upper record of an i.i.d. Pseudo-Lindley sequence is
 distributed as ``Q(exp(-G_n))`` where ``G_n`` is a sum of n unit
-exponentials and Q is the upper quantile: records of any continuous law
-are the law's quantile transform of exponential record times.  This gives
-an O(n) simulator that never scans the (exponentially long) stream.
+exponentials, i.e. ``G_n ~ Gamma(n)``, and Q is the upper quantile: records
+of any continuous law are the law's quantile transform of exponential
+record times.  This gives an O(1) simulator (one gamma draw and one root
+solve) that never scans the (exponentially long) stream.
 Standardized as ``(X_n - gamma*n) / (gamma*sqrt(n))`` the record is
 asymptotically standard normal, with a slowly decaying ``log(n)/sqrt(n)``
 centering offset at finite n.
@@ -27,6 +28,7 @@ __all__ = [
     "RecordSequence",
     "extract_records",
     "simulate_record",
+    "record_log_tail",
     "standardized_record",
     "UNDERFLOW_LOG_TAIL",
 ]
@@ -77,16 +79,19 @@ def extract_records(stream) -> RecordSequence:
 def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:
     """Draw the n-th record directly via the exponential-sum representation.
 
-    G_n is accumulated from n inverse-transform exponentials on the seed's
-    stream; the record is the quantile at log tail mass G_n, evaluated by
-    the root solve, or by the tail expansion once exp(-G_n) would
-    underflow (G_n > 700).
+    G_n comes from :func:`record_log_tail` on the seed's stream; the record
+    is the quantile at log tail mass G_n, evaluated by the root solve, or
+    by the tail expansion once exp(-G_n) would underflow (G_n > 700).
     """
+    return record_value_from_log_tail(record_log_tail(n, seed), p)
+
+
+def record_log_tail(n: int, seed: SeedSpec) -> float:
+    """G_n, the log tail mass of the n-th record: one ``standard_gamma(n)``
+    draw on the seed's stream, the law of a sum of n unit exponentials."""
     if n < 1:
         raise DomainError(f"record index must be >= 1, got {n}")
-    rng = seed.rng()
-    g = float(np.sum(-np.log1p(-rng.random(n))))
-    return record_value_from_log_tail(g, p)
+    return float(seed.rng().standard_gamma(n))
 
 
 def record_value_from_log_tail(g: float, p: Params) -> float:

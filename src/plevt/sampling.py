@@ -25,6 +25,7 @@ __all__ = [
     "mixture_values",
     "sample_mixture",
     "sample_inverse_cdf",
+    "top_order_statistics",
     "inverse_cdf_transform",
     "spacings",
     "read_values_csv",
@@ -144,6 +145,33 @@ def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
 
 
+def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSample:
+    """The k+1 largest of n i.i.d. draws, ascending, in O(k) (Renyi).
+
+    With ``Gamma_j = E_1 + ... + E_j`` for unit exponentials, the j-th
+    smallest of n uniform tail masses is ``Gamma_j / Gamma_{n+1}`` in law,
+    so ``X_{n-j+1,n} = Q`` at log tail mass ``log Gamma_{n+1} - log
+    Gamma_j``.  Only ``E_1..E_{k+1}`` are drawn (by inverse transform, on
+    the seed's stream), then ``Gamma_{n+1} - Gamma_{k+1}`` as one
+    ``standard_gamma(n-k)`` draw, and the k+1 quantiles are solved at once.
+    """
+    if n < 1:
+        raise DomainError(f"sample size must be >= 1, got {n}")
+    if not 0 <= k <= n - 1:
+        raise DomainError(f"k must lie in [0, n-1] = [0, {n - 1}], got {k}")
+    rng = seed.rng()
+    u = rng.random(k + 1)
+    # measure-zero guard: U = 0 would give Gamma_1 = 0 and an infinite tail
+    u = np.where(u == 0.0, _MIN_UNIFORM, u)
+    partial = np.cumsum(-np.log1p(-u))
+    total = partial[-1] + rng.standard_gamma(n - k)
+    values = quantile_values(None, p, log_inv_u=np.log(total) - np.log(partial[::-1]))
+    # the solves are independent, so nearly equal tails could come back
+    # out of order by rounding; the running maximum restores the order
+    values = np.maximum.accumulate(values)
+    return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
+
+
 def spacings(sample: SortedSample, k: int) -> np.ndarray:
     """Top spacings ``X_{n-j+1,n} - X_{n-j,n}`` for j = 1..k."""
     n = sample.n
@@ -170,6 +198,8 @@ def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:
     values: list[float] = []
     if lines and lines[-1] == "":
         lines.pop()
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]  # UTF-8 byte order mark, not part of the data
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()
         try:

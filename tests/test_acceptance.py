@@ -17,7 +17,10 @@ quantile code), inside a band stated as a formula:
 * means: 4 Monte Carlo standard errors, sqrt(var/reps) of the harness plus,
   for a simulated reference, sqrt(var/R) of the reference;
 * KS distance to N(0, 1): the Kolmogorov 1.95/sqrt(reps) of the harness
-  plus 1.95/sqrt(R) of the reference law's own KS distance.
+  plus 1.95/sqrt(R) of the reference law's own KS distance;
+* law: the two-sample KS distance between the harness's standardized
+  replications (``extras["replications"]``) and R draws of the exact
+  finite-n law, within 1.95*sqrt(1/reps + 1/R).
 
 Seeds, n, k, reps, weights, powers and the harness thresholds are fixed.
 """
@@ -87,6 +90,13 @@ def _ks_check(label, ks, reps, ref_law):
     band = KS_FACTOR / math.sqrt(reps) + KS_FACTOR / math.sqrt(ref_law.size)
     return (label, abs(ks - ref) <= band,
             f"{ks:.4f} vs finite-n {ref:.4f}+-{band:.3f}")
+
+
+def _law_check(label, replications, ref_law):
+    """Two-sample KS of the harness replications against the exact law."""
+    d = ks_two_sample(replications, ref_law)
+    band = KS_FACTOR * math.sqrt(1.0 / replications.size + 1.0 / ref_law.size)
+    return (label, d <= band, f"two-sample KS {d:.4f}<={band:.4f}")
 
 
 def _verdict(capfd, num, title, checks):
@@ -237,8 +247,10 @@ def test_criterion_05_hill_clt(capfd):
     rep = run_experiment(e)
     dt = time.perf_counter() - t0
     # E[sqrt(k)(H-gamma)/gamma] at n=1e5 is the pseudo-Lindley bias, not 0
-    ref = spacing_mean_quadrature(e.n, list(range(1, e.k + 1)),
-                                  e.params.theta, e.params.beta)
+    weights = list(range(1, e.k + 1))
+    ref = spacing_mean_quadrature(e.n, weights, e.params.theta, e.params.beta)
+    law = spacing_statistic_law(e.n, weights, 1.0, e.params.theta, e.params.beta,
+                                REF_REPS, REF_SEED)
     _verdict(capfd, 5, "Hill CLT", [
         ("k-schedule", e.k == 7 and rep.extras["k1"] <= 1.5,
          f"k={e.k}, k1={rep.extras['k1']:.3f}"),
@@ -246,6 +258,7 @@ def test_criterion_05_hill_clt(capfd):
         ("var", abs(rep.empirical_var - 1.0) <= 0.30,
          f"|{rep.empirical_var:.4f}-1|<=0.30"),
         ("ks", rep.ks_distance <= 0.08, f"{rep.ks_distance:.4f}<=0.08"),
+        _law_check("law", rep.extras["replications"], law),
         ("runtime", dt < 180.0, f"{dt:.0f}s<180s"),
     ])
 
@@ -294,6 +307,7 @@ def test_criterion_06_functional_hill_clt(capfd):
         checks.append(_mean_check(f"mean{tag}", rep.empirical_mean, rep.empirical_var,
                                   rep.reps, ref, ref_var, law.size))
         checks.append(_ks_check(f"ks{tag}", rep.ks_distance, rep.reps, law))
+        checks.append(_law_check(f"law{tag}", rep.extras["replications"], law))
 
     # (identity, s=1) must reproduce the plain Hill pipeline bit for bit
     base = dict(n=5000, k=20, reps=200, seed=SeedSpec(99))
@@ -322,6 +336,7 @@ def test_criterion_07_record_clt(capfd):
         _mean_check("mean", rep.empirical_mean, rep.empirical_var, rep.reps, ref),
         ("var", abs(rep.empirical_var - 1.0) <= 0.10, f"|{rep.empirical_var:.4f}-1|<=0.10"),
         _ks_check("ks", rep.ks_distance, rep.reps, law),
+        _law_check("law", rep.extras["replications"], law),
         ("gamma-control", abs(cm) <= mc_mean and abs(cv - 1.0) <= mc_var,
          f"mean={cm:.4f} var={cv:.4f} within MC error"),
         ("runtime", dt < 60.0, f"{dt:.1f}s<60s"),

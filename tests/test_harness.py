@@ -117,6 +117,20 @@ def test_worker_count_does_not_change_results():
     assert serial.empirical_mean == threaded.empirical_mean  # bitwise
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("hill_clt", dict(n=5000, k=5)),
+    ("dh_clt", dict(n=5000, k=20, s=2.0)),
+    ("record_clt", dict(n=100)),
+])
+def test_replications_in_extras_only(kind, extra):
+    e = Experiment(kind=kind, reps=150, seed=SeedSpec(4), rerun_on_fail=False, **extra)
+    r = run_experiment(e)
+    zs = r.extras["replications"]
+    assert zs.shape == (150,) and bool((zs[1:] >= zs[:-1]).all())
+    assert r.empirical_mean == pytest.approx(float(zs.mean()), rel=1e-12)
+    assert len(report_to_json_dict(r)) == 10
+
+
 def test_different_seeds_differ():
     e1 = Experiment(kind="sampler_gof", n=5000, seed=SeedSpec(1))
     e2 = Experiment(kind="sampler_gof", n=5000, seed=SeedSpec(2))

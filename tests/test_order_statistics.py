@@ -1,0 +1,105 @@
+"""The O(k) top order-statistic sampler and the gamma record draw.
+
+The exactness gate compares each new draw with the full-sample path it
+replaces by a two-sample KS test, at n = 1e4 where the full path is cheap,
+with disjoint master seeds and the 0.1% critical value.
+"""
+
+import numpy as np
+import pytest
+
+from plevt import (
+    DomainError,
+    Params,
+    SeedSpec,
+    WeightFunction,
+    dh_statistic,
+    sample_mixture,
+    top_order_statistics,
+)
+from plevt.gof import ks_critical_two_sample, ks_two_sample
+from plevt.records import record_log_tail
+
+P = Params(1.0, 2.0)
+N = 10_000
+REPS = 4000
+OLD_SEED, NEW_SEED = 11, 12
+IDENTITY = WeightFunction.identity()
+
+
+@pytest.fixture(scope="module")
+def full_sample_path():
+    """Hill (k=7), dh (identity, s=2, k=20) and the maximum of REPS full
+    sorted samples of size N."""
+    hill, dh, maxima = [], [], []
+    for r in range(REPS):
+        sample = sample_mixture(N, P, SeedSpec(OLD_SEED, r))
+        hill.append(dh_statistic(sample, IDENTITY, 7, 1.0).hill)
+        dh.append(dh_statistic(sample, IDENTITY, 20, 2.0).t_n)
+        maxima.append(sample.values[-1])
+    return {"hill": np.array(hill), "dh": np.array(dh), "max": np.array(maxima)}
+
+
+def _top(k, r):
+    return top_order_statistics(N, k, P, SeedSpec(NEW_SEED, r))
+
+
+def _assert_same_law(new, old):
+    d = ks_two_sample(new, old)
+    assert d <= ks_critical_two_sample(new.size, old.size), d
+
+
+def test_hill_matches_full_sample_path(full_sample_path):
+    new = np.array([dh_statistic(_top(7, r), IDENTITY, 7, 1.0).hill for r in range(REPS)])
+    _assert_same_law(new, full_sample_path["hill"])
+
+
+def test_dh_matches_full_sample_path(full_sample_path):
+    new = np.array([dh_statistic(_top(20, r), IDENTITY, 20, 2.0).t_n for r in range(REPS)])
+    _assert_same_law(new, full_sample_path["dh"])
+
+
+def test_maximum_matches_full_sample_path(full_sample_path):
+    new = np.array([_top(0, r).values[0] for r in range(REPS)])
+    _assert_same_law(new, full_sample_path["max"])
+
+
+def test_record_gamma_draw_matches_exponential_sum():
+    n = 400
+    new = np.array([record_log_tail(n, SeedSpec(NEW_SEED, r)) for r in range(REPS)])
+    old = np.array([np.sum(-np.log1p(-SeedSpec(OLD_SEED, r).rng().random(n)))
+                    for r in range(REPS)])
+    _assert_same_law(new, old)
+
+
+# ---------------------------------------------------------------------------
+# unit behaviour
+
+
+def test_returns_k_plus_one_ascending_finite_values():
+    s = top_order_statistics(100_000, 20, P, SeedSpec(5))
+    assert s.n == 21
+    assert np.all(np.isfinite(s.values)) and np.all(np.diff(s.values) >= 0.0)
+    assert s.values[0] > 0.0
+    assert s.origin.kind == "simulated" and s.origin.seed == SeedSpec(5)
+
+
+def test_same_stream_same_values_other_stream_differs():
+    a = top_order_statistics(1000, 5, P, SeedSpec(3, 1)).values
+    b = top_order_statistics(1000, 5, P, SeedSpec(3, 1)).values
+    c = top_order_statistics(1000, 5, P, SeedSpec(3, 2)).values
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_k_zero_and_k_n_minus_one():
+    assert top_order_statistics(1, 0, P, SeedSpec(1)).n == 1
+    assert top_order_statistics(50, 0, P, SeedSpec(1)).n == 1
+    full = top_order_statistics(5, 4, P, SeedSpec(1))
+    assert full.n == 5 and np.all(np.diff(full.values) >= 0.0)
+
+
+@pytest.mark.parametrize("n, k", [(10, -1), (10, 10), (10, 11), (0, 0)])
+def test_bad_k_or_n_raises(n, k):
+    with pytest.raises(DomainError):
+        top_order_statistics(n, k, P, SeedSpec(1))

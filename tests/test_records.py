@@ -83,10 +83,11 @@ def test_simulate_record_deterministic():
 
 
 def test_simulate_record_equals_manual_gamma_draw():
-    # the simulator is exactly quantile(e^{-Gamma_n}) on its own stream
+    # the simulator is exactly quantile(e^{-G_n}) with G_n ~ Gamma(n) drawn
+    # as one standard_gamma(n) on its own stream
     seed = SeedSpec(321)
     n = 80
-    g = float(np.sum(-np.log1p(-seed.rng().random(n))))
+    g = float(seed.rng().standard_gamma(n))
     assert simulate_record(n, P, seed) == record_value_from_log_tail(g, P)
 
 

@@ -199,6 +199,21 @@ def test_parse_lines_label_in_error():
     assert "<stdin>" in str(exc_info.value)
 
 
+def test_parse_lines_strips_byte_order_mark():
+    # a UTF-8 BOM must not turn the first value into a skipped header
+    np.testing.assert_array_equal(parse_values_lines("\ufeff1.5\n2".split("\n")), [1.5, 2.0])
+    np.testing.assert_array_equal(parse_values_lines(["\ufeffvalue", "2"]), [2.0])
+    with pytest.raises(CsvFormatError) as exc_info:
+        parse_values_lines(["\ufeff1.0", "oops"], label="bom.csv")
+    assert exc_info.value.line_no == 2
+
+
+def test_csv_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff1.5\n2.5\n", encoding="utf-8")
+    np.testing.assert_array_equal(read_values_csv(str(path)), [1.5, 2.5])
+
+
 def test_load_sample_sorts(tmp_path):
     path = tmp_path / "unsorted.csv"
     path.write_text("3.0\n1.0\n2.0\n")
