@@ -460,7 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=float, default=None, help="spacing power (dh_clt)")
     sub.add_argument("--reps", type=int, default=None, help="replications")
     _add_seed(sub)
-    sub.add_argument("--workers", type=int, default=1, help="thread workers for replications")
+    sub.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; replications run serially",
+    )
     sub.add_argument("--ks", type=float, default=None, help="override KS threshold")
     sub.add_argument("--mean-window", type=float, default=None, help="override mean window")
     sub.add_argument("--var-window", type=float, default=None, help="override variance window")

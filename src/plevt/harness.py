@@ -18,12 +18,13 @@ compares the empirical law against its limiting reference:
 
 Replication r of an experiment draws from the Philox stream
 ``seed.stream_id + r`` under the experiment's master seed, so suites are
-reproducible one replication at a time and independent of worker count.
-With ``workers > 1`` each thread runs one contiguous block of
-replications and the rows are put back in replication order.  Aggregation
+reproducible one replication at a time.  Replications run serially: each
+is a few small numpy calls that hold the GIL, and a thread pool measured
+slower than one thread on every replicated kind, so the ``workers``
+argument of :func:`run_experiment` and :func:`run_suite` is accepted for
+compatibility and does not change the work or the result.  Aggregation
 sorts the replication outputs before computing moments and the
-Kolmogorov-Smirnov distance, which keeps reports byte-identical whatever
-the execution order.  The sorted standardized replications of
+Kolmogorov-Smirnov distance.  The sorted standardized replications of
 ``hill_clt``, ``dh_clt`` and ``record_clt`` are kept in
 ``extras["replications"]``.
 
@@ -46,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, TextIO
 
@@ -313,23 +313,9 @@ def _ks_threshold(th: Thresholds) -> float:
     return 0.0 if th.ks is None else float(th.ks)
 
 
-def _per_rep(compute: Callable[[int], tuple], reps: int, workers: int) -> np.ndarray:
-    """Rows ``compute(r)`` for r = 0..reps-1, in replication order.
-
-    With ``workers > 1`` each thread runs one contiguous block of
-    replications, so a thread is handed work once, not once per replication.
-    """
-    workers = min(workers, reps)
-    if workers <= 1:
-        rows = [compute(r) for r in range(reps)]
-    else:
-        cuts = [reps * i // workers for i in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(
-                lambda lo, hi: [compute(r) for r in range(lo, hi)], cuts[:-1], cuts[1:]
-            )
-            rows = [row for block in blocks for row in block]
-    return np.asarray(rows, dtype=np.float64)
+def _per_rep(compute: Callable[[int], tuple], reps: int) -> np.ndarray:
+    """Rows ``compute(r)`` for r = 0..reps-1, in replication order."""
+    return np.asarray([compute(r) for r in range(reps)], dtype=np.float64)
 
 
 def _normal_summary(values: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -360,7 +346,7 @@ def _window_checks(
     return ok
 
 
-def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int) -> McReport:
+def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     p = e.params
     q_n = quantile_exact(1.0 / e.n, p).value
     theta = p.theta
@@ -370,7 +356,7 @@ def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int)
         top = top_order_statistics(e.n, 0, p, seed.stream(base + r))
         return (theta * (float(top.values[0]) - q_n),)
 
-    zs = np.sort(_per_rep(compute, e.reps, workers)[:, 0])
+    zs = np.sort(_per_rep(compute, e.reps)[:, 0])
     mean = float(np.mean(zs))
     var = float(np.var(zs, ddof=1))
     ks = gof.ks_distance_sorted(zs, gof.gumbel_cdf(zs))
@@ -401,7 +387,6 @@ def _run_spacings_clt(
     e: Experiment,
     th: Thresholds,
     seed: SeedSpec,
-    workers: int,
     weight: WeightFunction,
     s: float,
 ) -> McReport:
@@ -441,7 +426,7 @@ def _run_spacings_clt(
         z_a, z_b = standardize_dh(ts, gamma)
         return (z_a / scale_a, z_b * s / gamma, ts.hill)
 
-    rows = _per_rep(compute, e.reps, workers)
+    rows = _per_rep(compute, e.reps)
     zs, mean, var, ks = _normal_summary(rows[:, 0])
     passed = _window_checks(mean, var, ks, th)
 
@@ -475,15 +460,15 @@ def _run_spacings_clt(
     )
 
 
-def _run_hill_clt(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int) -> McReport:
-    return _run_spacings_clt(e, th, seed, workers, WeightFunction.identity(), 1.0)
+def _run_hill_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+    return _run_spacings_clt(e, th, seed, WeightFunction.identity(), 1.0)
 
 
-def _run_dh_clt(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int) -> McReport:
-    return _run_spacings_clt(e, th, seed, workers, e.weight, e.s)
+def _run_dh_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+    return _run_spacings_clt(e, th, seed, e.weight, e.s)
 
 
-def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int) -> McReport:
+def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     p = e.params
     n = e.n
     sqrt_n = math.sqrt(n)
@@ -495,7 +480,7 @@ def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int)
         x = record_value_from_log_tail(g, p)
         return ((x - gamma * n) / (gamma * sqrt_n), (g - n) / sqrt_n)
 
-    rows = _per_rep(compute, e.reps, workers)
+    rows = _per_rep(compute, e.reps)
     zs, mean, var, ks = _normal_summary(rows[:, 0])
     _, ctrl_mean, ctrl_var, ctrl_ks = _normal_summary(rows[:, 1])
     passed = _window_checks(mean, var, ks, th)
@@ -519,7 +504,7 @@ def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int)
     )
 
 
-def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int) -> McReport:
+def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     p = e.params
     base = seed.stream_id
     mix = sample_mixture(e.n, p, seed.stream(base))
@@ -554,9 +539,7 @@ def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec, workers: int
 ERROR_ORDER_U_GRID = tuple(float(10.0**-d) for d in range(2, 15, 2))
 
 
-def _run_quantile_error_order(
-    e: Experiment, th: Thresholds, seed: SeedSpec, workers: int
-) -> McReport:
+def _run_quantile_error_order(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     p = e.params
     raw = []
     weighted = []
@@ -604,11 +587,13 @@ def run_experiment(e: Experiment, workers: int = 1) -> McReport:
 
     Raises :class:`ExperimentRefusedError` when the configuration violates
     the growth conditions of the limit theorem (no sampling happens then).
+    ``workers`` is accepted for compatibility and ignored: replications run
+    serially (see the module docstring).
     """
     th = e.resolved_thresholds()
     runner = _RUNNERS[e.kind]
     t0 = time.perf_counter()
-    report = runner(e, th, e.seed, workers)
+    report = runner(e, th, e.seed)
     attempts = 1
     if not report.passed and e.rerun_on_fail and e.kind in STOCHASTIC_KINDS:
         retry_seed = derived_rerun_seed(e.seed)
@@ -618,7 +603,7 @@ def run_experiment(e: Experiment, workers: int = 1) -> McReport:
             "empirical_var": report.empirical_var,
             "ks_distance": report.ks_distance,
         }
-        report = runner(e, th, retry_seed, workers)
+        report = runner(e, th, retry_seed)
         report.extras["first_attempt"] = first
         attempts = 2
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))

@@ -120,22 +120,12 @@ def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
     )
 
 
-def quantile_values(u, p: Params, *, log_inv_u=None) -> np.ndarray:
-    """Vectorized quantiles for an array of tail masses (kernel path).
-
-    Accepts the tails either as u or directly as ``L = log(1/u) >= 0``, so
-    tails where u would underflow stay evaluable (L = 0 gives x = 0).
-    """
-    if log_inv_u is None:
-        arr = np.asarray(u, dtype=np.float64)
-        if arr.size and (not np.isfinite(arr).all() or (arr <= 0.0).any() or (arr >= 1.0).any()):
-            raise DomainError("tail masses must lie strictly in (0, 1)")
-        big_l = -np.log(arr)
-    else:
-        big_l = np.asarray(log_inv_u, dtype=np.float64)
-        if big_l.size and (not np.isfinite(big_l).all() or (big_l < 0.0).any()):
-            raise DomainError("log(1/u) must be finite and >= 0")
-    y = _kernels.solve_scaled_quantile(big_l, p.beta)
+def quantile_values(u, p: Params) -> np.ndarray:
+    """Vectorized quantiles for an array of tail masses (kernel path)."""
+    arr = np.asarray(u, dtype=np.float64)
+    if arr.size and (not np.isfinite(arr).all() or (arr <= 0.0).any() or (arr >= 1.0).any()):
+        raise DomainError("tail masses must lie strictly in (0, 1)")
+    y = _kernels.solve_scaled_quantile(-np.log(arr), p.beta)
     return y / p.theta
 
 

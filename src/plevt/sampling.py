@@ -150,9 +150,9 @@ def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSam
 
     With ``Gamma_j = E_1 + ... + E_j`` for unit exponentials, the j-th
     smallest of n uniform tail masses is ``Gamma_j / Gamma_{n+1}`` in law,
-    so ``X_{n-j+1,n} = Q`` at log tail mass ``log Gamma_{n+1} - log
-    Gamma_j``.  Only ``E_1..E_{k+1}`` are drawn (by inverse transform, on
-    the seed's stream), then ``Gamma_{n+1} - Gamma_{k+1}`` as one
+    so ``X_{n-j+1,n} = Q(Gamma_j / Gamma_{n+1})``.  Only ``E_1..E_{k+1}``
+    are drawn (by inverse transform, on the seed's stream), then
+    ``Gamma_{n+1} - Gamma_{k+1}`` as one
     ``standard_gamma(n-k)`` draw, and the k+1 quantiles are solved at once.
     """
     if n < 1:
@@ -165,7 +165,7 @@ def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSam
     u = np.where(u == 0.0, _MIN_UNIFORM, u)
     partial = np.cumsum(-np.log1p(-u))
     total = partial[-1] + rng.standard_gamma(n - k)
-    values = quantile_values(None, p, log_inv_u=np.log(total) - np.log(partial[::-1]))
+    values = quantile_values(partial[::-1] / total, p)
     # the solves are independent, so nearly equal tails could come back
     # out of order by rounding; the running maximum restores the order
     values = np.maximum.accumulate(values)

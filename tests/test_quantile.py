@@ -83,20 +83,6 @@ def test_tail_mass_validation():
             quantile_values(np.array([0.5, bad]), p)
 
 
-def test_values_from_log_tail():
-    # L = log(1/u) gives the same solve; L = 0 is the bottom of the support,
-    # and tails far past double underflow stay finite
-    p = Params(1.0, 2.0)
-    us = np.array(U_GRID)
-    np.testing.assert_array_equal(quantile_values(None, p, log_inv_u=-np.log(us)),
-                                  quantile_values(us, p))
-    deep = quantile_values(None, p, log_inv_u=[0.0, 800.0, 1e5])
-    assert deep[0] == 0.0 and np.all(np.isfinite(deep)) and np.all(np.diff(deep) > 0.0)
-    for bad in (-1e-9, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            quantile_values(None, p, log_inv_u=[1.0, bad])
-
-
 def test_result_metadata():
     r = quantile_exact(1e-6, Params(1.0, 2.0))
     assert r.method == "newton_bracketed"
