@@ -5,7 +5,6 @@ Evaluation, sampling, method-of-moments fitting, tail-index estimation
 deterministic Monte Carlo harness checking each limit theorem.
 """
 
-from ._kernels import active_backend
 from .distribution import (
     FitResult,
     MixtureWeights,
@@ -44,9 +43,7 @@ from .quantile import (
     QuantileResult,
     quantile_exact,
     quantile_from_log_tail,
-    quantile_lambertw,
     quantile_tail_expansion,
-    quantile_tail_expansion_integral,
     quantile_values,
     tail_expansion_terms,
 )
@@ -61,7 +58,6 @@ from .sampling import (
     SampleOrigin,
     SeedSpec,
     SortedSample,
-    inverse_cdf_transform,
     load_sample_csv,
     mixture_values,
     read_values_csv,
@@ -86,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "active_backend",
     # distribution
     "Params",
     "MixtureWeights",
@@ -104,9 +99,7 @@ __all__ = [
     "quantile_exact",
     "quantile_from_log_tail",
     "quantile_values",
-    "quantile_lambertw",
     "quantile_tail_expansion",
-    "quantile_tail_expansion_integral",
     "tail_expansion_terms",
     # sampling
     "SeedSpec",
@@ -116,7 +109,6 @@ __all__ = [
     "sample_mixture",
     "sample_inverse_cdf",
     "top_order_statistics",
-    "inverse_cdf_transform",
     "spacings",
     "read_values_csv",
     "load_sample_csv",

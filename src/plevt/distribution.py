@@ -90,26 +90,49 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
+def _finish(arr, out, scalar: bool, limit: float):
+    """Return ``out`` (a float for scalar x) with NaN x refused.
+
+    ``inf * exp(-inf)`` is NaN, so a NaN in ``out`` comes either from a NaN
+    in x, which raises DomainError, or from theta*x reaching +inf, where
+    the value is replaced by its limit.
+    """
+    if scalar:
+        value = float(out)
+        if not math.isnan(value):
+            return value
+    elif not np.isnan(out).any():
+        return out
+    if np.isnan(arr).any():
+        raise DomainError("x must not be NaN")
+    out = np.where(np.isnan(out), limit, out)
+    return float(out) if scalar else out
+
+
 def pdf(x, p: Params):
-    """Density ``theta*(beta-1+theta*x)*exp(-theta*x)/beta``; 0 for x < 0."""
+    """Density ``theta*(beta-1+theta*x)*exp(-theta*x)/beta``; 0 for x < 0.
+
+    Tends to 0 as x -> +inf; NaN in x raises DomainError.
+    """
     arr, scalar = _as_array(x)
     tx = p.theta * arr
     out = p.theta * (p.beta - 1.0 + tx) * np.exp(-tx) / p.beta
-    out = np.where(arr < 0.0, 0.0, out)
-    return float(out) if scalar else out
+    return _finish(arr, np.where(arr < 0.0, 0.0, out), scalar, 0.0)
 
 
 def survival(x, p: Params):
-    """Upper tail ``(beta + theta*x)*exp(-theta*x)/beta``; 1 for x < 0."""
+    """Upper tail ``(beta + theta*x)*exp(-theta*x)/beta``; 1 for x < 0.
+
+    Tends to 0 as x -> +inf; NaN in x raises DomainError.
+    """
     arr, scalar = _as_array(x)
     tx = p.theta * arr
     out = (p.beta + tx) * np.exp(-tx) / p.beta
-    out = np.where(arr < 0.0, 1.0, out)
-    return float(out) if scalar else out
+    return _finish(arr, np.where(arr < 0.0, 1.0, out), scalar, 0.0)
 
 
 def cdf(x, p: Params):
-    """Distribution function ``1 - survival(x)``."""
+    """Distribution function ``1 - survival(x)``; 1 at x = +inf."""
     arr, scalar = _as_array(x)
     out = 1.0 - survival(arr, p)
     return float(out) if scalar else out

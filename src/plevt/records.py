@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import record_scan
 from .distribution import Params
 from .errors import DomainError
 from .quantile import quantile_from_log_tail, quantile_tail_expansion
@@ -72,8 +71,10 @@ def extract_records(stream) -> RecordSequence:
         raise DomainError("stream must be a non-empty 1-d array")
     if not np.isfinite(arr).all():
         raise DomainError("stream values must all be finite")
-    values, indices = record_scan(arr)
-    return RecordSequence(values=values, indices=indices)
+    runmax = np.maximum.accumulate(arr)
+    is_record = np.concatenate(([True], arr[1:] > runmax[:-1]))
+    idx = np.flatnonzero(is_record)
+    return RecordSequence(values=arr[idx], indices=idx + 1)
 
 
 def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "sample_mixture",
     "sample_inverse_cdf",
     "top_order_statistics",
-    "inverse_cdf_transform",
     "spacings",
     "read_values_csv",
     "parse_values_lines",
@@ -128,11 +127,6 @@ def sample_mixture(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
 
 
-def inverse_cdf_transform(u, p: Params) -> np.ndarray:
-    """Map tail masses through the exact quantile (deterministic part)."""
-    return quantile_values(u, p)
-
-
 def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     """Sorted sample of size n by inverting the cdf at uniform draws."""
     if n < 1:
@@ -141,7 +135,7 @@ def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     u = rng.random(n)
     # measure-zero guard: rng.random can return exactly 0, outside (0, 1)
     u = np.where(u == 0.0, _MIN_UNIFORM, u)
-    values = np.sort(inverse_cdf_transform(u, p))
+    values = np.sort(quantile_values(u, p))
     return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import compensated_sum
 from .errors import DegenerateSampleError, DomainError
 from .sampling import SortedSample, read_values_csv, spacings
 
@@ -144,11 +143,19 @@ class TailStatistics:
 
 
 def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> float:
-    return compensated_sum(w * sp**s)
+    total = float(np.sum(w * sp**s))
+    if total == 0.0:
+        raise DegenerateSampleError(
+            f"all top-{sp.size} spacings are zero; weighted spacing sum degenerate"
+        )
+    return total
 
 
 def hill(sample: SortedSample, k: int) -> float:
-    """Scaled-spacings estimate ``(1/k) sum j * (top spacing j)``."""
+    """Scaled-spacings estimate ``(1/k) sum j * (top spacing j)``.
+
+    Raises DegenerateSampleError when all top-k spacings are zero (ties).
+    """
     sp = spacings(sample, k)
     j = np.arange(1, k + 1, dtype=np.float64)
     return _weighted_power_sum(sp, j, 1.0) / k
@@ -162,14 +169,14 @@ def _ratios(f: WeightFunction, k: int, s: float) -> np.ndarray:
 def a_n(f: WeightFunction, k: int, s: float) -> float:
     """Centering constant ``Gamma(s+1) * sum_j f(j)/j**s``."""
     _check_s(s)
-    return _gamma_fn(s + 1.0) * compensated_sum(_ratios(f, k, s))
+    return _gamma_fn(s + 1.0) * float(np.sum(_ratios(f, k, s)))
 
 
 def s_n(f: WeightFunction, k: int, s: float) -> float:
     """Scale constant; the variance factor is Gamma(2s+1) - Gamma(s+1)**2."""
     _check_s(s)
     c2 = _gamma_fn(2.0 * s + 1.0) - _gamma_fn(s + 1.0) ** 2
-    return math.sqrt(c2 * compensated_sum(_ratios(f, k, s) ** 2))
+    return math.sqrt(c2 * float(np.sum(_ratios(f, k, s) ** 2)))
 
 
 def b_n(f: WeightFunction, k: int, s: float) -> float:
@@ -188,10 +195,6 @@ def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> T
     sp = spacings(sample, k)
     w = f.weights(k)
     t = _weighted_power_sum(sp, w, s)
-    if t == 0.0:
-        raise DegenerateSampleError(
-            f"all top-{k} spacings are zero; weighted spacing sum degenerate"
-        )
     an = a_n(f, k, s)
     sn = s_n(f, k, s)
     j = np.arange(1, k + 1, dtype=np.float64)

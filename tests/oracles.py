@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import gammaincc, lambertw
 
 
 def pdf_reference(x, theta, beta):
@@ -54,6 +54,35 @@ def quantile_bisection(u, theta, beta, tol=1e-14):
         if hi - lo <= tol * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+def quantile_lambertw(u, theta, beta):
+    """Closed form via the lower Lambert W branch.
+
+    From ``(beta + theta*x) e^{-(beta + theta*x)} = beta u e^{-beta}`` the
+    quantile is ``x = (-W_{-1}(-beta*u*exp(-beta)) - beta) / theta``.  It
+    returns inf once ``exp(-beta)`` underflows (beta above about 745).
+    """
+    w = lambertw(-beta * u * math.exp(-beta), k=-1)
+    return float((-w.real - beta) / theta)
+
+
+def quantile_tail_expansion_integral(u, theta, beta):
+    """Integral form of the two-term tail expansion on u in (0, 1/2).
+
+    Rewrites log log(1/u) through ``I(u) = integral_u^{1/2} ds / (s log(1/s))
+    = log log(1/u) - log log 2``, giving ``d + (L + I(u)) / theta`` with the
+    additive constant ``d = (log log 2 - log beta) / theta`` fixed by
+    agreement with ``(L + log L - log beta) / theta``; the two forms differ
+    only by rounding.
+    """
+    if not 0.0 < u < 0.5:
+        raise ValueError(f"integral form needs 0 < u < 1/2, got {u!r}")
+    big_l = -math.log(u)
+    log_log_2 = math.log(math.log(2.0))
+    integral = math.log(big_l) - log_log_2
+    d = (log_log_2 - math.log(beta)) / theta
+    return d + (big_l + integral) / theta
 
 
 def central_difference(fn, x, h=1e-6):

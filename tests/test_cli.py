@@ -221,6 +221,15 @@ def test_hill_bad_csv_reports_line(tmp_path, capsys):
     assert ":3:" in err  # offending line number in path:line: style
 
 
+def test_hill_degenerate_sample(tmp_path, capsys):
+    p = tmp_path / "flat.csv"
+    p.write_text("2.0\n2.0\n2.0\n2.0\n")
+    code, out, err = run(capsys, "hill", "-i", str(p), "--k", "3")
+    assert code == 5
+    assert "refused:" in err
+    assert out == ""
+
+
 def test_hill_bad_k_grid_spec(canon_csv, capsys):
     code, _, _ = run(capsys, "hill", "-i", canon_csv, "--k-grid", "3:1")
     assert code == 2

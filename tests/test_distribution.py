@@ -70,6 +70,29 @@ def test_pdf_negative_is_zero():
     assert cdf(-1.0, p) == 0.0
 
 
+def test_density_limits_at_infinity():
+    p = Params(1.0, 2.0)
+    for x in (math.inf, np.inf):
+        assert pdf(x, p) == 0.0
+        assert survival(x, p) == 0.0
+        assert cdf(x, p) == 1.0
+    xs = np.array([0.0, 1.5, math.inf])
+    finite = xs[:2]
+    for fn, limit in ((pdf, 0.0), (survival, 0.0), (cdf, 1.0)):
+        out = fn(xs, p)
+        assert out[2] == limit
+        np.testing.assert_array_equal(out[:2], fn(finite, p))  # bit-identical
+
+
+def test_density_rejects_nan():
+    p = Params(1.0, 2.0)
+    for fn in (pdf, survival, cdf):
+        with pytest.raises(DomainError):
+            fn(math.nan, p)
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, math.nan, 2.0]), p)
+
+
 def test_pdf_vectorized_matches_scalar():
     p = Params(0.5, 1.2)
     xs = np.array([-1.0, 0.0, 0.3, 2.0, 40.0])

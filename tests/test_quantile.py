@@ -1,24 +1,29 @@
-"""Quantile solver, Lambert-W cross-check, and the tail expansion."""
+"""Quantile solvers, Lambert-W cross-check, and the tail expansion."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plevt import (
     DomainError,
     Params,
     quantile_exact,
     quantile_from_log_tail,
-    quantile_lambertw,
     quantile_tail_expansion,
-    quantile_tail_expansion_integral,
     quantile_values,
     survival,
     tail_expansion_terms,
 )
+from plevt.quantile import _solve_scaled_array
 
-from oracles import quantile_bisection
+from oracles import (
+    quantile_bisection,
+    quantile_lambertw,
+    quantile_tail_expansion_integral,
+)
 
 PARAM_GRID = [(1.0, 2.0), (3.0, 1.5), (0.5, 1.2), (0.7, 6.0)]
 U_GRID = [0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
@@ -46,7 +51,7 @@ def test_lambertw_closed_form_agrees():
     for theta, beta in PARAM_GRID:
         p = Params(theta, beta)
         for u in (0.5, 1e-2, 1e-6, 1e-12):
-            assert quantile_lambertw(u, p) == pytest.approx(
+            assert quantile_lambertw(u, theta, beta) == pytest.approx(
                 quantile_exact(u, p).value, rel=1e-12
             )
 
@@ -134,15 +139,14 @@ def test_integral_form_equals_direct_expansion():
     for theta, beta in PARAM_GRID:
         p = Params(theta, beta)
         for u in (1e-3, 1e-7, 1e-13):
-            assert quantile_tail_expansion_integral(u, p) == pytest.approx(
+            assert quantile_tail_expansion_integral(u, theta, beta) == pytest.approx(
                 quantile_tail_expansion(u, p), rel=1e-12
             )
 
 
 def test_integral_form_domain():
-    p = Params(1.0, 2.0)
-    with pytest.raises(DomainError):
-        quantile_tail_expansion_integral(0.7, p)
+    with pytest.raises(ValueError):
+        quantile_tail_expansion_integral(0.7, 1.0, 2.0)
 
 
 def test_error_order_is_log_squared():
@@ -187,3 +191,69 @@ def test_pi_variation():
         for lam in (0.5, 2.0):
             gap = quantile_exact(lam * u, p).value - quantile_exact(u, p).value
             assert abs(gap - gamma * math.log(1.0 / lam)) <= 0.05 * gamma
+
+
+def test_solver_satisfies_fixed_point():
+    # h(y) = log1p(y/beta) - y + L == 0 at the returned root
+    ls = np.array([0.5, 3.0, 20.0, 300.0])
+    ys = _solve_scaled_array(ls, 2.0)
+    resid = np.log1p(ys / 2.0) - ys + ls
+    assert np.max(np.abs(resid)) < 1e-11
+
+
+def test_overflowing_quantile_raises():
+    # theta = 1e-310 is a valid (subnormal) rate, but y/theta overflows
+    p = Params(1e-310, 2.0)
+    with pytest.raises(DomainError):
+        quantile_exact(0.1, p)
+
+
+def test_overflowing_log_tail_quantile_raises():
+    p = Params(1e-310, 2.0)
+    with pytest.raises(DomainError):
+        quantile_from_log_tail(-math.log(0.1), p)
+    with pytest.raises(DomainError):
+        quantile_tail_expansion(None, p, log_inv_u=800.0)  # the deep-tail form
+
+
+def test_overflowing_quantile_values_raises():
+    with pytest.raises(DomainError):
+        quantile_values(np.array([0.5, 0.1]), Params(1e-310, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# property test of the scalar and array solvers
+
+
+def _residual_bound(big_l, y):
+    # the solvers stop once |h(y)| <= max(1e-13, 8 eps max(1, L + y)); the
+    # entry points return x = y/theta, and recovering y = theta*x rounds
+    # twice more, which moves h by up to 2 eps y since |h'(y)| < 1
+    eps = np.finfo(float).eps
+    return max(1e-13, 8.0 * eps * max(1.0, big_l + y)) + 2.0 * eps * y
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    theta=st.floats(1e-3, 1e3),
+    beta=st.floats(1.0, 1e8, exclude_min=True),
+    big_l=st.floats(1e-12, 700.0),
+)
+def test_solvers_residual_and_agreement(theta, beta, big_l):
+    p = Params(theta, beta)
+    u = math.exp(-big_l)
+    solved = {
+        "exact": (quantile_exact(u, p).value, -math.log(u)),
+        "log_tail": (quantile_from_log_tail(big_l, p).value, big_l),
+        "values": (float(quantile_values(np.array([u]), p)[0]), -math.log(u)),
+    }
+    for name, (x, solved_l) in solved.items():
+        y = theta * x
+        resid = math.log1p(y / beta) - y + solved_l
+        assert abs(resid) <= _residual_bound(solved_l, y), name
+    # for u > 1/2 and beta near 1, f(0) = theta*(beta-1)/beta -> 0 and Q is
+    # ill-conditioned there, so agreement is only asserted on u <= 1/2
+    if u <= 0.5:
+        ref = solved["log_tail"][0]
+        for name in ("exact", "values"):
+            assert solved[name][0] == pytest.approx(ref, rel=1e-13), name

@@ -52,6 +52,23 @@ def test_extract_ties_are_not_records():
     np.testing.assert_array_equal(rec.values, [1.0])
 
 
+def test_extract_edge_streams():
+    # the running-maximum scan at its edges (one observation is
+    # test_extract_single_observation): two observations, a tied stream and
+    # a strictly decreasing stream
+    cases = [
+        ([2.0, 3.0], [2.0, 3.0], [1, 2]),
+        ([3.0, 2.0], [3.0], [1]),
+        ([1.0, 2.0, 2.0, 2.0, 5.0, 5.0], [1.0, 2.0, 5.0], [1, 2, 5]),
+        ([5.0, 4.0, 3.0, 2.0, 1.0], [5.0], [1]),
+    ]
+    for stream, values, indices in cases:
+        rec = extract_records(stream)
+        np.testing.assert_array_equal(rec.values, values)
+        np.testing.assert_array_equal(rec.indices, indices)
+        assert rec.indices.dtype == np.int64
+
+
 def test_extract_matches_naive_loop():
     rng = np.random.default_rng(99)
     for _ in range(40):

@@ -13,7 +13,6 @@ from plevt import (
     SeedSpec,
     SortedSample,
     cdf,
-    inverse_cdf_transform,
     load_sample_csv,
     mixture_values,
     read_values_csv,
@@ -95,12 +94,14 @@ def test_inverse_cdf_agrees_with_mixture():
     assert d <= 1.95 * math.sqrt(2.0 / n)
 
 
-def test_inverse_cdf_transform_is_quantile():
-    us = np.array([0.9, 0.5, 0.01])
+def test_inverse_cdf_sample_is_quantile():
+    # sample_inverse_cdf maps the seed's uniforms through the quantile
     from plevt import quantile_exact
 
-    expected = [quantile_exact(float(u), P).value for u in us]
-    np.testing.assert_allclose(inverse_cdf_transform(us, P), expected, rtol=1e-13)
+    n, seed = 5, SeedSpec(3, 2)
+    us = seed.rng().random(n)
+    expected = sorted(quantile_exact(float(u), P).value for u in us)
+    np.testing.assert_allclose(sample_inverse_cdf(n, P, seed).values, expected, rtol=1e-13)
 
 
 def test_sample_size_validation():

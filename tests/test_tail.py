@@ -179,6 +179,16 @@ def test_dh_degenerate_sample():
         dh_statistic(s, WeightFunction.identity(), 3, 1.0)
 
 
+def test_hill_degenerate_sample():
+    # all top-k spacings zero: hill refuses like dh_statistic
+    s = SortedSample(np.array([1.0, 2.5, 2.5, 2.5, 2.5]), SampleOrigin("ingested"))
+    with pytest.raises(DegenerateSampleError):
+        hill(s, 3)
+    with pytest.raises(DegenerateSampleError):
+        dh_statistic(s, WeightFunction.identity(), 3, 2.0)
+    assert hill(s, 4) == pytest.approx(4.0 * 1.5 / 4.0, rel=1e-15)
+
+
 def test_standardize_dh_linearization():
     gamma = 0.5
     ts = dh_statistic(CANON, WeightFunction.identity(), 3, 1.0)
