@@ -18,20 +18,21 @@ compares the empirical law against its limiting reference:
 
 Replication r of an experiment draws from the Philox stream
 ``seed.stream_id + r`` under the experiment's master seed, so suites are
-reproducible one replication at a time.  Replications run serially: each
-is a few small numpy calls that hold the GIL, and a thread pool measured
-slower than one thread on every replicated kind, so the ``workers``
-argument of :func:`run_experiment` and :func:`run_suite` is accepted for
-compatibility and does not change the work or the result.  Aggregation
-sorts the replication outputs before computing moments and the
-Kolmogorov-Smirnov distance.  The sorted standardized replications of
+reproducible one replication at a time.  An attempt draws every
+replication in one loop, then solves, reduces and standardizes them as
+arrays; only ``record_clt`` keeps a scalar solve per replication, which the
+array solver can miss by one ulp.  A thread pool measured slower than one
+thread, so the ``workers`` argument of :func:`run_experiment` and
+:func:`run_suite` is accepted for compatibility and changes nothing.
+Aggregation sorts the replication outputs before computing moments and the
+Kolmogorov-Smirnov distance; the sorted standardized replications of
 ``hill_clt``, ``dh_clt`` and ``record_clt`` are kept in
 ``extras["replications"]``.
 
 No replication draws a full sample.  ``max_gumbel``, ``hill_clt`` and
 ``dh_clt`` use only the top k+1 order statistics (k = 0 for the maximum),
-which :func:`plevt.sampling.top_order_statistics` draws exactly in law from
-k+1 exponentials and one gamma variate (Renyi representation), so a
+which :func:`plevt.sampling.top_order_statistics_rows` draws exactly in law
+from k+1 exponentials and one gamma variate (Renyi representation), so a
 replication costs O(k) whatever n is.  ``record_clt`` draws the record's
 log tail mass G_n ~ Gamma(n) as one gamma variate, shared with
 :func:`plevt.records.simulate_record`, so it costs O(1) in n.
@@ -48,7 +49,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -61,14 +62,14 @@ from .sampling import (
     SeedSpec,
     sample_inverse_cdf,
     sample_mixture,
-    top_order_statistics,
+    top_order_statistics_rows,
 )
 from .tail import (
     WeightFunction,
     check_dh_conditions,
     check_k1,
     default_k,
-    dh_statistic,
+    dh_statistic_rows,
     standardize_dh,
 )
 
@@ -313,9 +314,9 @@ def _ks_threshold(th: Thresholds) -> float:
     return 0.0 if th.ks is None else float(th.ks)
 
 
-def _per_rep(compute: Callable[[int], tuple], reps: int) -> np.ndarray:
-    """Rows ``compute(r)`` for r = 0..reps-1, in replication order."""
-    return np.asarray([compute(r) for r in range(reps)], dtype=np.float64)
+def _replication_seeds(e: Experiment, seed: SeedSpec) -> list[SeedSpec]:
+    """Replication r's stream, ``seed.stream_id + r``, for r = 0..reps-1."""
+    return [seed.stream(seed.stream_id + r) for r in range(e.reps)]
 
 
 def _normal_summary(values: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -349,14 +350,8 @@ def _window_checks(
 def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     p = e.params
     q_n = quantile_exact(1.0 / e.n, p).value
-    theta = p.theta
-    base = seed.stream_id
-
-    def compute(r: int) -> tuple:
-        top = top_order_statistics(e.n, 0, p, seed.stream(base + r))
-        return (theta * (float(top.values[0]) - q_n),)
-
-    zs = np.sort(_per_rep(compute, e.reps)[:, 0])
+    maxima = top_order_statistics_rows(e.n, 0, p, _replication_seeds(e, seed))[:, 0]
+    zs = np.sort(p.theta * (maxima - q_n))
     mean = float(np.mean(zs))
     var = float(np.var(zs, ddof=1))
     ks = gof.ks_distance_sorted(zs, gof.gumbel_cdf(zs))
@@ -383,16 +378,12 @@ def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     )
 
 
-def _run_spacings_clt(
-    e: Experiment,
-    th: Thresholds,
-    seed: SeedSpec,
-    weight: WeightFunction,
-    s: float,
-) -> McReport:
+def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+    """``hill_clt`` (identity weights, s = 1) and ``dh_clt``."""
     p = e.params
     gamma = p.gamma
     k = e.k
+    weight, s = (WeightFunction.identity(), 1.0) if e.kind == "hill_clt" else (e.weight, e.s)
     diag = check_dh_conditions(weight, e.n, k, s)
     k1 = check_k1(e.n, k)
 
@@ -417,17 +408,10 @@ def _run_spacings_clt(
                 diagnostics={"k1": k1, **diag},
             )
 
-    scale_a = gamma**s
-    base = seed.stream_id
-
-    def compute(r: int) -> tuple:
-        sample = top_order_statistics(e.n, k, p, seed.stream(base + r))
-        ts = dh_statistic(sample, weight, k, s)
-        z_a, z_b = standardize_dh(ts, gamma)
-        return (z_a / scale_a, z_b * s / gamma, ts.hill)
-
-    rows = _per_rep(compute, e.reps)
-    zs, mean, var, ks = _normal_summary(rows[:, 0])
+    tops = top_order_statistics_rows(e.n, k, p, _replication_seeds(e, seed))
+    ts = dh_statistic_rows(tops, weight, k, s)
+    z_a, z_b = standardize_dh(ts, gamma)
+    zs, mean, var, ks = _normal_summary(z_a / gamma**s)
     passed = _window_checks(mean, var, ks, th)
 
     extras: dict = {
@@ -435,12 +419,12 @@ def _run_spacings_clt(
         "s": s,
         "weight": weight.label,
         "k1": k1,
-        "mean_hill": float(np.mean(np.sort(rows[:, 2]))),
+        "mean_hill": float(np.mean(np.sort(ts.hill))),
         "replications": zs,
         **diag,
     }
     if diag["growth"] >= th.growth_min:
-        _, zb_mean, zb_var, zb_ks = _normal_summary(rows[:, 1])
+        _, zb_mean, zb_var, zb_ks = _normal_summary(z_b * s / gamma)
         extras["estimator_mean"] = zb_mean
         extras["estimator_var"] = zb_var
         extras["estimator_ks"] = zb_ks
@@ -460,29 +444,15 @@ def _run_spacings_clt(
     )
 
 
-def _run_hill_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
-    return _run_spacings_clt(e, th, seed, WeightFunction.identity(), 1.0)
-
-
-def _run_dh_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
-    return _run_spacings_clt(e, th, seed, e.weight, e.s)
-
-
 def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     p = e.params
     n = e.n
     sqrt_n = math.sqrt(n)
     gamma = p.gamma
-    base = seed.stream_id
-
-    def compute(r: int) -> tuple:
-        g = record_log_tail(n, seed.stream(base + r))
-        x = record_value_from_log_tail(g, p)
-        return ((x - gamma * n) / (gamma * sqrt_n), (g - n) / sqrt_n)
-
-    rows = _per_rep(compute, e.reps)
-    zs, mean, var, ks = _normal_summary(rows[:, 0])
-    _, ctrl_mean, ctrl_var, ctrl_ks = _normal_summary(rows[:, 1])
+    g = np.array([record_log_tail(n, rs) for rs in _replication_seeds(e, seed)])
+    x = np.array([record_value_from_log_tail(v, p) for v in g.tolist()])
+    zs, mean, var, ks = _normal_summary((x - gamma * n) / (gamma * sqrt_n))
+    _, ctrl_mean, ctrl_var, ctrl_ks = _normal_summary((g - n) / sqrt_n)
     passed = _window_checks(mean, var, ks, th)
     return McReport(
         kind=e.kind,
@@ -574,8 +544,8 @@ def _run_quantile_error_order(e: Experiment, th: Thresholds, seed: SeedSpec) -> 
 
 _RUNNERS = {
     "max_gumbel": _run_max_gumbel,
-    "hill_clt": _run_hill_clt,
-    "dh_clt": _run_dh_clt,
+    "hill_clt": _run_spacings_clt,
+    "dh_clt": _run_spacings_clt,
     "record_clt": _run_record_clt,
     "sampler_gof": _run_sampler_gof,
     "quantile_error_order": _run_quantile_error_order,

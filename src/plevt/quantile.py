@@ -171,7 +171,8 @@ def quantile_values(u, p: Params) -> np.ndarray:
     arr = np.asarray(u, dtype=np.float64)
     if arr.size and (not np.isfinite(arr).all() or (arr <= 0.0).any() or (arr >= 1.0).any()):
         raise DomainError("tail masses must lie strictly in (0, 1)")
-    x = _solve_scaled_array(-np.log(arr), p.beta) / p.theta
+    with np.errstate(over="ignore"):  # an infinite x is refused just below
+        x = _solve_scaled_array(-np.log(arr), p.beta) / p.theta
     if not np.isfinite(x).all():
         raise DomainError(f"quantile overflows float64 for {p}")
     return x

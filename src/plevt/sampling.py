@@ -140,39 +140,55 @@ def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
 
 
 def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSample:
-    """The k+1 largest of n i.i.d. draws, ascending, in O(k) (Renyi).
+    """The k+1 largest of n i.i.d. draws, ascending, in O(k): the one-seed
+    case of :func:`top_order_statistics_rows`."""
+    values = top_order_statistics_rows(n, k, p, [seed])[0]
+    return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
+
+
+def top_order_statistics_rows(n: int, k: int, p: Params, seeds) -> np.ndarray:
+    """The k+1 largest of n i.i.d. draws for each seed, as a
+    ``(len(seeds), k+1)`` array of ascending rows, in O(k) per row (Renyi).
 
     With ``Gamma_j = E_1 + ... + E_j`` for unit exponentials, the j-th
     smallest of n uniform tail masses is ``Gamma_j / Gamma_{n+1}`` in law,
-    so ``X_{n-j+1,n} = Q(Gamma_j / Gamma_{n+1})``.  Only ``E_1..E_{k+1}``
-    are drawn (by inverse transform, on the seed's stream), then
-    ``Gamma_{n+1} - Gamma_{k+1}`` as one
-    ``standard_gamma(n-k)`` draw, and the k+1 quantiles are solved at once.
+    so ``X_{n-j+1,n} = Q(Gamma_j / Gamma_{n+1})``.  Row i draws only
+    ``E_1..E_{k+1}`` (by inverse transform) and ``Gamma_{n+1} -
+    Gamma_{k+1}`` as one ``standard_gamma(n-k)``, on ``seeds[i]``'s stream;
+    the transforms and the quantile solve then run once on the whole array.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     if not 0 <= k <= n - 1:
         raise DomainError(f"k must lie in [0, n-1] = [0, {n - 1}], got {k}")
-    rng = seed.rng()
-    u = rng.random(k + 1)
+    u = np.empty((len(seeds), k + 1))
+    rest = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = seed.rng()
+        u[i] = rng.random(k + 1)
+        rest[i] = rng.standard_gamma(n - k)
     # measure-zero guard: U = 0 would give Gamma_1 = 0 and an infinite tail
     u = np.where(u == 0.0, _MIN_UNIFORM, u)
-    partial = np.cumsum(-np.log1p(-u))
-    total = partial[-1] + rng.standard_gamma(n - k)
-    values = quantile_values(partial[::-1] / total, p)
+    partial = np.cumsum(-np.log1p(-u), axis=1)
+    total = partial[:, -1:] + rest[:, None]
+    values = quantile_values(partial[:, ::-1] / total, p)
     # the solves are independent, so nearly equal tails could come back
     # out of order by rounding; the running maximum restores the order
-    values = np.maximum.accumulate(values)
-    return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
+    return np.maximum.accumulate(values, axis=1)
 
 
 def spacings(sample: SortedSample, k: int) -> np.ndarray:
     """Top spacings ``X_{n-j+1,n} - X_{n-j,n}`` for j = 1..k."""
-    n = sample.n
+    return top_spacings(sample.values, k)
+
+
+def top_spacings(values: np.ndarray, k: int) -> np.ndarray:
+    """:func:`spacings` along the last axis of ascending ``values``; C-order,
+    so numpy's vector loops treat each row as they treat one sample."""
+    n = values.shape[-1]
     if not (1 <= k <= n - 1):
         raise DomainError(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
-    tail = sample.values[-(k + 1):]
-    return np.diff(tail)[::-1].copy()
+    return np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()
 
 
 def read_values_csv(path: str) -> np.ndarray:

@@ -22,12 +22,12 @@ the diagnostic ``check_k1 = k**(3/4) / log n``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
-from .sampling import SortedSample, read_values_csv, spacings
+from .sampling import SortedSample, read_values_csv, spacings, top_spacings
 
 __all__ = [
     "WeightFunction",
@@ -139,14 +139,14 @@ class TailStatistics:
     s_n: float
     b_n: float
     dh_estimate: float
-    standardized_t: float | None = None
 
 
-def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> float:
-    total = float(np.sum(w * sp**s))
-    if total == 0.0:
+def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
+    """``sum_j w(j) * sp_j**s`` along the last axis, one total per row."""
+    total = np.sum(w * sp**s, axis=-1)
+    if (total == 0.0).any():
         raise DegenerateSampleError(
-            f"all top-{sp.size} spacings are zero; weighted spacing sum degenerate"
+            f"all top-{sp.shape[-1]} spacings are zero; weighted spacing sum degenerate"
         )
     return total
 
@@ -158,7 +158,7 @@ def hill(sample: SortedSample, k: int) -> float:
     """
     sp = spacings(sample, k)
     j = np.arange(1, k + 1, dtype=np.float64)
-    return _weighted_power_sum(sp, j, 1.0) / k
+    return float(_weighted_power_sum(sp, j, 1.0)) / k
 
 
 def _ratios(f: WeightFunction, k: int, s: float) -> np.ndarray:
@@ -191,13 +191,23 @@ def _check_s(s: float) -> None:
 
 def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> TailStatistics:
     """All weighted-spacing statistics of the sample at (f, k, s)."""
+    ts = dh_statistic_rows(sample.values, f, k, s)
+    return replace(ts, hill=float(ts.hill), t_n=float(ts.t_n), dh_estimate=float(ts.dh_estimate))
+
+
+def dh_statistic_rows(top: np.ndarray, f: WeightFunction, k: int, s: float) -> TailStatistics:
+    """:func:`dh_statistic` of each row of ``top`` (ascending along the last
+    axis), as arrays, with the constants computed once.  The estimate uses
+    the C library's ``pow`` one value at a time, as for one sample: numpy's
+    vector power (and its sqrt at s = 2) can differ from it in the last bit."""
     _check_s(s)
-    sp = spacings(sample, k)
+    sp = top_spacings(top, k)
     w = f.weights(k)
     t = _weighted_power_sum(sp, w, s)
     an = a_n(f, k, s)
     sn = s_n(f, k, s)
     j = np.arange(1, k + 1, dtype=np.float64)
+    root = [r ** (1.0 / s) for r in np.ravel(t / an).tolist()]
     return TailStatistics(
         k=k,
         s=float(s),
@@ -206,12 +216,12 @@ def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> T
         a_n=an,
         s_n=sn,
         b_n=float(np.max(w / j**s)) / sn,
-        dh_estimate=(t / an) ** (1.0 / s),
+        dh_estimate=np.reshape(root, np.shape(t)),
     )
 
 
 def standardize_dh(ts: TailStatistics, gamma: float) -> tuple[float, float]:
-    """Standardized pair at a known gamma.
+    """Standardized pair at a known gamma (elementwise for row statistics).
 
     Returns ``z_a = (t_n - gamma**s * a_n) / s_n`` (limit N(0, gamma**(2s)))
     and ``z_b = (a_n / s_n) * (dh_estimate - gamma)`` (limit N(0, gamma**2 / s**2)).

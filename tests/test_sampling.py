@@ -22,7 +22,13 @@ from plevt import (
     write_values_csv,
 )
 from plevt.gof import ks_distance_sorted, ks_two_sample
-from plevt.sampling import SampleOrigin, parse_values_lines
+from plevt.quantile import quantile_values
+from plevt.sampling import (
+    SampleOrigin,
+    parse_values_lines,
+    top_order_statistics,
+    top_order_statistics_rows,
+)
 
 P = Params(1.0, 2.0)
 
@@ -150,6 +156,24 @@ def test_spacings_k_bounds():
     with pytest.raises(DomainError):
         spacings(s, 3)
     assert spacings(s, 2).shape == (2,)
+
+
+def test_top_order_statistics_rows_match_per_seed_loop():
+    # reference: the one-sample draw path written out per seed; the row form
+    # must reproduce it bit for bit, and the one-seed call is its first row
+    n, k = 100_000, 7
+    seeds = [SeedSpec(3, r) for r in range(300)]
+    rows = top_order_statistics_rows(n, k, P, seeds)
+    assert rows.shape == (300, k + 1)
+    for seed, row in zip(seeds, rows):
+        rng = seed.rng()
+        u = rng.random(k + 1)
+        u = np.where(u == 0.0, 2.0**-53, u)
+        partial = np.cumsum(-np.log1p(-u))
+        total = partial[-1] + rng.standard_gamma(n - k)
+        ref = np.maximum.accumulate(quantile_values(partial[::-1] / total, P))
+        np.testing.assert_array_equal(row, ref)
+    np.testing.assert_array_equal(top_order_statistics(n, k, P, seeds[5]).values, rows[5])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from plevt import (
     sample_mixture,
     standardize_dh,
 )
-from plevt.sampling import SampleOrigin
+from plevt.sampling import SampleOrigin, top_order_statistics_rows
+from plevt.tail import dh_statistic_rows
 
 from oracles import dh_naive, hill_naive
 
@@ -187,6 +188,40 @@ def test_hill_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
         dh_statistic(s, WeightFunction.identity(), 3, 2.0)
     assert hill(s, 4) == pytest.approx(4.0 * 1.5 / 4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("f, s", [
+    (WeightFunction.identity(), 2.0),
+    (WeightFunction.power(0.5), 1.5),
+    (WeightFunction.log1p(), 1.0),
+    (WeightFunction.identity(), 3.0),
+])
+def test_row_statistics_match_one_sample_loop(f, s):
+    # reference: the one-sample formulas row by row, with Python's float pow
+    # for the estimate; the row form and dh_statistic on each row as one
+    # sample must reproduce them bit for bit
+    k = 20
+    tops = top_order_statistics_rows(10_000, k, Params(1.0, 2.0),
+                                     [SeedSpec(9, r) for r in range(1000)])
+    ts = dh_statistic_rows(tops, f, k, s)
+    z_a, z_b = standardize_dh(ts, 0.7)
+    j = np.arange(1.0, k + 1.0)
+    for r, row in enumerate(tops):
+        sp = np.diff(row)[::-1].copy()
+        t = float(np.sum(f.weights(k) * sp**s))
+        est = (t / ts.a_n) ** (1.0 / s)
+        assert ts.t_n[r] == t
+        assert dh_statistic(_sorted(row), f, k, s).t_n == t
+        assert ts.hill[r] == float(np.sum(j * sp)) / k
+        assert ts.dh_estimate[r] == est
+        assert z_a[r] == (t - 0.7**s * ts.a_n) / ts.s_n
+        assert z_b[r] == (ts.a_n / ts.s_n) * (est - 0.7)
+
+
+def test_row_statistics_refuse_a_degenerate_row():
+    tops = np.array([[0.0, 1.0, 2.0, 4.0], [1.0, 2.5, 2.5, 2.5]])
+    with pytest.raises(DegenerateSampleError):
+        dh_statistic_rows(tops, WeightFunction.identity(), 2, 1.0)
 
 
 def test_standardize_dh_linearization():
