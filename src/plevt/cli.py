@@ -327,8 +327,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         if args.kind is not None:
             raise ParameterError("--all and --kind are mutually exclusive")
-        if overrides:
-            raise ParameterError("threshold overrides apply to single --kind runs only")
+        single_kind = {
+            "--n": args.n, "--k": args.k, "--f": args.f, "--s": args.s,
+            "--reps": args.reps, "--ks": args.ks, "--mean-window": args.mean_window,
+            "--var-window": args.var_window, "--no-rerun": args.no_rerun or None,
+        }
+        given = [flag for flag, value in single_kind.items() if value is not None]
+        if given:
+            raise ParameterError(
+                f"--all runs the standard suite at its defaults and takes no "
+                f"{', '.join(given)} (as a flag or a PLEVT_* variable)"
+            )
         results = run_suite(standard_suite(p, seed), workers=args.workers)
         _write_text(args.output, suite_to_json(results, stable=args.stable_json) + "\n")
         if args.csv is not None:

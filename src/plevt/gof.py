@@ -11,9 +11,7 @@ __all__ = [
     "std_normal_cdf",
     "gumbel_cdf",
     "ks_distance_sorted",
-    "ks_statistic",
     "ks_two_sample",
-    "ks_critical_one_sample",
     "ks_critical_two_sample",
 ]
 
@@ -39,12 +37,6 @@ def ks_distance_sorted(sorted_values: np.ndarray, cdf_values: np.ndarray) -> flo
     return max(d_plus, d_minus)
 
 
-def ks_statistic(values, cdf) -> float:
-    """One-sample KS distance of values against a vectorized cdf callable."""
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    return ks_distance_sorted(xs, np.asarray(cdf(xs), dtype=np.float64))
-
-
 def ks_two_sample(x, y) -> float:
     """Two-sample KS distance between the ecdfs of x and y."""
     x = np.sort(np.asarray(x, dtype=np.float64))
@@ -55,16 +47,7 @@ def ks_two_sample(x, y) -> float:
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
-def _c_alpha(alpha: float) -> float:
-    return math.sqrt(-0.5 * math.log(alpha / 2.0))
-
-
-def ks_critical_one_sample(n: int, alpha: float = 0.001) -> float:
-    """Asymptotic one-sample critical value c(alpha)/sqrt(n); ~1.95/sqrt(n)
-    at the 0.1% level."""
-    return _c_alpha(alpha) / math.sqrt(n)
-
-
 def ks_critical_two_sample(n: int, m: int, alpha: float = 0.001) -> float:
-    """Asymptotic two-sample critical value c(alpha)*sqrt((n+m)/(n*m))."""
-    return _c_alpha(alpha) * math.sqrt((n + m) / (n * m))
+    """Asymptotic two-sample critical value c(alpha)*sqrt((n+m)/(n*m)), with
+    c(alpha) = sqrt(-log(alpha/2)/2)."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))

@@ -24,10 +24,11 @@ arrays; only ``record_clt`` keeps a scalar solve per replication, which the
 array solver can miss by one ulp.  A thread pool measured slower than one
 thread, so the ``workers`` argument of :func:`run_experiment` and
 :func:`run_suite` is accepted for compatibility and changes nothing.
-Aggregation sorts the replication outputs before computing moments and the
-Kolmogorov-Smirnov distance; the sorted standardized replications of
-``hill_clt``, ``dh_clt`` and ``record_clt`` are kept in
-``extras["replications"]``.
+
+Each kind is one entry of the ``_KINDS`` table (runner, default thresholds,
+n and reps).  Every replicated kind builds its report in one helper, which
+sorts the standardized replications, compares them with the reference law
+and keeps them in ``extras["replications"]``.
 
 No replication draws a full sample.  ``max_gumbel``, ``hill_clt`` and
 ``dh_clt`` use only the top k+1 order statistics (k = 0 for the maximum),
@@ -49,15 +50,15 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
 from . import gof
 from .distribution import Params, cdf
-from .errors import DomainError, ExperimentRefusedError, ParameterError
+from .errors import ExperimentRefusedError, ParameterError
 from .quantile import quantile_exact, quantile_tail_expansion
-from .records import record_log_tail, record_value_from_log_tail
+from .records import record_log_tail, record_value_from_log_tail, standardized_record
 from .sampling import (
     SeedSpec,
     sample_inverse_cdf,
@@ -91,24 +92,6 @@ __all__ = [
     "write_csv_summary",
 ]
 
-KINDS = (
-    "max_gumbel",
-    "hill_clt",
-    "dh_clt",
-    "record_clt",
-    "sampler_gof",
-    "quantile_error_order",
-)
-
-#: Kinds that average a standardized statistic over many replications.
-REPLICATED_KINDS = frozenset(
-    {"max_gumbel", "hill_clt", "dh_clt", "record_clt"}
-)
-
-#: Kinds whose outcome depends on the seed (everything but the
-#: deterministic quantile check); these get the automatic re-run.
-STOCHASTIC_KINDS = REPLICATED_KINDS | {"sampler_gof"}
-
 #: Additive constant for the automatic re-run seed (64-bit golden ratio).
 RERUN_SEED_INCREMENT = 0x9E3779B97F4A7C15
 
@@ -136,38 +119,14 @@ class Thresholds:
     gof_factor: float = 1.95
 
 
-_DEFAULT_THRESHOLDS = {
-    "max_gumbel": Thresholds(ks=0.05),
-    "hill_clt": Thresholds(ks=0.08, mean_window=0.15, var_window=0.30),
-    "dh_clt": Thresholds(ks=0.10, mean_window=0.20),
-    "record_clt": Thresholds(ks=0.05, mean_window=0.05, var_window=0.10),
-    "sampler_gof": Thresholds(),
-    "quantile_error_order": Thresholds(),
-}
-
-_DEFAULT_N = {
-    "max_gumbel": 100_000,
-    "hill_clt": 100_000,
-    "dh_clt": 100_000,
-    "record_clt": 400,
-    "sampler_gof": 100_000,
-}
-
-_DEFAULT_REPS = {
-    "max_gumbel": 2000,
-    "hill_clt": 3000,
-    "dh_clt": 3000,
-    "record_clt": 5000,
-}
-
 _MIN_REPS = 100
 
 
 def default_thresholds(kind: str) -> Thresholds:
     """Default tolerances for an experiment kind."""
-    if kind not in _DEFAULT_THRESHOLDS:
+    if kind not in _KINDS:
         raise ParameterError(f"unknown experiment kind {kind!r}")
-    return _DEFAULT_THRESHOLDS[kind]
+    return _KINDS[kind].thresholds
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,21 +154,22 @@ class Experiment:
             raise ParameterError(
                 f"unknown experiment kind {self.kind!r}; expected one of {', '.join(KINDS)}"
             )
+        spec = _KINDS[self.kind]
         set_field = object.__setattr__
 
-        if self.kind == "quantile_error_order":
+        if spec.n is None:
             if self.n is not None:
-                raise ParameterError("quantile_error_order takes no sample size")
+                raise ParameterError(f"{self.kind} takes no sample size")
         elif self.n is None:
-            set_field(self, "n", _DEFAULT_N[self.kind])
+            set_field(self, "n", spec.n)
         else:
             n = int(self.n)
             if n < 2:
                 raise ParameterError(f"sample size must be >= 2, got {n}")
             set_field(self, "n", n)
 
-        if self.kind in REPLICATED_KINDS:
-            reps = _DEFAULT_REPS[self.kind] if self.reps is None else int(self.reps)
+        if spec.reps is not None:
+            reps = spec.reps if self.reps is None else int(self.reps)
             if reps < _MIN_REPS:
                 raise ParameterError(
                     f"replicated experiments need reps >= {_MIN_REPS}, got {reps}"
@@ -310,58 +270,42 @@ def derived_rerun_seed(seed: SeedSpec) -> SeedSpec:
     )
 
 
-def _ks_threshold(th: Thresholds) -> float:
-    return 0.0 if th.ks is None else float(th.ks)
-
-
 def _replication_seeds(e: Experiment, seed: SeedSpec) -> list[SeedSpec]:
     """Replication r's stream, ``seed.stream_id + r``, for r = 0..reps-1."""
     return [seed.stream(seed.stream_id + r) for r in range(e.reps)]
 
 
-def _normal_summary(values: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Sorted values, their mean, variance and KS distance to N(0, 1)."""
+#: Reference laws of the replicated kinds: the name of their cdf in
+#: :mod:`plevt.gof` (looked up at call time, so a wrapper installed on the
+#: module is seen), their mean and their variance.
+_REFERENCES = {
+    "gumbel": ("gumbel_cdf", float(np.euler_gamma), math.pi**2 / 6.0),
+    "std_normal": ("std_normal_cdf", 0.0, 1.0),
+}
+
+
+def _summary(
+    values: np.ndarray, reference: str = "std_normal"
+) -> tuple[np.ndarray, float, float, float]:
+    """Sorted values, their mean, variance and KS distance to the reference law."""
     zs = np.sort(values)
     mean = float(np.mean(zs))
     var = float(np.var(zs, ddof=1))
-    ks = gof.ks_distance_sorted(zs, gof.std_normal_cdf(zs))
+    ks = gof.ks_distance_sorted(zs, getattr(gof, _REFERENCES[reference][0])(zs))
     return zs, mean, var, ks
 
 
-def _window_checks(
-    mean: float,
-    var: float,
-    ks: float,
-    th: Thresholds,
-    *,
-    mean_target: float = 0.0,
-    var_target: float = 1.0,
-) -> bool:
-    ok = True
-    if th.ks is not None:
-        ok = ok and ks <= th.ks
-    if th.mean_window is not None:
-        ok = ok and abs(mean - mean_target) <= th.mean_window
-    if th.var_window is not None:
-        ok = ok and abs(var - var_target) <= th.var_window
-    return ok
-
-
-def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
-    p = e.params
-    q_n = quantile_exact(1.0 / e.n, p).value
-    maxima = top_order_statistics_rows(e.n, 0, p, _replication_seeds(e, seed))[:, 0]
-    zs = np.sort(p.theta * (maxima - q_n))
-    mean = float(np.mean(zs))
-    var = float(np.var(zs, ddof=1))
-    ks = gof.ks_distance_sorted(zs, gof.gumbel_cdf(zs))
-    passed = _window_checks(
-        mean,
-        var,
-        ks,
-        th,
-        mean_target=float(np.euler_gamma),
-        var_target=math.pi**2 / 6.0,
+def _replicated_report(
+    e: Experiment, th: Thresholds, seed: SeedSpec, values: np.ndarray, reference: str, extras: dict
+) -> McReport:
+    """Report of a replicated attempt: the standardized replications against
+    the reference law, with the sorted replications kept in the extras."""
+    zs, mean, var, ks = _summary(values, reference)
+    _, mean_target, var_target = _REFERENCES[reference]
+    passed = (
+        (th.ks is None or ks <= th.ks)
+        and (th.mean_window is None or abs(mean - mean_target) <= th.mean_window)
+        and (th.var_window is None or abs(var - var_target) <= th.var_window)
     )
     return McReport(
         kind=e.kind,
@@ -369,12 +313,21 @@ def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
         empirical_mean=mean,
         empirical_var=var,
         ks_distance=ks,
-        reference="gumbel",
-        threshold=_ks_threshold(th),
+        reference=reference,
+        threshold=0.0 if th.ks is None else float(th.ks),
         passed=passed,
         runtime_ms=0,
         seed=seed.master_seed,
-        extras={"centering": q_n},
+        extras={"replications": zs, **extras},
+    )
+
+
+def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+    p = e.params
+    q_n = quantile_exact(1.0 / e.n, p).value
+    maxima = top_order_statistics_rows(e.n, 0, p, _replication_seeds(e, seed))[:, 0]
+    return _replicated_report(
+        e, th, seed, p.theta * (maxima - q_n), "gumbel", {"centering": q_n}
     )
 
 
@@ -411,8 +364,6 @@ def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport
     tops = top_order_statistics_rows(e.n, k, p, _replication_seeds(e, seed))
     ts = dh_statistic_rows(tops, weight, k, s)
     z_a, z_b = standardize_dh(ts, gamma)
-    zs, mean, var, ks = _normal_summary(z_a / gamma**s)
-    passed = _window_checks(mean, var, ks, th)
 
     extras: dict = {
         "k": k,
@@ -420,58 +371,24 @@ def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport
         "weight": weight.label,
         "k1": k1,
         "mean_hill": float(np.mean(np.sort(ts.hill))),
-        "replications": zs,
         **diag,
     }
     if diag["growth"] >= th.growth_min:
-        _, zb_mean, zb_var, zb_ks = _normal_summary(z_b * s / gamma)
+        _, zb_mean, zb_var, zb_ks = _summary(z_b * s / gamma)
         extras["estimator_mean"] = zb_mean
         extras["estimator_var"] = zb_var
         extras["estimator_ks"] = zb_ks
-
-    return McReport(
-        kind=e.kind,
-        reps=e.reps,
-        empirical_mean=mean,
-        empirical_var=var,
-        ks_distance=ks,
-        reference="std_normal",
-        threshold=_ks_threshold(th),
-        passed=passed,
-        runtime_ms=0,
-        seed=seed.master_seed,
-        extras=extras,
-    )
+    return _replicated_report(e, th, seed, z_a / gamma**s, "std_normal", extras)
 
 
 def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     p = e.params
     n = e.n
-    sqrt_n = math.sqrt(n)
-    gamma = p.gamma
     g = np.array([record_log_tail(n, rs) for rs in _replication_seeds(e, seed)])
     x = np.array([record_value_from_log_tail(v, p) for v in g.tolist()])
-    zs, mean, var, ks = _normal_summary((x - gamma * n) / (gamma * sqrt_n))
-    _, ctrl_mean, ctrl_var, ctrl_ks = _normal_summary((g - n) / sqrt_n)
-    passed = _window_checks(mean, var, ks, th)
-    return McReport(
-        kind=e.kind,
-        reps=e.reps,
-        empirical_mean=mean,
-        empirical_var=var,
-        ks_distance=ks,
-        reference="std_normal",
-        threshold=_ks_threshold(th),
-        passed=passed,
-        runtime_ms=0,
-        seed=seed.master_seed,
-        extras={
-            "replications": zs,
-            "control_mean": ctrl_mean,
-            "control_var": ctrl_var,
-            "control_ks": ctrl_ks,
-        },
-    )
+    _, ctrl_mean, ctrl_var, ctrl_ks = _summary((g - n) / math.sqrt(n))
+    control = {"control_mean": ctrl_mean, "control_var": ctrl_var, "control_ks": ctrl_ks}
+    return _replicated_report(e, th, seed, standardized_record(x, n, p), "std_normal", control)
 
 
 def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
@@ -542,14 +459,39 @@ def _run_quantile_error_order(e: Experiment, th: Thresholds, seed: SeedSpec) -> 
     )
 
 
-_RUNNERS = {
-    "max_gumbel": _run_max_gumbel,
-    "hill_clt": _run_spacings_clt,
-    "dh_clt": _run_spacings_clt,
-    "record_clt": _run_record_clt,
-    "sampler_gof": _run_sampler_gof,
-    "quantile_error_order": _run_quantile_error_order,
+@dataclass(frozen=True, slots=True)
+class _Kind:
+    """Everything the harness knows about one experiment kind: its runner,
+    default tolerances, default sample size (None: the kind takes none) and
+    default replication count (None: the kind runs once)."""
+
+    run: Callable[[Experiment, Thresholds, SeedSpec], McReport]
+    thresholds: Thresholds
+    n: int | None
+    reps: int | None
+
+
+_KINDS = {
+    "max_gumbel": _Kind(_run_max_gumbel, Thresholds(ks=0.05), 100_000, 2000),
+    "hill_clt": _Kind(
+        _run_spacings_clt, Thresholds(ks=0.08, mean_window=0.15, var_window=0.30), 100_000, 3000
+    ),
+    "dh_clt": _Kind(_run_spacings_clt, Thresholds(ks=0.10, mean_window=0.20), 100_000, 3000),
+    "record_clt": _Kind(
+        _run_record_clt, Thresholds(ks=0.05, mean_window=0.05, var_window=0.10), 400, 5000
+    ),
+    "sampler_gof": _Kind(_run_sampler_gof, Thresholds(), 100_000, None),
+    "quantile_error_order": _Kind(_run_quantile_error_order, Thresholds(), None, None),
 }
+
+KINDS = tuple(_KINDS)
+
+#: Kinds that average a standardized statistic over many replications.
+REPLICATED_KINDS = frozenset(k for k, spec in _KINDS.items() if spec.reps is not None)
+
+#: Kinds whose outcome depends on the seed: every kind that draws a sample
+#: (all but the deterministic quantile check); these get the automatic re-run.
+STOCHASTIC_KINDS = frozenset(k for k, spec in _KINDS.items() if spec.n is not None)
 
 
 def run_experiment(e: Experiment, workers: int = 1) -> McReport:
@@ -561,7 +503,7 @@ def run_experiment(e: Experiment, workers: int = 1) -> McReport:
     serially (see the module docstring).
     """
     th = e.resolved_thresholds()
-    runner = _RUNNERS[e.kind]
+    runner = _KINDS[e.kind].run
     t0 = time.perf_counter()
     report = runner(e, th, e.seed)
     attempts = 1

@@ -104,8 +104,8 @@ def record_value_from_log_tail(g: float, p: Params) -> float:
     return quantile_from_log_tail(g, p).value
 
 
-def standardized_record(x_n: float, n: int, p: Params) -> float:
-    """Center at gamma*n and scale by gamma*sqrt(n)."""
+def standardized_record(x_n: float | np.ndarray, n: int, p: Params) -> float | np.ndarray:
+    """Center at gamma*n and scale by gamma*sqrt(n), elementwise on arrays."""
     if n < 1:
         raise DomainError(f"record index must be >= 1, got {n}")
     gamma = p.gamma

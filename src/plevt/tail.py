@@ -114,7 +114,13 @@ class WeightFunction:
         if self.kind == "identity":
             return j
         if self.kind == "pow":
-            return j**self.exponent
+            with np.errstate(over="ignore"):
+                w = j**self.exponent
+            if not (np.isfinite(w).all() and (w > 0.0).all()):
+                raise DomainError(
+                    f"weights {self.label} must be finite and > 0 for j = 1..{k}"
+                )
+            return w
         if self.kind == "log1p":
             return np.log1p(j)
         if self.values.size < k:

@@ -267,6 +267,11 @@ def test_dhill_degenerate_sample(tmp_path, capsys):
 def test_dhill_bad_weight_spec(canon_csv, capsys):
     code, _, _ = run(capsys, "dhill", "-i", canon_csv, "--k", "3", "--f", "cube")
     assert code == 2
+    # power weights j**a that are NaN, inf or overflow: refused, never printed
+    for spec in ("pow:nan", "pow:inf", "pow:1e308"):
+        code, out, err = run(capsys, "dhill", "-i", canon_csv, "--k", "3", "--f", spec)
+        assert code == 2 and out == "", spec
+        assert "finite and > 0" in err
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +359,19 @@ def test_verify_all_and_kind_are_exclusive(capsys):
     assert code == 2
 
 
-def test_verify_threshold_overrides_require_single_kind(capsys):
+def test_verify_threshold_overrides_require_single_kind(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--all", "--ks", "0.5")
     assert code == 2
+    # every per-experiment flag is refused with --all, not silently ignored
+    for flag in (["--reps", "100"], ["--n", "5000"], ["--k", "9"], ["--s", "2"],
+                 ["--f", "log1p"], ["--no-rerun"], ["--mean-window", "1"],
+                 ["--var-window", "1"]):
+        code, out, err = run(capsys, "verify", "--all", "--seed", "7", *flag)
+        assert code == 2 and out == "", flag
+        assert flag[0] in err
+    monkeypatch.setenv("PLEVT_REPS", "100")  # an environment flag counts too
+    code, _, err = run(capsys, "verify", "--all", "--seed", "7")
+    assert code == 2 and "--reps" in err
 
 
 def test_verify_unknown_kind(capsys):

@@ -9,6 +9,8 @@ import pytest
 from plevt.errors import ExperimentRefusedError, ParameterError
 from plevt.harness import (
     KINDS,
+    REPLICATED_KINDS,
+    STOCHASTIC_KINDS,
     Experiment,
     Thresholds,
     default_thresholds,
@@ -98,6 +100,17 @@ def test_every_kind_has_defaults():
         assert isinstance(th, Thresholds)
 
 
+def test_kind_sets():
+    assert KINDS == (
+        "max_gumbel", "hill_clt", "dh_clt", "record_clt", "sampler_gof",
+        "quantile_error_order",
+    )
+    assert REPLICATED_KINDS == {"max_gumbel", "hill_clt", "dh_clt", "record_clt"}
+    assert STOCHASTIC_KINDS == {
+        "max_gumbel", "hill_clt", "dh_clt", "record_clt", "sampler_gof",
+    }
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -119,31 +132,46 @@ def test_worker_count_does_not_change_results():
 
 _PINNED = {
     "max_gumbel": (
-        dict(n=10_000),
+        dict(n=10_000, reps=100),
         '{"empirical_mean": 0.7421896791619176, "empirical_var": 2.4515183682966253, '
         '"kind": "max_gumbel", "ks_distance": 0.10602423272908873, "passed": false, '
         '"reference": "gumbel", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.05}',
         None,
     ),
     "hill_clt": (
-        dict(n=10_000),
+        dict(n=10_000, reps=100),
         '{"empirical_mean": 0.3937575074862093, "empirical_var": 1.4492321788592293, '
         '"kind": "hill_clt", "ks_distance": 0.12117279799031166, "passed": false, '
         '"reference": "std_normal", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.08}',
         "0x1.2d147a3864b1ap+0",
     ),
     "dh_clt": (
-        dict(n=10_000, k=20, weight=WeightFunction.identity(), s=2.0),
+        dict(n=10_000, k=20, weight=WeightFunction.identity(), s=2.0, reps=100),
         '{"empirical_mean": 0.4611207531584439, "empirical_var": 2.7629422924483484, '
         '"kind": "dh_clt", "ks_distance": 0.1717648814889613, "passed": false, '
         '"reference": "std_normal", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.1}',
         "0x1.1986da50a9be4p+0",
     ),
     "record_clt": (
-        dict(n=400),
+        dict(n=400, reps=100),
         '{"empirical_mean": 0.32207596024884827, "empirical_var": 1.0701513391920676, '
         '"kind": "record_clt", "ks_distance": 0.17204066305975985, "passed": false, '
         '"reference": "std_normal", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.05}',
+        None,
+    ),
+    "sampler_gof": (
+        dict(n=5000),
+        '{"empirical_mean": 1.4803682285333195, "empirical_var": 1.6979910265654763, '
+        '"kind": "sampler_gof", "ks_distance": 0.010168895734868233, "passed": true, '
+        '"reference": "pseudo_lindley", "reps": 1, "runtime_ms": 0, "seed": 7, '
+        '"threshold": 0.027577164466275353}',
+        None,
+    ),
+    "quantile_error_order": (
+        dict(),
+        '{"empirical_mean": 76.00647394304217, "empirical_var": 2435.190568810267, '
+        '"kind": "quantile_error_order", "ks_distance": 0.0, "passed": true, '
+        '"reference": "none", "reps": 1, "runtime_ms": 0, "seed": 7, "threshold": 50.0}',
         None,
     ),
 }
@@ -152,11 +180,12 @@ _PINNED = {
 @pytest.mark.parametrize("kind", sorted(_PINNED))
 def test_report_bits_pinned(kind):
     """Stable reports equal figures recorded before the harness computed
-    whole attempts as arrays (numpy 2.4, x86-64 with AVX-512); a rewrite
+    whole attempts as arrays, and, for the single-shot kinds, before the
+    kinds became one table (numpy 2.4, x86-64 with AVX-512); a rewrite
     that moves any bit fails here.  The last bits depend on the platform's
     vector math, so another platform may need the figures re-recorded."""
     extra, expected, mean_hill = _PINNED[kind]
-    e = Experiment(kind=kind, reps=100, seed=SeedSpec(7), rerun_on_fail=False, **extra)
+    e = Experiment(kind=kind, seed=SeedSpec(7), rerun_on_fail=False, **extra)
     r = run_experiment(e)
     assert report_to_json(r, stable=True) == expected
     if mean_hill is not None:
@@ -167,6 +196,7 @@ def test_report_bits_pinned(kind):
     ("hill_clt", dict(n=5000, k=5)),
     ("dh_clt", dict(n=5000, k=20, s=2.0)),
     ("record_clt", dict(n=100)),
+    ("max_gumbel", dict(n=5000)),
 ])
 def test_replications_in_extras_only(kind, extra):
     e = Experiment(kind=kind, reps=150, seed=SeedSpec(4), rerun_on_fail=False, **extra)

@@ -119,6 +119,16 @@ def test_weight_table_requires_positive():
         WeightFunction.table(np.array([1.0, -2.0]), "bad")
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e308])
+def test_power_weights_must_be_finite_and_positive(a):
+    # 2**a is NaN, inf, 0 or an overflow: refused, never passed on as NaN
+    w = WeightFunction.power(a)
+    with pytest.raises(DomainError):
+        w.weights(4)
+    with pytest.raises(DomainError):
+        check_dh_conditions(w, 1000, 4, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # weighted spacing statistic
 
