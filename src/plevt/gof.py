@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import ndtr
 
@@ -12,7 +10,6 @@ __all__ = [
     "gumbel_cdf",
     "ks_distance_sorted",
     "ks_two_sample",
-    "ks_critical_two_sample",
 ]
 
 
@@ -45,9 +42,3 @@ def ks_two_sample(x, y) -> float:
     cdf_x = np.searchsorted(x, pooled, side="right") / x.size
     cdf_y = np.searchsorted(y, pooled, side="right") / y.size
     return float(np.max(np.abs(cdf_x - cdf_y)))
-
-
-def ks_critical_two_sample(n: int, m: int, alpha: float = 0.001) -> float:
-    """Asymptotic two-sample critical value c(alpha)*sqrt((n+m)/(n*m)), with
-    c(alpha) = sqrt(-log(alpha/2)/2)."""
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distribution import Params
 from .errors import DomainError
-from .quantile import quantile_from_log_tail, quantile_tail_expansion
+from .quantile import quantile_from_log_tail
 from .sampling import SeedSpec
 
 __all__ = [
@@ -29,12 +29,7 @@ __all__ = [
     "simulate_record",
     "record_log_tail",
     "standardized_record",
-    "UNDERFLOW_LOG_TAIL",
 ]
-
-# beyond this, exp(-G) is far under the double underflow threshold and the
-# record is evaluated through the tail expansion instead of the root solve
-UNDERFLOW_LOG_TAIL = 700.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,8 +76,8 @@ def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:
     """Draw the n-th record directly via the exponential-sum representation.
 
     G_n comes from :func:`record_log_tail` on the seed's stream; the record
-    is the quantile at log tail mass G_n, evaluated by the root solve, or
-    by the tail expansion once exp(-G_n) would underflow (G_n > 700).
+    is the quantile at log tail mass G_n, by the log-tail root solve at
+    every depth, also where exp(-G_n) underflows.
     """
     return record_value_from_log_tail(record_log_tail(n, seed), p)
 
@@ -96,11 +91,7 @@ def record_log_tail(n: int, seed: SeedSpec) -> float:
 
 
 def record_value_from_log_tail(g: float, p: Params) -> float:
-    """Quantile at log tail mass g with the deep-tail expansion fallback."""
-    if not (g > 0.0 and math.isfinite(g)):
-        raise DomainError(f"log tail mass must be finite and > 0, got {g!r}")
-    if g > UNDERFLOW_LOG_TAIL:
-        return quantile_tail_expansion(None, p, log_inv_u=g)
+    """Quantile at log tail mass g > 0: the log-tail root solve, at any depth."""
     return quantile_from_log_tail(g, p).value
 
 

@@ -17,6 +17,10 @@ scaled by s_n, t_n is asymptotically normal provided b_n (the Lindeberg
 ratio) vanishes and s_n(f,1) / (s_n(f,s) log n) tends to zero; the Hill
 case additionally wants k to grow slower than (log n)^{4/3}, tracked by
 the diagnostic ``check_k1 = k**(3/4) / log n``.
+
+a_n, s_n and b_n come from one pass over the ratios f(j)/j**s, checked once:
+normalizers that are not finite and > 0, Gamma(2s+1) past the double range
+(s above about 85.3) and an overflowing t_n raise DomainError.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ __all__ = [
     "WeightFunction",
     "TailStatistics",
     "hill",
-    "a_n",
-    "s_n",
-    "b_n",
     "dh_statistic",
     "standardize_dh",
     "check_k1",
@@ -72,7 +73,10 @@ class WeightFunction:
 
     @classmethod
     def power(cls, a: float) -> "WeightFunction":
-        return cls("pow", exponent=float(a), label=f"pow:{a:g}")
+        a = float(a)
+        if not math.isfinite(a):  # checked here, since 1**a == 1 hides it at k = 1
+            raise DomainError(f"weights pow:{a:g} must be finite and > 0: exponent not finite")
+        return cls("pow", exponent=a, label=f"pow:{a:g}")
 
     @classmethod
     def log1p(cls) -> "WeightFunction":
@@ -149,11 +153,14 @@ class TailStatistics:
 
 def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
     """``sum_j w(j) * sp_j**s`` along the last axis, one total per row."""
-    total = np.sum(w * sp**s, axis=-1)
+    with np.errstate(over="ignore"):  # an infinite total is refused just below
+        total = np.sum(w * sp**s, axis=-1)
     if (total == 0.0).any():
         raise DegenerateSampleError(
             f"all top-{sp.shape[-1]} spacings are zero; weighted spacing sum degenerate"
         )
+    if not np.isfinite(total).all():
+        raise DomainError(f"weighted spacing sum overflows float64 at s = {s!r}")
     return total
 
 
@@ -167,32 +174,24 @@ def hill(sample: SortedSample, k: int) -> float:
     return float(_weighted_power_sum(sp, j, 1.0)) / k
 
 
-def _ratios(f: WeightFunction, k: int, s: float) -> np.ndarray:
-    j = np.arange(1, k + 1, dtype=np.float64)
-    return f.weights(k) / j**s
-
-
-def a_n(f: WeightFunction, k: int, s: float) -> float:
-    """Centering constant ``Gamma(s+1) * sum_j f(j)/j**s``."""
-    _check_s(s)
-    return _gamma_fn(s + 1.0) * float(np.sum(_ratios(f, k, s)))
-
-
-def s_n(f: WeightFunction, k: int, s: float) -> float:
-    """Scale constant; the variance factor is Gamma(2s+1) - Gamma(s+1)**2."""
-    _check_s(s)
-    c2 = _gamma_fn(2.0 * s + 1.0) - _gamma_fn(s + 1.0) ** 2
-    return math.sqrt(c2 * float(np.sum(_ratios(f, k, s) ** 2)))
-
-
-def b_n(f: WeightFunction, k: int, s: float) -> float:
-    """Lindeberg ratio ``max_j (f(j)/j**s) / s_n``; must vanish for the CLT."""
-    return float(np.max(_ratios(f, k, s))) / s_n(f, k, s)
-
-
-def _check_s(s: float) -> None:
+def _normalizers(w: np.ndarray, s: float) -> tuple[float, float, float]:
+    """``(a_n, s_n, b_n)`` of the weights ``w = f(1..k)`` at power s; the
+    variance factor is Gamma(2s+1) - Gamma(s+1)**2."""
     if not (s >= 1.0 and math.isfinite(s)):
         raise DomainError(f"power s must be finite and >= 1, got {s!r}")
+    j = np.arange(1, w.size + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):  # j**s = inf gives r = 0, its limit; s_n = inf is refused
+        r = w / j**s
+        squares = float(np.sum(r**2))
+    an = _gamma_fn(s + 1.0) * float(np.sum(r))
+    try:
+        c2 = _gamma_fn(2.0 * s + 1.0) - _gamma_fn(s + 1.0) ** 2
+    except OverflowError:
+        raise DomainError(f"Gamma(2s+1) overflows float64 at s = {s!r}") from None
+    sn = math.sqrt(c2 * squares)
+    if not (0.0 < an < math.inf and 0.0 < sn < math.inf):
+        raise DomainError(f"normalizers a_n = {an!r}, s_n = {sn!r} must be finite and > 0")
+    return an, sn, float(np.max(r)) / sn
 
 
 def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> TailStatistics:
@@ -206,12 +205,10 @@ def dh_statistic_rows(top: np.ndarray, f: WeightFunction, k: int, s: float) -> T
     axis), as arrays, with the constants computed once.  The estimate uses
     the C library's ``pow`` one value at a time, as for one sample: numpy's
     vector power (and its sqrt at s = 2) can differ from it in the last bit."""
-    _check_s(s)
-    sp = top_spacings(top, k)
     w = f.weights(k)
+    an, sn, bn = _normalizers(w, s)
+    sp = top_spacings(top, k)
     t = _weighted_power_sum(sp, w, s)
-    an = a_n(f, k, s)
-    sn = s_n(f, k, s)
     j = np.arange(1, k + 1, dtype=np.float64)
     root = [r ** (1.0 / s) for r in np.ravel(t / an).tolist()]
     return TailStatistics(
@@ -221,7 +218,7 @@ def dh_statistic_rows(top: np.ndarray, f: WeightFunction, k: int, s: float) -> T
         t_n=t,
         a_n=an,
         s_n=sn,
-        b_n=float(np.max(w / j**s)) / sn,
+        b_n=bn,
         dh_estimate=np.reshape(root, np.shape(t)),
     )
 
@@ -265,8 +262,7 @@ def check_dh_conditions(f: WeightFunction, n: int, k: int, s: float) -> dict:
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    return {
-        "ratio1": s_n(f, k, 1.0) / (s_n(f, k, s) * math.log(n)),
-        "bn": b_n(f, k, s),
-        "growth": a_n(f, k, s) / s_n(f, k, s),
-    }
+    w = f.weights(k)
+    sn1 = _normalizers(w, 1.0)[1]
+    an, sn, bn = _normalizers(w, s)
+    return {"ratio1": sn1 / (sn * math.log(n)), "bn": bn, "growth": an / sn}

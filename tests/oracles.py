@@ -128,6 +128,12 @@ def spacing_normalizers(weights, s):
     return a, sn
 
 
+def ks_critical_two_sample(n, m, alpha=0.001):
+    """Asymptotic two-sample critical value c(alpha)*sqrt((n+m)/(n*m)), with
+    c(alpha) = sqrt(-log(alpha/2)/2)."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))
+
+
 def records_naive(stream):
     """Running-maximum records with 1-based indices, as a python loop."""
     values, indices = [], []

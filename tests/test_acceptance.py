@@ -37,6 +37,7 @@ from scipy.stats import kstest, norm
 from oracles import (
     dh_naive,
     hill_naive,
+    ks_critical_two_sample,
     record_mean_quadrature,
     record_statistic_law,
     spacing_mean_quadrature,
@@ -55,7 +56,7 @@ from plevt import (
     survival,
 )
 from plevt.errors import ExperimentRefusedError
-from plevt.gof import ks_critical_two_sample, ks_two_sample
+from plevt.gof import ks_two_sample
 from plevt.harness import (
     Experiment,
     default_thresholds,

@@ -272,6 +272,22 @@ def test_dhill_bad_weight_spec(canon_csv, capsys):
         code, out, err = run(capsys, "dhill", "-i", canon_csv, "--k", "3", "--f", spec)
         assert code == 2 and out == "", spec
         assert "finite and > 0" in err
+    # a non-finite exponent is refused at k = 1 too, where 1**a == 1
+    for spec in ("pow:nan", "pow:inf", "pow:-inf"):
+        code, out, err = run(capsys, "dhill", "-i", canon_csv, "--k", "1", "--f", spec)
+        assert code == 2 and out == "", spec
+        assert "finite and > 0" in err
+
+
+def test_dhill_overflow_is_usage_error(tmp_path, capsys):
+    # t_n (s = 70), s_n (pow:160) or Gamma(2s+1) (s = 86) past the double
+    # range: refused with exit 2, never printed as Infinity or NaN
+    p = tmp_path / "wide.csv"
+    p.write_text("".join(f"{v!r}\n" for v in (np.arange(1.0, 101.0) * 1e5).tolist()))
+    for extra in (["--s", "70"], ["--f", "pow:160"], ["--s", "86"]):
+        code, out, err = run(capsys, "dhill", "-i", str(p), "--k", "20", *extra)
+        assert code == 2 and out == "", extra
+        assert err.startswith("error:"), extra
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +366,16 @@ def test_verify_refused_config_exits_five(capsys):
     assert "refused:" in err
     diag = json.loads(err.splitlines()[-1])
     assert diag["bn"] == pytest.approx(1.0 / math.sqrt(10), rel=1e-12)
+
+
+def test_verify_dh_clt_overflow_is_usage_error(capsys):
+    # normalizers past the double range are an input error (exit 2), not a
+    # failed verification (exit 1)
+    for extra in (["--f", "pow:160"], ["--s", "86"]):
+        code, out, err = run(capsys, "verify", "--kind", "dh_clt", "--k", "20",
+                             "--reps", "100", "--seed", "7", *extra)
+        assert code == 2 and out == "", extra
+        assert err.startswith("error:")
 
 
 def test_verify_all_and_kind_are_exclusive(capsys):

@@ -17,8 +17,10 @@ from plevt import (
     sample_mixture,
     top_order_statistics,
 )
-from plevt.gof import ks_critical_two_sample, ks_two_sample
+from plevt.gof import ks_two_sample
 from plevt.records import record_log_tail
+
+from oracles import ks_critical_two_sample
 
 P = Params(1.0, 2.0)
 N = 10_000

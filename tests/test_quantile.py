@@ -257,3 +257,28 @@ def test_solvers_residual_and_agreement(theta, beta, big_l):
         ref = solved["log_tail"][0]
         for name in ("exact", "values"):
             assert solved[name][0] == pytest.approx(ref, rel=1e-13), name
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    theta=st.floats(1e-3, 1e3),
+    beta=st.floats(1.0, 1e8, exclude_min=True),
+    big_l=st.floats(700.0, 1e6),
+    step=st.floats(1e-6, 1e3),
+)
+def test_log_tail_solver_deep_residual_and_monotone(theta, beta, big_l, step):
+    # past L = 700 exp(-L) nears underflow and only the log-tail solve is
+    # left; every deep record takes it.  The step keeps the two roots further
+    # apart than the solver's tolerance, so their order is the true order.
+    p = Params(theta, beta)
+    ls = (big_l, big_l + step)
+    try:
+        xs = [quantile_from_log_tail(v, p).value for v in ls]
+    except DomainError as exc:
+        assert "overflows" in str(exc)
+        return
+    for solved_l, x in zip(ls, xs):
+        y = theta * x
+        resid = math.log1p(y / beta) - y + solved_l
+        assert abs(resid) <= _residual_bound(solved_l, y)
+    assert xs[1] >= xs[0]

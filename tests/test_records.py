@@ -12,12 +12,12 @@ from plevt import (
     SeedSpec,
     extract_records,
     mixture_values,
+    quantile_from_log_tail,
     record_value_from_log_tail,
     simulate_record,
     standardized_record,
 )
 from plevt.gof import ks_two_sample
-from plevt.records import UNDERFLOW_LOG_TAIL
 
 from oracles import records_naive
 
@@ -122,12 +122,14 @@ def test_record_one_is_distributed_like_parent():
     assert d <= 1.95 * math.sqrt(2.0 / reps)
 
 
-def test_underflow_handoff_is_continuous():
-    # just below the cutoff the exact log-tail solve is used, just above it
-    # the corrected expansion; the two must agree to the expansion's error
-    below = record_value_from_log_tail(UNDERFLOW_LOG_TAIL - 1e-9, P)
-    above = record_value_from_log_tail(UNDERFLOW_LOG_TAIL + 1e-9, P)
-    assert above == pytest.approx(below, abs=2e-2)
+def test_deep_records_take_the_exact_log_tail_solve():
+    # past g = 700, where exp(-g) nears the double underflow, the record is
+    # still the exact log-tail root, with no jump across 700
+    for g in (700.0 - 1e-9, 700.0 + 1e-9, 800.0, 2000.0, 1e5, 1e6):
+        assert record_value_from_log_tail(g, P) == quantile_from_log_tail(g, P).value
+    below = record_value_from_log_tail(700.0 - 1e-9, P)
+    above = record_value_from_log_tail(700.0 + 1e-9, P)
+    assert above == pytest.approx(below, abs=1e-8)
     assert above > 0.0 and math.isfinite(above)
 
 

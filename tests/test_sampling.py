@@ -2,9 +2,13 @@
 
 import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plevt import (
     CsvFormatError,
@@ -237,6 +241,79 @@ def test_csv_file_with_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("\ufeff1.5\n2.5\n", encoding="utf-8")
     np.testing.assert_array_equal(read_values_csv(str(path)), [1.5, 2.5])
+
+
+# property tests of the CSV contract: what parses, and which line an error names
+
+_PAD = st.text(alphabet=" \t", max_size=2)
+_NUMBER = st.builds(
+    lambda v, fmt: fmt.format(v),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["{!r}", "{:.6e}", "{:g}"]),
+)
+
+
+def _csv_text(lines, crlf, bom):
+    end = "\r\n" if crlf else "\n"
+    return ("\ufeff" if bom else "") + "".join(line + end for line in lines)
+
+
+def _readers(text, directory):
+    # a file is read with universal newlines; stdin lines are split on "\n"
+    path = os.path.join(directory, "prop.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return [
+        (path, lambda: read_values_csv(path)),
+        ("<stdin>", lambda: parse_values_lines(text.split("\n"), label="<stdin>")),
+    ]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_PAD, _NUMBER, _PAD), min_size=1, max_size=6),
+    header=st.booleans(),
+    crlf=st.booleans(),
+    bom=st.booleans(),
+)
+def test_csv_values_parse_as_float_does(rows, header, crlf, bom):
+    lines = (["value"] if header else []) + [a + num + b for a, num, b in rows]
+    expected = [float(num).hex() for _, num, _ in rows]
+    with tempfile.TemporaryDirectory() as directory:
+        for label, read in _readers(_csv_text(lines, crlf, bom), directory):
+            assert [v.hex() for v in read().tolist()] == expected, label
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    head=st.lists(_NUMBER, min_size=1, max_size=4),
+    pad=_PAD,
+    bad=st.sampled_from(["inf", "-inf", "nan", "Infinity", "NaN", "", "1.0 2.0", "x"]),
+    tail=st.lists(st.sampled_from(["2.5", "oops", "", "nan"]), max_size=3),
+    header=st.booleans(),
+    crlf=st.booleans(),
+    bom=st.booleans(),
+)
+def test_csv_error_names_the_first_bad_line(head, pad, bad, tail, header, crlf, bom):
+    # inf and nan are refused like a non-number, and a blank line after
+    # line 1 is an error at that line, the last line included
+    lines = (["value"] if header else []) + head + [pad + bad + pad] + tail
+    line_no = len(lines) - len(tail)
+    with tempfile.TemporaryDirectory() as directory:
+        for label, read in _readers(_csv_text(lines, crlf, bom), directory):
+            with pytest.raises(CsvFormatError) as exc_info:
+                read()
+            assert exc_info.value.line_no == line_no, label
+            assert str(exc_info.value).startswith(f"{label}:{line_no}:")
+
+
+def test_csv_blank_and_nonfinite_lines_pinned():
+    with pytest.raises(CsvFormatError, match=r"^s\.csv:3:"):
+        parse_values_lines("1.0\n2.0\n\n".split("\n"), label="s.csv")
+    # a non-finite first line is a bad value, not a header
+    for first in ("inf", "-inf", " nan\r"):
+        with pytest.raises(CsvFormatError, match=r"^s\.csv:1:"):
+            parse_values_lines([first, "1.0"], label="s.csv")
 
 
 def test_load_sample_sorts(tmp_path):

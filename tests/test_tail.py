@@ -122,11 +122,16 @@ def test_weight_table_requires_positive():
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e308])
 def test_power_weights_must_be_finite_and_positive(a):
     # 2**a is NaN, inf, 0 or an overflow: refused, never passed on as NaN
-    w = WeightFunction.power(a)
     with pytest.raises(DomainError):
-        w.weights(4)
+        WeightFunction.power(a).weights(4)
     with pytest.raises(DomainError):
-        check_dh_conditions(w, 1000, 4, 1.0)
+        check_dh_conditions(WeightFunction.power(a), 1000, 4, 1.0)
+    if not math.isfinite(a):
+        # 1**a == 1, so at k = 1 only the exponent itself shows the fault
+        with pytest.raises(DomainError):
+            WeightFunction.power(a).weights(1)
+        with pytest.raises(DomainError):
+            check_dh_conditions(WeightFunction.from_spec(f"pow:{a}"), 1000, 1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,29 @@ def test_dh_rejects_bad_power():
         dh_statistic(CANON, WeightFunction.identity(), 3, 0.5)
     with pytest.raises(DomainError):
         dh_statistic(CANON, WeightFunction.identity(), 3, math.inf)
+
+
+def test_overflowing_normalizers_are_refused():
+    # pow:160 weights are finite at k = 20 but their squares in s_n are not,
+    # and Gamma(2s+1) leaves the double range past s = 85.3
+    top = np.arange(1.0, 101.0)
+    for f, s in ((WeightFunction.power(160.0), 1.0), (WeightFunction.identity(), 86.0)):
+        with pytest.raises(DomainError):
+            check_dh_conditions(f, 1000, 20, s)
+        with pytest.raises(DomainError):
+            dh_statistic_rows(top, f, 20, s)
+    diag = check_dh_conditions(WeightFunction.identity(), 1000, 20, 85.0)
+    assert all(math.isfinite(v) and v > 0.0 for v in diag.values())
+
+
+def test_overflowing_spacing_sum_is_refused():
+    # spacings of 1e5 to the power 70 leave the double range in t_n
+    s = _sorted(np.arange(1.0, 101.0) * 1e5)
+    with pytest.raises(DomainError):
+        dh_statistic(s, WeightFunction.identity(), 20, 70.0)
+    top = np.stack([np.arange(1.0, 101.0), np.arange(1.0, 101.0) * 1e5])
+    with pytest.raises(DomainError):
+        dh_statistic_rows(top, WeightFunction.identity(), 20, 70.0)
 
 
 def test_dh_degenerate_sample():
