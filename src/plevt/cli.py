@@ -31,7 +31,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distribution import Params, cdf, fit_method_of_moments, moment, pdf, survival
 from .errors import (
@@ -249,6 +248,8 @@ def cmd_hill(args: argparse.Namespace) -> int:
         ks = [default_k(n)]
     if not 0.0 < args.level < 1.0:
         raise ParameterError(f"--level must lie in (0, 1), got {args.level}")
+    from scipy.special import ndtri  # loaded on first use: it doubles plevt's import time
+
     z = float(ndtri(0.5 + args.level / 2.0))
     rows = ["k,hill,ci_low,ci_high"]
     for k in ks:
@@ -392,19 +393,33 @@ def _add_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-i", "--input", default=None, help="input CSV path (default stdin)")
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: prints ``plevt <version>`` and exits.  The version is
+    looked up only when asked, since loading ``importlib.metadata`` would
+    cost every command about as much as parsing its arguments."""
+
+    def __init__(self, option_strings, dest, help="show program's version number and exit"):
+        super().__init__(option_strings, dest=argparse.SUPPRESS,
+                         default=argparse.SUPPRESS, nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            pkg_version = version("plevt")
+        except PackageNotFoundError:
+            pkg_version = "unknown"
+        print(f"plevt {pkg_version}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plevt",
         description="Pseudo-Lindley distribution toolkit: evaluation, sampling, "
         "tail estimation, records, and Monte Carlo verification.",
     )
-    try:
-        from importlib.metadata import version
-
-        pkg_version = version("plevt")
-    except Exception:  # pragma: no cover - not installed
-        pkg_version = "unknown"
-    parser.add_argument("--version", action="version", version=f"plevt {pkg_version}")
+    parser.add_argument("--version", action=_VersionAction)
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("eval", help="evaluate distribution functions")

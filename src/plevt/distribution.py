@@ -219,7 +219,8 @@ def fit_method_of_moments(sample) -> FitResult:
 
     whose admissible root is ``beta = sqrt(1 + m2/(2*m1^2 - m2)) - 1``.
     A solution with beta > 1 and theta > 0 exists iff the raw moment
-    ratio satisfies ``1.5 < m2/m1^2 < 2`` (strict); anything else raises
+    ratio satisfies ``1.5 < m2/m1^2 < 2`` (strict); anything else, and a
+    root that rounds outside that range next to a bound, raises
     FitInfeasibleError carrying the offending moments.
 
     ``sample`` may be a SortedSample or any 1-d array of observations.
@@ -232,9 +233,12 @@ def fit_method_of_moments(sample) -> FitResult:
     if m1 <= 0.0:
         raise FitInfeasibleError(m1, m2, "sample mean must be positive")
     ratio = m2 / (m1 * m1)
-    if not (1.5 < ratio < 2.0):
-        raise FitInfeasibleError(m1, m2)
     a = 2.0 * m1 * m1 - m2
-    beta = math.sqrt(1.0 + m2 / a) - 1.0
-    theta = (beta + 1.0) / (m1 * beta)
-    return FitResult(params=Params(theta=theta, beta=beta), m1=m1, m2=m2)
+    if 1.5 < ratio < 2.0 and a > 0.0:
+        beta = math.sqrt(1.0 + m2 / a) - 1.0
+        theta = (beta + 1.0) / (m1 * beta)
+        # within a few ulp of either bound, rounding can still leave beta at
+        # or below 1, or beta and theta outside the double range
+        if 1.0 < beta < math.inf and 0.0 < theta < math.inf:
+            return FitResult(params=Params(theta=theta, beta=beta), m1=m1, m2=m2)
+    raise FitInfeasibleError(m1, m2)

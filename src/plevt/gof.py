@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "std_normal_cdf",
@@ -15,6 +14,8 @@ __all__ = [
 
 def std_normal_cdf(x):
     """Standard normal cdf via the erf route (abs error ~1e-16)."""
+    from scipy.special import ndtr  # loaded on first use: it doubles plevt's import time
+
     return ndtr(np.asarray(x, dtype=np.float64))
 
 

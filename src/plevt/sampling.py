@@ -203,27 +203,39 @@ def read_values_csv(path: str) -> np.ndarray:
 
 
 def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:
-    """Parse already-split CSV lines; ``label`` names the source in errors."""
+    """Parse already-split CSV lines; ``label`` names the source in errors.
+
+    A line holds what Python's ``float`` accepts, surrounding whitespace
+    included, and must be finite.  The lines convert in one pass; only when
+    that fails does a second pass look for the first bad line to name.
+    """
     lines = list(lines)
-    values: list[float] = []
     if lines and lines[-1] == "":
         lines.pop()
     if lines and lines[0].startswith("\ufeff"):
         lines[0] = lines[0][1:]  # UTF-8 byte order mark, not part of the data
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
+    first = 1
+    if lines:
         try:
-            v = float(text)
+            float(lines[0])
         except ValueError:
-            if line_no == 1:
-                continue  # header
-            raise CsvFormatError(label, line_no, raw) from None
-        if not math.isfinite(v):
-            raise CsvFormatError(label, line_no, raw)
-        values.append(v)
-    if not values:
+            first = 2  # header
+    body = lines[first - 1:]
+    if not body:
         raise CsvFormatError(label, max(len(lines), 1), "<no numeric rows>")
-    return np.asarray(values, dtype=np.float64)
+    try:
+        values = np.fromiter(map(float, body), np.float64, count=len(body))
+    except ValueError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values
+    for line_no, raw in enumerate(body, start=first):
+        try:
+            if math.isfinite(float(raw)):
+                continue
+        except ValueError:
+            pass
+        raise CsvFormatError(label, line_no, raw)
 
 
 def load_sample_csv(path: str) -> SortedSample:

@@ -20,7 +20,7 @@ the diagnostic ``check_k1 = k**(3/4) / log n``.
 
 a_n, s_n and b_n come from one pass over the ratios f(j)/j**s, checked once:
 normalizers that are not finite and > 0, Gamma(2s+1) past the double range
-(s above about 85.3) and an overflowing t_n raise DomainError.
+(s above about 85.3) and an overflowing t_n or t_n / a_n raise DomainError.
 """
 
 from __future__ import annotations
@@ -209,8 +209,12 @@ def dh_statistic_rows(top: np.ndarray, f: WeightFunction, k: int, s: float) -> T
     an, sn, bn = _normalizers(w, s)
     sp = top_spacings(top, k)
     t = _weighted_power_sum(sp, w, s)
+    with np.errstate(over="ignore"):  # an infinite ratio is refused just below
+        ratio = t / an
+    if not np.isfinite(ratio).all():
+        raise DomainError(f"t_n / a_n overflows float64 at s = {s!r} (a_n = {an!r})")
     j = np.arange(1, k + 1, dtype=np.float64)
-    root = [r ** (1.0 / s) for r in np.ravel(t / an).tolist()]
+    root = [r ** (1.0 / s) for r in np.ravel(ratio).tolist()]
     return TailStatistics(
         k=k,
         s=float(s),

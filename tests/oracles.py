@@ -11,6 +11,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaincc, lambertw
 
+from plevt.errors import CsvFormatError
+
 
 def pdf_reference(x, theta, beta):
     if x < 0:
@@ -144,6 +146,31 @@ def records_naive(stream):
             values.append(x)
             indices.append(i)
     return values, indices
+
+
+def parse_values_lines_loop(lines, label="<stream>"):
+    """CSV lines parsed one at a time: a first line that is not a number is
+    a header, every later line must be a finite number, and the first bad
+    line is named as ``label:line:``."""
+    lines = list(lines)
+    values = []
+    if lines and lines[-1] == "":
+        lines.pop()
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            v = float(raw.strip())
+        except ValueError:
+            if line_no == 1:
+                continue
+            raise CsvFormatError(label, line_no, raw) from None
+        if not math.isfinite(v):
+            raise CsvFormatError(label, line_no, raw)
+        values.append(v)
+    if not values:
+        raise CsvFormatError(label, max(len(lines), 1), "<no numeric rows>")
+    return np.asarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

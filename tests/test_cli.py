@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import plevt
 from plevt import Params, hill, pdf, quantile_values
 from plevt.cli import main
 from plevt.sampling import SeedSpec, load_sample_csv, sample_mixture
@@ -290,6 +294,18 @@ def test_dhill_overflow_is_usage_error(tmp_path, capsys):
         assert err.startswith("error:"), extra
 
 
+def test_dhill_estimate_overflow_is_usage_error(tmp_path, capsys):
+    # t_n = 1.44e308 and a_n = 0.005 are finite, but t_n / a_n is not
+    p = tmp_path / "far.csv"
+    p.write_text("0.0\n" + "1.2e154\n" * 20)
+    w = tmp_path / "w.csv"
+    w.write_text("1e-300\n" * 19 + "1\n")
+    code, out, err = run(capsys, "dhill", "-i", str(p), "--k", "20",
+                         "--f", f"table:{w}", "--s", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "t_n / a_n" in err
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -460,3 +476,86 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "plevt" in capsys.readouterr().out
+
+
+def test_version_is_looked_up_only_when_asked(capsys, monkeypatch):
+    import importlib.metadata
+
+    answers = iter(["1.2.3", None])
+    calls = []
+
+    def version(name):
+        calls.append(name)
+        answer = next(answers)
+        if answer is None:
+            raise importlib.metadata.PackageNotFoundError(name)
+        return answer
+
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    assert run(capsys, "eval", "--fn", "pdf", "--x", "1")[0] == 0
+    assert calls == []
+    for expected in ("plevt 1.2.3\n", "plevt unknown\n"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected
+    assert calls == ["plevt", "plevt"]
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy is loaded only by the commands that use it
+# ---------------------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import json, sys
+out, csv = sys.argv[1:]
+seen = []
+import plevt
+seen.append(["import plevt", "scipy" in sys.modules])
+import plevt.cli
+seen.append(["import plevt.cli", "scipy" in sys.modules])
+for argv in (["eval", "--fn", "pdf", "--x", "1"], ["fit", "-i", csv]):
+    rc = plevt.cli.main(argv + ["-o", out])
+    seen.append([f"{argv[0]} exit {rc}", "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_stays_off_the_import_path(canon_csv, tmp_path):
+    src = os.path.dirname(os.path.dirname(plevt.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.txt"), canon_csv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import plevt", False],
+        ["import plevt.cli", False],
+        ["eval exit 0", False],
+        ["fit exit 0", False],
+    ]
+
+
+HILL_PINNED = """\
+k,hill,ci_low,ci_high
+5,1.0276582872996218,0.1268926344711787,1.928423940128065
+10,1.0145492295155711,0.38573665703339977,1.6433618019977425
+15,1.0098700540458065,0.4988146845633845,1.5209254235282286
+20,1.0074680845640578,0.5659338420481027,1.449002327080013
+25,1.0060063441325708,0.6116591035888416,1.4003535846763002
+30,1.0050231422385423,0.6453868381598593,1.3646594463172252
+35,1.0043165443986932,0.671592117368089,1.3370409714292975
+40,1.0037842209589765,0.6927139841309375,1.3148544577870154
+45,1.0033687763860817,0.7102103267150336,1.2965272260571297
+50,1.0030355253253955,0.7250133712239848,1.2810576794268063
+"""
+
+
+def test_hill_k_grid_output_is_pinned(tmp_path, capsys):
+    # exponential quantiles log(n / (i + 1/2)); the CI bounds come from
+    # scipy's ndtri, now imported where it is used, and keep every byte
+    p = tmp_path / "expo.csv"
+    p.write_text("".join(f"{math.log(200 / (i + 0.5))!r}\n" for i in range(200)))
+    code, out, _ = run(capsys, "hill", "-i", str(p), "--k-grid", "5:50:5")
+    assert code == 0 and out == HILL_PINNED

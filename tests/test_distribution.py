@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plevt import (
     DomainError,
@@ -288,6 +290,33 @@ def test_fit_infeasible_high_ratio():
 def test_fit_infeasible_nonpositive_mean():
     with pytest.raises(FitInfeasibleError):
         fit_method_of_moments(np.array([-1.0, -2.0]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    bound=st.sampled_from([1.5, 2.0]),
+    steps=st.integers(-8, 8),
+    scale=st.floats(1e-60, 1e60),
+    copies=st.integers(1, 4),
+)
+def test_fit_next_to_the_ratio_bounds(bound, steps, scale, copies):
+    # two-point samples {x, y} with m2/m1^2 within a few ulp of a bound:
+    # y/x = 3 + 2*sqrt(2) puts the ratio at 1.5, x/y -> 0 puts it at 2
+    if bound == 1.5:
+        x = scale
+        y = (3.0 + 2.0 * math.sqrt(2.0)) * scale
+        y += steps * math.ulp(y)
+    else:
+        x, y = abs(steps) * 2.0**-55 * scale, scale
+    sample = np.array([x, y] * copies)
+    m1, m2 = float(np.mean(sample)), float(np.mean(sample**2))
+    assert abs(m2 / (m1 * m1) - bound) <= 64 * math.ulp(bound)
+    try:
+        fit = fit_method_of_moments(sample)
+    except FitInfeasibleError:
+        return
+    assert 0.0 < fit.params.theta < math.inf
+    assert 1.0 < fit.params.beta < math.inf
 
 
 def test_fit_needs_two_observations():

@@ -34,6 +34,8 @@ from plevt.sampling import (
     top_order_statistics_rows,
 )
 
+from oracles import parse_values_lines_loop
+
 P = Params(1.0, 2.0)
 
 
@@ -314,6 +316,54 @@ def test_csv_blank_and_nonfinite_lines_pinned():
     for first in ("inf", "-inf", " nan\r"):
         with pytest.raises(CsvFormatError, match=r"^s\.csv:1:"):
             parse_values_lines([first, "1.0"], label="s.csv")
+
+
+def _parsed(parse, lines):
+    try:
+        return parse(lines, label="p.csv").view(np.uint64).tolist()
+    except CsvFormatError as exc:
+        return exc.line_no, str(exc)
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_PAD, _NUMBER | st.sampled_from(["1_0", "2_500.25", "-3_0e-1_0"]), _PAD),
+        max_size=8,
+    ),
+    bad=st.lists(
+        st.tuples(
+            st.integers(0, 8),
+            st.sampled_from(["", "inf", "-inf", "nan", "1e400", "1__0", "_1", "1.0 2.0", "x"]),
+        ),
+        max_size=2,
+    ),
+    header=st.booleans(),
+    crlf=st.booleans(),
+    bom=st.booleans(),
+)
+def test_csv_bulk_read_matches_the_line_loop(rows, bad, header, crlf, bom):
+    # the one-pass read returns what float() gives for each body line, and
+    # refuses what the line-by-line reference refuses, at the same line
+    lines = [a + num + b for a, num, b in rows]
+    for pos, text in bad:
+        lines.insert(min(pos, len(lines)), text)
+    lines = _csv_text((["value"] if header else []) + lines, crlf, bom).split("\n")
+    parsed = _parsed(parse_values_lines, lines)
+    assert parsed == _parsed(parse_values_lines_loop, lines)
+    if isinstance(parsed, list):
+        seen = lines[:-1]
+        seen[0] = seen[0][1:] if bom else seen[0]
+        body = seen if _is_number(seen[0]) else seen[1:]
+        assert parsed == np.array([float(line) for line in body]).view(np.uint64).tolist()
 
 
 def test_load_sample_sorts(tmp_path):

@@ -212,6 +212,14 @@ def test_overflowing_spacing_sum_is_refused():
         dh_statistic_rows(top, WeightFunction.identity(), 20, 70.0)
 
 
+def test_overflowing_estimate_ratio_is_refused():
+    # t_n = 1.44e308 and a_n = 0.005 are finite, but t_n / a_n is not
+    s = _sorted([0.0] + [1.2e154] * 20)
+    f = WeightFunction.table([1e-300] * 19 + [1.0])
+    with pytest.raises(DomainError, match="t_n / a_n"):
+        dh_statistic(s, f, 20, 2.0)
+
+
 def test_dh_degenerate_sample():
     s = SortedSample(np.full(6, 2.5), SampleOrigin("ingested"))
     with pytest.raises(DegenerateSampleError):
