@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -165,7 +166,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:  # moment
         if args.n is None:
             raise ParameterError("--fn moment requires --n (the moment order)")
-        lines.append(f"{args.n}\t{moment(args.n, p)!r}")
+        try:
+            value = moment(args.n, p)
+        except OverflowError as exc:
+            raise DomainError(str(exc)) from None
+        lines.append(f"{args.n}\t{value!r}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -231,6 +236,16 @@ def _validate_k(k: int, n: int) -> None:
         raise ParameterError(f"--k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
 
 
+def _two_sided_z(level: float) -> float:
+    """Normal quantile ``Phi^-1(1/2 + level/2)`` of a two-sided confidence level."""
+    if not 0.0 < level < 1.0:
+        raise ParameterError(f"--level must lie in (0, 1), got {level}")
+    p = 0.5 + level / 2.0
+    if p >= 1.0:
+        raise ParameterError(f"--level {level!r} is too close to 1: 1/2 + level/2 rounds to 1")
+    return NormalDist().inv_cdf(p)
+
+
 def cmd_hill(args: argparse.Namespace) -> int:
     values = _read_input_values(args.input)
     n = int(values.size)
@@ -246,11 +261,7 @@ def cmd_hill(args: argparse.Namespace) -> int:
         ks = [args.k]
     else:
         ks = [default_k(n)]
-    if not 0.0 < args.level < 1.0:
-        raise ParameterError(f"--level must lie in (0, 1), got {args.level}")
-    from scipy.special import ndtri  # loaded on first use: it doubles plevt's import time
-
-    z = float(ndtri(0.5 + args.level / 2.0))
+    z = _two_sided_z(args.level)
     rows = ["k,hill,ci_low,ci_high"]
     for k in ks:
         h = hill(sample, k)

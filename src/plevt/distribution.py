@@ -221,17 +221,26 @@ def fit_method_of_moments(sample) -> FitResult:
     A solution with beta > 1 and theta > 0 exists iff the raw moment
     ratio satisfies ``1.5 < m2/m1^2 < 2`` (strict); anything else, and a
     root that rounds outside that range next to a bound, raises
-    FitInfeasibleError carrying the offending moments.
+    FitInfeasibleError carrying the offending moments.  Moments past the
+    double range (values above about 1.3e154 in m2) or a mean whose square
+    falls below its normal range (below about 1.5e-154) raise DomainError.
 
     ``sample`` may be a SortedSample or any 1-d array of observations.
     """
     values = np.asarray(getattr(sample, "values", sample), dtype=np.float64)
     if values.size < 2:
         raise DomainError(f"need at least 2 observations, got {values.size}")
-    m1 = float(np.mean(values))
-    m2 = float(np.mean(values**2))
+    with np.errstate(over="ignore"):
+        m1 = float(np.mean(values))
+        m2 = float(np.mean(values**2))
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise DomainError(
+            f"a raw sample moment exceeds the double range (m1={m1!r}, m2={m2!r})"
+        )
     if m1 <= 0.0:
         raise FitInfeasibleError(m1, m2, "sample mean must be positive")
+    if m1 * m1 < np.finfo(np.float64).tiny:
+        raise DomainError(f"m1^2 falls below the normal double range (m1={m1!r}, m2={m2!r})")
     ratio = m2 / (m1 * m1)
     a = 2.0 * m1 * m1 - m2
     if 1.5 < ratio < 2.0 and a > 0.0:

@@ -3,15 +3,18 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import plevt
 from plevt import Params, hill, pdf, quantile_values
-from plevt.cli import main
+from plevt.cli import _two_sided_z, main
 from plevt.sampling import SeedSpec, load_sample_csv, sample_mixture
 
 CANON = "x\n0.1\n0.5\n1.2\n2.0\n3.5\n"
@@ -56,6 +59,13 @@ def test_eval_moment(capsys):
     assert code == 0
     assert out.startswith("2\t")
     assert float(out.split("\t")[1]) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_eval_moment_overflow_is_a_usage_error(capsys):
+    # the library raises OverflowError; the command refuses it as exit 2
+    code, out, err = run(capsys, "eval", "--fn", "moment", "--n", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_eval_survival_cdf_complement(capsys):
@@ -155,6 +165,17 @@ def test_fit_infeasible_moments(tmp_path, capsys):
     assert "refused:" in err
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_fit_moments_past_the_double_range(tmp_path, capsys, scale):
+    # the canonical values scaled: m2 overflows, or underflows to 0, although
+    # the moment ratio, which does not depend on scale, is admissible
+    p = tmp_path / "scaled.csv"
+    p.write_text("".join(f"{v * scale!r}\n" for v in (0.1, 0.5, 1.2, 2.0, 3.5)))
+    code, out, err = run(capsys, "fit", "-i", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "double range" in err
+
+
 def test_fit_from_stdin(tmp_path, capsys, monkeypatch):
     import io
     import sys as _sys
@@ -215,6 +236,24 @@ def test_hill_k_out_of_range(canon_csv, capsys):
 def test_hill_bad_level(canon_csv, capsys):
     code, _, _ = run(capsys, "hill", "-i", canon_csv, "--k", "2", "--level", "1.2")
     assert code == 2
+
+
+def test_hill_level_that_rounds_to_one(canon_csv, capsys):
+    # 1/2 + level/2 rounds to 1.0, so the bounds would be infinite
+    code, out, err = run(
+        capsys, "hill", "-i", canon_csv, "--k", "2", "--level", "0.9999999999999999"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert math.isfinite(_two_sided_z(0.9999999999999998))
+
+
+def test_hill_z_matches_ndtri():
+    # NormalDist.inv_cdf and ndtri are each within 5 ulp of the exact
+    # quantile (mpmath, 2e4 levels); they differ by at most 7 ulp over 1e6
+    # levels in [0.5, 0.999], by more than 2 at 6% of them
+    for level in np.linspace(0.5, 0.999, 2000).tolist():
+        ref = float(ndtri(0.5 + level / 2.0))
+        assert abs(_two_sided_z(level) - ref) <= 8 * math.ulp(ref), level
 
 
 def test_hill_bad_csv_reports_line(tmp_path, capsys):
@@ -503,59 +542,88 @@ def test_version_is_looked_up_only_when_asked(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is loaded only by the commands that use it
+# dependencies: numpy only; scipy is the tests' reference
 # ---------------------------------------------------------------------------
 
-_IMPORT_PROBE = """
+_NO_SCIPY_PROBE = """
 import json, sys
-out, csv = sys.argv[1:]
-seen = []
-import plevt
-seen.append(["import plevt", "scipy" in sys.modules])
+
+
+class NoScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
 import plevt.cli
-seen.append(["import plevt.cli", "scipy" in sys.modules])
-for argv in (["eval", "--fn", "pdf", "--x", "1"], ["fit", "-i", csv]):
-    rc = plevt.cli.main(argv + ["-o", out])
-    seen.append([f"{argv[0]} exit {rc}", "scipy" in sys.modules])
-print(json.dumps(seen))
+
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+codes = [plevt.cli.main(argv + ["-o", out]) for argv in commands]
+print(json.dumps([codes, "scipy" in sys.modules]))
 """
 
 
-def test_scipy_stays_off_the_import_path(canon_csv, tmp_path):
+def test_runs_without_scipy(canon_csv, tmp_path):
     src = os.path.dirname(os.path.dirname(plevt.__file__))
+    commands = [
+        ["eval", "--fn", "pdf", "--x", "1"],
+        ["fit", "-i", canon_csv],
+        ["hill", "-i", canon_csv, "--k", "2"],
+        ["dhill", "-i", canon_csv, "--k", "2"],
+        ["records", "--simulate", "--n", "10", "--seed", "7"],
+        ["verify", "--kind", "record_clt", "--n", "50", "--reps", "100",
+         "--no-rerun", "--seed", "7"],
+        ["verify", "--kind", "hill_clt", "--n", "2000", "--reps", "100",
+         "--no-rerun", "--seed", "7"],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.txt"), canon_csv],
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path / "out.txt"),
+         json.dumps(commands)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        ["import plevt", False],
-        ["import plevt.cli", False],
-        ["eval exit 0", False],
-        ["fit exit 0", False],
-    ]
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    codes, scipy_loaded = json.loads(proc.stdout)
+    assert codes[:5] == [0] * 5 and set(codes[5:]) <= {0, 1}
+    assert not scipy_loaded
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
 HILL_PINNED = """\
 k,hill,ci_low,ci_high
-5,1.0276582872996218,0.1268926344711787,1.928423940128065
-10,1.0145492295155711,0.38573665703339977,1.6433618019977425
-15,1.0098700540458065,0.4988146845633845,1.5209254235282286
-20,1.0074680845640578,0.5659338420481027,1.449002327080013
-25,1.0060063441325708,0.6116591035888416,1.4003535846763002
+5,1.0276582872996218,0.12689263447117893,1.9284239401280647
+10,1.0145492295155711,0.3857366570333999,1.6433618019977425
+15,1.0098700540458065,0.4988146845633846,1.5209254235282286
+20,1.0074680845640578,0.5659338420481028,1.4490023270800128
+25,1.0060063441325708,0.6116591035888417,1.4003535846763
 30,1.0050231422385423,0.6453868381598593,1.3646594463172252
-35,1.0043165443986932,0.671592117368089,1.3370409714292975
+35,1.0043165443986932,0.6715921173680891,1.3370409714292975
 40,1.0037842209589765,0.6927139841309375,1.3148544577870154
-45,1.0033687763860817,0.7102103267150336,1.2965272260571297
+45,1.0033687763860817,0.7102103267150337,1.2965272260571297
 50,1.0030355253253955,0.7250133712239848,1.2810576794268063
 """
 
 
 def test_hill_k_grid_output_is_pinned(tmp_path, capsys):
-    # exponential quantiles log(n / (i + 1/2)); the CI bounds come from
-    # scipy's ndtri, now imported where it is used, and keep every byte
+    # exponential quantiles log(n / (i + 1/2)); every byte is pinned, and
+    # every bound lies within 4 ulp of h -/+ ndtri(0.975) h / sqrt(k), in
+    # ulp of h, since the low bound cancels
     p = tmp_path / "expo.csv"
     p.write_text("".join(f"{math.log(200 / (i + 0.5))!r}\n" for i in range(200)))
     code, out, _ = run(capsys, "hill", "-i", str(p), "--k-grid", "5:50:5")
     assert code == 0 and out == HILL_PINNED
+    z = float(ndtri(0.975))
+    for row in out.splitlines()[1:]:
+        k, h, low, high = (float(v) for v in row.split(","))
+        half = z * h / math.sqrt(k)
+        assert abs(low - (h - half)) <= 4 * math.ulp(h)
+        assert abs(high - (h + half)) <= 4 * math.ulp(h)

@@ -319,6 +319,18 @@ def test_fit_next_to_the_ratio_bounds(bound, steps, scale, copies):
     assert 1.0 < fit.params.beta < math.inf
 
 
+# 1e155: m2 overflows; 5e307: m1 as well; 1e-160: m2 is subnormal;
+# 1e-170: m1*m1 underflows to 0
+@pytest.mark.parametrize("scale", [1e155, 5e307, 1e-160, 1e-170])
+def test_fit_refuses_moments_past_the_double_range(scale):
+    # the moment ratio does not depend on scale: unscaled, the values fit.
+    # No RuntimeWarning either: tier-1 turns one from plevt into an error
+    values = np.array([0.1, 0.5, 1.2, 2.0, 3.5])
+    assert 1.5 < fit_method_of_moments(values).m2 / np.mean(values) ** 2 < 2.0
+    with pytest.raises(DomainError, match="double range"):
+        fit_method_of_moments(values * scale)
+
+
 def test_fit_needs_two_observations():
     with pytest.raises(DomainError):
         fit_method_of_moments(np.array([1.0]))

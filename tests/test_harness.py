@@ -4,9 +4,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from plevt.errors import ExperimentRefusedError, ParameterError
+from plevt.gof import std_normal_cdf
 from plevt.harness import (
     KINDS,
     REPLICATED_KINDS,
@@ -25,6 +28,32 @@ from plevt.harness import (
 )
 from plevt.sampling import SeedSpec
 from plevt.tail import WeightFunction
+
+
+# ---------------------------------------------------------------------------
+# reference cdf
+# ---------------------------------------------------------------------------
+
+def test_std_normal_cdf_matches_ndtr():
+    """1e-14 relative to scipy's ndtr for x >= -16. Further down the relative
+    condition number of Phi grows like x**2, and the two erfc routes round
+    exp(-x**2/2) differently, so there the bound is 1e-14 + eps*x**2. Below
+    about -37.5 both are subnormal, and ndtr flushes to 0."""
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    x = np.linspace(-38.0, 8.5, 100_001)
+    got, ref = std_normal_cdf(x), ndtr(x)
+    normal = ref >= tiny
+    rel = np.abs(got[normal] / ref[normal] - 1.0)
+    assert rel[x[normal] >= -16.0].max() <= 1e-14
+    assert (rel <= 1e-14 + eps * x[normal] ** 2).all()
+    assert (~normal).any() and (got[~normal] < tiny).all()
+
+
+@pytest.mark.parametrize("x", [0.3, np.float64(-2.5), np.linspace(-6.0, 6.0, 60).reshape(3, 20)])
+def test_std_normal_cdf_keeps_the_shape(x):
+    got = std_normal_cdf(x)
+    assert np.shape(got) == np.shape(x)
+    np.testing.assert_allclose(got, ndtr(x), rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
