@@ -65,14 +65,7 @@ from .sampling import (
     sample_mixture,
     write_values_csv,
 )
-from .tail import (
-    WeightFunction,
-    check_dh_conditions,
-    check_k1,
-    default_k,
-    dh_statistic,
-    hill,
-)
+from .tail import SpacingPlan, WeightFunction, default_k, hill
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -123,10 +116,15 @@ def _resolve_seed(args: argparse.Namespace) -> SeedSpec:
 def _read_input_values(path: str | None) -> np.ndarray:
     if path in (None, "-"):
         return parse_values_lines(sys.stdin.read().split("\n"), label="<stdin>")
+    return _read_input(read_values_csv, path)
+
+
+def _read_input(read, arg: str):
+    """``read(arg)``, with a file it cannot open an input failure (exit 4)."""
     try:
-        return read_values_csv(path)
+        return read(arg)
     except OSError as exc:
-        raise CsvFormatError(path, 0, f"unreadable input: {exc}") from exc
+        raise CsvFormatError(arg, 0, f"unreadable input: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -277,12 +275,11 @@ def cmd_dhill(args: argparse.Namespace) -> int:
     if n < 3:
         raise ParameterError(f"dhill needs at least 3 observations, got {n}")
     sample = _ingested(values, args.input)
-    weight = WeightFunction.from_spec(args.f)
+    weight = _read_input(WeightFunction.from_spec, args.f)
     k = args.k if args.k is not None else default_k(n)
     _validate_k(k, n)
-    ts = dh_statistic(sample, weight, k, args.s)
-    conditions = dict(check_dh_conditions(weight, n, k, args.s))
-    conditions["k1"] = check_k1(n, k)
+    plan = SpacingPlan.build(weight, k, args.s)
+    ts = plan.rows(sample.values)
     payload = {
         "n": n,
         "k": ts.k,
@@ -294,7 +291,7 @@ def cmd_dhill(args: argparse.Namespace) -> int:
         "s_n": ts.s_n,
         "b_n": ts.b_n,
         "dh_estimate": ts.dh_estimate,
-        "conditions": conditions,
+        "conditions": plan.conditions(n),
     }
     _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK
@@ -367,7 +364,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         params=p,
         n=args.n,
         k=args.k,
-        weight=WeightFunction.from_spec(args.f) if args.f is not None else None,
+        weight=None if args.f is None else _read_input(WeightFunction.from_spec, args.f),
         s=args.s,
         reps=args.reps,
         seed=seed,

@@ -65,14 +65,7 @@ from .sampling import (
     sample_mixture,
     top_order_statistics_rows,
 )
-from .tail import (
-    WeightFunction,
-    check_dh_conditions,
-    check_k1,
-    default_k,
-    dh_statistic_rows,
-    standardize_dh,
-)
+from .tail import SpacingPlan, WeightFunction, default_k, standardize_dh
 
 __all__ = [
     "KINDS",
@@ -337,39 +330,38 @@ def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport
     gamma = p.gamma
     k = e.k
     weight, s = (WeightFunction.identity(), 1.0) if e.kind == "hill_clt" else (e.weight, e.s)
-    diag = check_dh_conditions(weight, e.n, k, s)
-    k1 = check_k1(e.n, k)
+    plan = SpacingPlan.build(weight, k, s)
+    diag = plan.conditions(e.n)
 
     if e.kind == "hill_clt":
-        if k1 > th.k1_bound:
+        if diag["k1"] > th.k1_bound:
             raise ExperimentRefusedError(
-                f"k grows too fast for the Hill CLT: k^(3/4)/log n = {k1:.3g} "
+                f"k grows too fast for the Hill CLT: k^(3/4)/log n = {diag['k1']:.3g} "
                 f"exceeds {th.k1_bound:g} (n={e.n}, k={k})",
-                diagnostics={"k1": k1, **diag},
+                diagnostics=diag,
             )
     else:
         if diag["ratio1"] > th.ratio1_bound:
             raise ExperimentRefusedError(
                 f"weight normalization decays too slowly: s_n(f,1)/(s_n(f,s) log n) "
                 f"= {diag['ratio1']:.3g} exceeds {th.ratio1_bound:g}",
-                diagnostics={"k1": k1, **diag},
+                diagnostics=diag,
             )
         if diag["bn"] > th.bn_bound:
             raise ExperimentRefusedError(
                 f"a single weight dominates the variance: max f(j)/j^s / s_n "
                 f"= {diag['bn']:.3g} exceeds {th.bn_bound:g}",
-                diagnostics={"k1": k1, **diag},
+                diagnostics=diag,
             )
 
     tops = top_order_statistics_rows(e.n, k, p, _replication_seeds(e, seed))
-    ts = dh_statistic_rows(tops, weight, k, s)
+    ts = plan.rows(tops)
     z_a, z_b = standardize_dh(ts, gamma)
 
     extras: dict = {
         "k": k,
         "s": s,
         "weight": weight.label,
-        "k1": k1,
         "mean_hill": float(np.mean(np.sort(ts.hill))),
         **diag,
     }

@@ -18,8 +18,9 @@ ratio) vanishes and s_n(f,1) / (s_n(f,s) log n) tends to zero; the Hill
 case additionally wants k to grow slower than (log n)^{4/3}, tracked by
 the diagnostic ``check_k1 = k**(3/4) / log n``.
 
-a_n, s_n and b_n come from one pass over the ratios f(j)/j**s, checked once:
-normalizers that are not finite and > 0, Gamma(2s+1) past the double range
+``SpacingPlan`` builds a_n, s_n and b_n once per (f, k, s), in one pass over
+the ratios f(j)/j**s; samples are reduced and diagnostics read against it.
+Normalizers that are not finite and > 0, Gamma(2s+1) past the double range
 (s above about 85.3) and an overflowing t_n or t_n / a_n raise DomainError.
 """
 
@@ -174,57 +175,78 @@ def hill(sample: SortedSample, k: int) -> float:
     return float(_weighted_power_sum(sp, j, 1.0)) / k
 
 
-def _normalizers(w: np.ndarray, s: float) -> tuple[float, float, float]:
-    """``(a_n, s_n, b_n)`` of the weights ``w = f(1..k)`` at power s; the
-    variance factor is Gamma(2s+1) - Gamma(s+1)**2."""
-    if not (s >= 1.0 and math.isfinite(s)):
-        raise DomainError(f"power s must be finite and >= 1, got {s!r}")
-    j = np.arange(1, w.size + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):  # j**s = inf gives r = 0, its limit; s_n = inf is refused
-        r = w / j**s
-        squares = float(np.sum(r**2))
-    an = _gamma_fn(s + 1.0) * float(np.sum(r))
-    try:
-        c2 = _gamma_fn(2.0 * s + 1.0) - _gamma_fn(s + 1.0) ** 2
-    except OverflowError:
-        raise DomainError(f"Gamma(2s+1) overflows float64 at s = {s!r}") from None
-    sn = math.sqrt(c2 * squares)
-    if not (0.0 < an < math.inf and 0.0 < sn < math.inf):
-        raise DomainError(f"normalizers a_n = {an!r}, s_n = {sn!r} must be finite and > 0")
-    return an, sn, float(np.max(r)) / sn
+@dataclass(frozen=True, slots=True)
+class SpacingPlan:
+    """The weights ``w = f(1..k)`` at power s with ``a_n``, ``s_n`` and
+    ``b_n``, built once per (f, k, s) before any spacing is reduced against
+    them.  s_n(f, 1) waits for :meth:`conditions`: a statistic that is
+    finite is not refused for a diagnostic it does not need."""
+
+    s: float
+    w: np.ndarray
+    a_n: float
+    s_n: float
+    b_n: float
+
+    @classmethod
+    def build(cls, f: WeightFunction, k: int, s: float) -> "SpacingPlan":
+        return cls._of(f.weights(k), s)
+
+    @classmethod
+    def _of(cls, w: np.ndarray, s: float) -> "SpacingPlan":
+        if not (s >= 1.0 and math.isfinite(s)):
+            raise DomainError(f"power s must be finite and >= 1, got {s!r}")
+        j = np.arange(1, w.size + 1, dtype=np.float64)
+        with np.errstate(over="ignore"):  # j**s = inf gives r = 0, its limit; s_n = inf is refused
+            r = w / j**s
+            squares = float(np.sum(r**2))
+        try:  # Gamma(s+1) leaves the double range past s = 170.6, Gamma(2s+1) past 85.3
+            gamma1 = _gamma_fn(s + 1.0)
+            c2 = _gamma_fn(2.0 * s + 1.0) - gamma1**2
+        except OverflowError:
+            raise DomainError(f"Gamma(2s+1) overflows float64 at s = {s!r}") from None
+        an, sn = gamma1 * float(np.sum(r)), math.sqrt(c2 * squares)
+        if not (0.0 < an < math.inf and 0.0 < sn < math.inf):
+            raise DomainError(f"normalizers a_n = {an!r}, s_n = {sn!r} must be finite and > 0")
+        return cls(float(s), w, an, sn, float(np.max(r)) / sn)
+
+    def conditions(self, n: int) -> dict:
+        """CLT condition diagnostics at sample size n.
+
+        k1     = k**(3/4) / log n                (Hill growth, must be small),
+        ratio1 = s_n(f,1) / (s_n(f,s) * log n)  (must be small),
+        bn     = Lindeberg ratio b_n(f, s)      (must be small),
+        growth = a_n / s_n                      (must diverge for the
+                                                 point-estimate form).
+        """
+        sn1 = self._of(self.w, 1.0).s_n
+        return {"k1": check_k1(n, self.w.size), "ratio1": sn1 / (self.s_n * math.log(n)),
+                "bn": self.b_n, "growth": self.a_n / self.s_n}
+
+    def rows(self, top: np.ndarray) -> TailStatistics:
+        """Statistics of each row of ``top`` (ascending along the last axis):
+        arrays, or numpy scalars for a 1-d ``top``.  The estimate takes the C
+        library's ``pow`` one value at a time, so each row matches its one-sample
+        result: numpy's vector power (and its sqrt at s = 2) can differ in the last bit."""
+        k, s, an = self.w.size, self.s, self.a_n
+        sp = top_spacings(top, k)
+        t = _weighted_power_sum(sp, self.w, s)
+        with np.errstate(over="ignore"):  # an infinite ratio is refused just below
+            ratio = t / an
+        if not np.isfinite(ratio).all():
+            raise DomainError(f"t_n / a_n overflows float64 at s = {s!r} (a_n = {an!r})")
+        j = np.arange(1, k + 1, dtype=np.float64)
+        root = [r ** (1.0 / s) for r in np.ravel(ratio).tolist()]
+        return TailStatistics(
+            k=k, s=s, hill=_weighted_power_sum(sp, j, 1.0) / k, t_n=t, a_n=an,
+            s_n=self.s_n, b_n=self.b_n, dh_estimate=np.reshape(root, np.shape(t))[()],
+        )
 
 
 def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> TailStatistics:
     """All weighted-spacing statistics of the sample at (f, k, s)."""
-    ts = dh_statistic_rows(sample.values, f, k, s)
+    ts = SpacingPlan.build(f, k, s).rows(sample.values)
     return replace(ts, hill=float(ts.hill), t_n=float(ts.t_n), dh_estimate=float(ts.dh_estimate))
-
-
-def dh_statistic_rows(top: np.ndarray, f: WeightFunction, k: int, s: float) -> TailStatistics:
-    """:func:`dh_statistic` of each row of ``top`` (ascending along the last
-    axis), as arrays, with the constants computed once.  The estimate uses
-    the C library's ``pow`` one value at a time, as for one sample: numpy's
-    vector power (and its sqrt at s = 2) can differ from it in the last bit."""
-    w = f.weights(k)
-    an, sn, bn = _normalizers(w, s)
-    sp = top_spacings(top, k)
-    t = _weighted_power_sum(sp, w, s)
-    with np.errstate(over="ignore"):  # an infinite ratio is refused just below
-        ratio = t / an
-    if not np.isfinite(ratio).all():
-        raise DomainError(f"t_n / a_n overflows float64 at s = {s!r} (a_n = {an!r})")
-    j = np.arange(1, k + 1, dtype=np.float64)
-    root = [r ** (1.0 / s) for r in np.ravel(ratio).tolist()]
-    return TailStatistics(
-        k=k,
-        s=float(s),
-        hill=_weighted_power_sum(sp, j, 1.0) / k,
-        t_n=t,
-        a_n=an,
-        s_n=sn,
-        b_n=bn,
-        dh_estimate=np.reshape(root, np.shape(t)),
-    )
 
 
 def standardize_dh(ts: TailStatistics, gamma: float) -> tuple[float, float]:
@@ -257,16 +279,5 @@ def default_k(n: int) -> int:
 
 
 def check_dh_conditions(f: WeightFunction, n: int, k: int, s: float) -> dict:
-    """CLT condition diagnostics for the weighted statistic.
-
-    ratio1 = s_n(f,1) / (s_n(f,s) * log n)  (must be small),
-    bn     = Lindeberg ratio b_n(f, s)      (must be small),
-    growth = a_n / s_n                      (must diverge for the
-                                             point-estimate form).
-    """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    w = f.weights(k)
-    sn1 = _normalizers(w, 1.0)[1]
-    an, sn, bn = _normalizers(w, s)
-    return {"ratio1": sn1 / (sn * math.log(n)), "bn": bn, "growth": an / sn}
+    """``ratio1``, ``bn`` and ``growth`` of :meth:`SpacingPlan.conditions` at n."""
+    return {key: v for key, v in SpacingPlan.build(f, k, s).conditions(n).items() if key != "k1"}

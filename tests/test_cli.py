@@ -1,5 +1,7 @@
 """End-to-end CLI tests driving plevt.cli.main with in-process argv lists."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import plevt
@@ -323,14 +327,36 @@ def test_dhill_bad_weight_spec(canon_csv, capsys):
 
 
 def test_dhill_overflow_is_usage_error(tmp_path, capsys):
-    # t_n (s = 70), s_n (pow:160) or Gamma(2s+1) (s = 86) past the double
-    # range: refused with exit 2, never printed as Infinity or NaN
+    # t_n (s = 70), s_n (pow:160), Gamma(2s+1) (s = 86) or Gamma(s+1)
+    # (s = 171, 1e300) past the double range: refused with exit 2, never
+    # printed as Infinity or NaN, never a traceback
     p = tmp_path / "wide.csv"
     p.write_text("".join(f"{v!r}\n" for v in (np.arange(1.0, 101.0) * 1e5).tolist()))
-    for extra in (["--s", "70"], ["--f", "pow:160"], ["--s", "86"]):
+    for extra in (["--s", "70"], ["--f", "pow:160"], ["--s", "86"], ["--s", "171"],
+                  ["--s", "1e300"]):
         code, out, err = run(capsys, "dhill", "-i", str(p), "--k", "20", *extra)
         assert code == 2 and out == "", extra
-        assert err.startswith("error:"), extra
+        assert err.startswith("error:") and "Traceback" not in err, extra
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    p = tmp_path_factory.mktemp("dhill") / "small.csv"
+    p.write_text("".join(f"{v!r}\n" for v in [0.02, 0.3, 0.5, 0.9, 1.4, 2.2, 3.5, 5.0, 8.0, 13.0]))
+    return str(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.floats(1.0, 1e308), a=st.floats(-400.0, 400.0), k=st.integers(1, 9))
+def test_dhill_never_escapes_with_a_traceback(small_csv, s, a, k):
+    # whatever (s, pow:a, k) leaves the double range must be a usage error
+    # (2) or a refusal (5), never an uncaught exception or a RuntimeWarning
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["dhill", "-i", small_csv, "--k", str(k), "--f", f"pow:{a!r}",
+                     "--s", repr(s)])
+    assert code in (0, 2, 5), err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
 
 
 def test_dhill_estimate_overflow_is_usage_error(tmp_path, capsys):
@@ -426,11 +452,44 @@ def test_verify_refused_config_exits_five(capsys):
 def test_verify_dh_clt_overflow_is_usage_error(capsys):
     # normalizers past the double range are an input error (exit 2), not a
     # failed verification (exit 1)
-    for extra in (["--f", "pow:160"], ["--s", "86"]):
+    for extra in (["--f", "pow:160"], ["--s", "86"], ["--s", "171"]):
         code, out, err = run(capsys, "verify", "--kind", "dh_clt", "--k", "20",
                              "--reps", "100", "--seed", "7", *extra)
         assert code == 2 and out == "", extra
-        assert err.startswith("error:")
+        assert err.startswith("error:") and "Traceback" not in err, extra
+
+
+def test_unreadable_weight_table_is_input_error(tmp_path, canon_csv, capsys):
+    # a table: weight file that cannot be opened is an input failure (exit 4),
+    # as for a missing -i file, not an output failure (exit 3)
+    spec = f"table:{tmp_path / 'missing.csv'}"
+    for argv in (["dhill", "-i", canon_csv, "--k", "3", "--f", spec],
+                 ["verify", "--kind", "dh_clt", "--reps", "100", "--seed", "7", "--f", spec]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "", argv[0]
+        assert err.startswith("error:") and "unreadable input" in err, argv[0]
+
+
+def test_weights_evaluated_once_per_attempt_and_command(canon_csv, capsys, monkeypatch):
+    # the spacing plan evaluates f(1..k) once; the statistic and the
+    # condition check both read it
+    calls = []
+    weights = plevt.WeightFunction.weights
+
+    def counted(self, k):
+        calls.append(k)
+        return weights(self, k)
+
+    monkeypatch.setattr(plevt.WeightFunction, "weights", counted)
+    for extra in (dict(kind="hill_clt", n=4000, k=5),
+                  dict(kind="dh_clt", n=5000, k=20, s=2.0)):
+        calls.clear()
+        plevt.run_experiment(plevt.Experiment(reps=100, seed=SeedSpec(4),
+                                              rerun_on_fail=False, **extra))
+        assert calls == [extra["k"]], extra["kind"]
+    calls.clear()
+    code, _, _ = run(capsys, "dhill", "-i", canon_csv, "--k", "3", "--f", "pow:0.5", "--s", "2")
+    assert code == 0 and calls == [3]
 
 
 def test_verify_all_and_kind_are_exclusive(capsys):

@@ -21,7 +21,7 @@ from plevt import (
     standardize_dh,
 )
 from plevt.sampling import SampleOrigin, top_order_statistics_rows
-from plevt.tail import dh_statistic_rows
+from plevt.tail import SpacingPlan
 
 from oracles import dh_naive, hill_naive
 
@@ -191,15 +191,27 @@ def test_dh_rejects_bad_power():
 
 def test_overflowing_normalizers_are_refused():
     # pow:160 weights are finite at k = 20 but their squares in s_n are not,
-    # and Gamma(2s+1) leaves the double range past s = 85.3
+    # Gamma(2s+1) leaves the double range past s = 85.3 and Gamma(s+1) past
+    # s = 170.6
     top = np.arange(1.0, 101.0)
-    for f, s in ((WeightFunction.power(160.0), 1.0), (WeightFunction.identity(), 86.0)):
+    for f, s in ((WeightFunction.power(160.0), 1.0), (WeightFunction.identity(), 86.0),
+                 (WeightFunction.identity(), 171.0), (WeightFunction.identity(), 1e300)):
         with pytest.raises(DomainError):
             check_dh_conditions(f, 1000, 20, s)
         with pytest.raises(DomainError):
-            dh_statistic_rows(top, f, 20, s)
+            SpacingPlan.build(f, 20, s).rows(top)
     diag = check_dh_conditions(WeightFunction.identity(), 1000, 20, 85.0)
     assert all(math.isfinite(v) and v > 0.0 for v in diag.values())
+
+
+def test_statistic_domain_does_not_need_s_n_at_s1():
+    # pow:120 at k = 20: s_n(f, 3) is finite but s_n(f, 1) squares past the
+    # double range, so only the condition check, which needs s_n(f, 1), refuses
+    s = _sorted(np.arange(1.0, 101.0))
+    ts = dh_statistic(s, WeightFunction.power(120.0), 20, 3.0)
+    assert all(math.isfinite(v) for v in (ts.t_n, ts.a_n, ts.s_n, ts.b_n, ts.dh_estimate))
+    with pytest.raises(DomainError):
+        check_dh_conditions(WeightFunction.power(120.0), 1000, 20, 3.0)
 
 
 def test_overflowing_spacing_sum_is_refused():
@@ -209,7 +221,7 @@ def test_overflowing_spacing_sum_is_refused():
         dh_statistic(s, WeightFunction.identity(), 20, 70.0)
     top = np.stack([np.arange(1.0, 101.0), np.arange(1.0, 101.0) * 1e5])
     with pytest.raises(DomainError):
-        dh_statistic_rows(top, WeightFunction.identity(), 20, 70.0)
+        SpacingPlan.build(WeightFunction.identity(), 20, 70.0).rows(top)
 
 
 def test_overflowing_estimate_ratio_is_refused():
@@ -249,7 +261,7 @@ def test_row_statistics_match_one_sample_loop(f, s):
     k = 20
     tops = top_order_statistics_rows(10_000, k, Params(1.0, 2.0),
                                      [SeedSpec(9, r) for r in range(1000)])
-    ts = dh_statistic_rows(tops, f, k, s)
+    ts = SpacingPlan.build(f, k, s).rows(tops)
     z_a, z_b = standardize_dh(ts, 0.7)
     j = np.arange(1.0, k + 1.0)
     for r, row in enumerate(tops):
@@ -267,7 +279,7 @@ def test_row_statistics_match_one_sample_loop(f, s):
 def test_row_statistics_refuse_a_degenerate_row():
     tops = np.array([[0.0, 1.0, 2.0, 4.0], [1.0, 2.5, 2.5, 2.5]])
     with pytest.raises(DegenerateSampleError):
-        dh_statistic_rows(tops, WeightFunction.identity(), 2, 1.0)
+        SpacingPlan.build(WeightFunction.identity(), 2, 1.0).rows(tops)
 
 
 def test_standardize_dh_linearization():
@@ -307,6 +319,11 @@ def test_check_dh_conditions_keys_and_values():
     assert diag["growth"] == pytest.approx(
         2.0 * harmonic / math.sqrt(20.0 * sq), rel=1e-12
     )
+    # s_n(f, 1) is the statistic's own s_n at s = 1, to the bit (its variance
+    # factor Gamma(3) - Gamma(2)**2 is 1 - 7e-16, not 1)
+    top = _sorted(np.arange(1.0, 31.0))
+    sn1, sn2 = (dh_statistic(top, f, 20, s).s_n for s in (1.0, 2.0))
+    assert diag["ratio1"] == sn1 / (sn2 * math.log(100_000))
 
 
 def test_bn_identity_s1_needs_k_twelve():
