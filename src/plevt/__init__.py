@@ -55,7 +55,6 @@ from .records import (
     standardized_record,
 )
 from .sampling import (
-    SampleOrigin,
     SeedSpec,
     SortedSample,
     load_sample_csv,
@@ -103,7 +102,6 @@ __all__ = [
     "tail_expansion_terms",
     # sampling
     "SeedSpec",
-    "SampleOrigin",
     "SortedSample",
     "mixture_values",
     "sample_mixture",

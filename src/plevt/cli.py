@@ -56,7 +56,6 @@ from .harness import (
 from .quantile import quantile_values
 from .records import extract_records, simulate_record, standardized_record
 from .sampling import (
-    SampleOrigin,
     SeedSpec,
     SortedSample,
     mixture_values,
@@ -133,12 +132,6 @@ def _write_text(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _ingested(values: np.ndarray, path: str | None) -> SortedSample:
-    return SortedSample(
-        np.sort(values), SampleOrigin("ingested", path=path or "<stdin>")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +242,7 @@ def cmd_hill(args: argparse.Namespace) -> int:
     n = int(values.size)
     if n < 3:
         raise ParameterError(f"hill needs at least 3 observations, got {n}")
-    sample = _ingested(values, args.input)
+    sample = SortedSample(np.sort(values))
     if args.k is not None and args.k_grid is not None:
         raise ParameterError("--k and --k-grid are mutually exclusive")
     if args.k_grid is not None:
@@ -274,7 +267,7 @@ def cmd_dhill(args: argparse.Namespace) -> int:
     n = int(values.size)
     if n < 3:
         raise ParameterError(f"dhill needs at least 3 observations, got {n}")
-    sample = _ingested(values, args.input)
+    sample = SortedSample(np.sort(values))
     weight = _read_input(WeightFunction.from_spec, args.f)
     k = args.k if args.k is not None else default_k(n)
     _validate_k(k, n)

@@ -91,25 +91,33 @@ RERUN_SEED_INCREMENT = 0x9E3779B97F4A7C15
 _SEED_MOD = 2**64
 
 
+# Fixed bounds: the k1 (hill_clt) and ratio1 (dh_clt) refusal bounds, the
+# growth from which the spacing kinds also report the estimator's own law,
+# and the factor of sampler_gof's KS critical values.
+_K1_BOUND = 1.5
+_RATIO1_BOUND = 0.2
+_GROWTH_MIN = 5.0
+_GOF_FACTOR = 1.95
+
+
 @dataclass(frozen=True, slots=True)
 class Thresholds:
-    """Tolerances for one experiment kind.
+    """Tolerances for one experiment kind, in five fields.
 
-    ``None`` disables the corresponding check. ``mean_window`` and
+    ``ks`` bounds the KS distance to the reference law. ``mean_window`` and
     ``var_window`` are absolute windows around the reference mean and
     variance (0 and 1 for the normal kinds, Euler-Mascheroni and pi^2/6 for
-    the Gumbel kind).
+    the Gumbel kind). ``None`` disables any of these three checks.
+    ``bn_bound`` is the largest ``b_n`` that ``dh_clt`` accepts before it
+    refuses, and ``error_ratio_bound`` the largest weighted-error ratio that
+    ``quantile_error_order`` passes.
     """
 
     ks: float | None = None
     mean_window: float | None = None
     var_window: float | None = None
-    k1_bound: float = 1.5
-    ratio1_bound: float = 0.2
     bn_bound: float = 0.3
-    growth_min: float = 5.0
     error_ratio_bound: float = 50.0
-    gof_factor: float = 1.95
 
 
 _MIN_REPS = 100
@@ -128,7 +136,8 @@ class Experiment:
 
     Unset fields are filled with kind defaults; fields that do not apply to
     the kind must stay unset. ``seed.stream_id`` is the base stream index,
-    replication ``r`` uses stream ``stream_id + r``.
+    replication ``r`` uses stream ``stream_id + r``, and every stream the
+    kind uses must lie below 2**64.
     """
 
     kind: str
@@ -172,6 +181,15 @@ class Experiment:
             if self.reps not in (None, 1):
                 raise ParameterError(f"{self.kind} runs exactly once")
             set_field(self, "reps", 1)
+
+        # sampler_gof draws two samples, on streams stream_id and stream_id + 1
+        streams = 2 if self.kind == "sampler_gof" else self.reps
+        first = self.seed.stream_id
+        if first + streams > _SEED_MOD:
+            raise ParameterError(
+                f"{self.kind} with reps={self.reps} uses streams {first} to "
+                f"{first} + {streams - 1}, but stream ids end at 2**64 - 1"
+            )
 
         if self.kind in ("hill_clt", "dh_clt"):
             k = default_k(self.n) if self.k is None else int(self.k)
@@ -334,17 +352,17 @@ def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport
     diag = plan.conditions(e.n)
 
     if e.kind == "hill_clt":
-        if diag["k1"] > th.k1_bound:
+        if diag["k1"] > _K1_BOUND:
             raise ExperimentRefusedError(
                 f"k grows too fast for the Hill CLT: k^(3/4)/log n = {diag['k1']:.3g} "
-                f"exceeds {th.k1_bound:g} (n={e.n}, k={k})",
+                f"exceeds {_K1_BOUND:g} (n={e.n}, k={k})",
                 diagnostics=diag,
             )
     else:
-        if diag["ratio1"] > th.ratio1_bound:
+        if diag["ratio1"] > _RATIO1_BOUND:
             raise ExperimentRefusedError(
                 f"weight normalization decays too slowly: s_n(f,1)/(s_n(f,s) log n) "
-                f"= {diag['ratio1']:.3g} exceeds {th.ratio1_bound:g}",
+                f"= {diag['ratio1']:.3g} exceeds {_RATIO1_BOUND:g}",
                 diagnostics=diag,
             )
         if diag["bn"] > th.bn_bound:
@@ -365,7 +383,7 @@ def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport
         "mean_hill": float(np.mean(np.sort(ts.hill))),
         **diag,
     }
-    if diag["growth"] >= th.growth_min:
+    if diag["growth"] >= _GROWTH_MIN:
         _, zb_mean, zb_var, zb_ks = _summary(z_b * s / gamma)
         extras["estimator_mean"] = zb_mean
         extras["estimator_var"] = zb_var
@@ -388,11 +406,11 @@ def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
     base = seed.stream_id
     mix = sample_mixture(e.n, p, seed.stream(base))
     ks_one = gof.ks_distance_sorted(mix.values, cdf(mix.values, p))
-    crit_one = th.gof_factor / math.sqrt(e.n)
+    crit_one = _GOF_FACTOR / math.sqrt(e.n)
 
     inv = sample_inverse_cdf(e.n, p, seed.stream(base + 1))
     ks_two = gof.ks_two_sample(mix.values, inv.values)
-    crit_two = th.gof_factor * math.sqrt(2.0 / e.n)
+    crit_two = _GOF_FACTOR * math.sqrt(2.0 / e.n)
 
     passed = ks_one <= crit_one and ks_two <= crit_two
     return McReport(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Params, survival
+from .distribution import Params
 from .errors import DomainError
 
 __all__ = [
@@ -41,15 +41,17 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: Residual tolerance and step cap of both solvers (see quantile_exact).
+_TOL = 1e-13
+_MAXITER = 200
+
 
 @dataclass(frozen=True, slots=True)
 class QuantileResult:
-    """Root-solve outcome: the quantile plus convergence diagnostics."""
+    """Root-solve outcome: the quantile and the Newton steps it took."""
 
     value: float
     iterations: int
-    residual: float
-    method: str
 
 
 def _check_tail_mass(u: float) -> float:
@@ -59,19 +61,19 @@ def _check_tail_mass(u: float) -> float:
     return u
 
 
-def _solve_scaled(L: float, beta: float, tol: float = 1e-13, maxiter: int = 200):
+def _solve_scaled(L: float, beta: float):
     """Newton with a bisection bracket on h(y) = log1p(y/beta) - y + L."""
     y = L + math.log1p(L / beta)
     lo, hi = 0.0, math.inf
     iterations = 0
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, _MAXITER + 1):
         h = math.log1p(y / beta) - y + L
         if h > 0.0:
             lo = y
         else:
             hi = y
         noise = 8.0 * _EPS * max(1.0, abs(L) + y)
-        if abs(h) <= max(tol, noise):
+        if abs(h) <= max(_TOL, noise):
             break
         hp = 1.0 / (beta + y) - 1.0
         cand = y - h / hp
@@ -83,7 +85,7 @@ def _solve_scaled(L: float, beta: float, tol: float = 1e-13, maxiter: int = 200)
     return y, iterations
 
 
-def _solve_scaled_array(log_inv_u, beta, tol=1e-13, maxiter=200):
+def _solve_scaled_array(log_inv_u, beta):
     """Solve log1p(y/beta) - y + L = 0 elementwise for y = theta * x.
 
     L = log(1/u) is the log of the tail mass, so y is the upper quantile
@@ -99,13 +101,13 @@ def _solve_scaled_array(log_inv_u, beta, tol=1e-13, maxiter=200):
     y = L + np.log1p(L / beta)  # first fixed-point iterate; lands left of root
     lo = y.copy()
     hi = np.full_like(y, np.inf)
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         h = np.log1p(y / beta) - y + L
         pos = h > 0.0
         lo = np.where(pos, y, lo)
         hi = np.where(pos, hi, y)
         noise = 8.0 * _EPS * np.maximum(1.0, np.abs(L) + y)
-        active = np.abs(h) > np.maximum(tol, noise)
+        active = np.abs(h) > np.maximum(_TOL, noise)
         if not active.any():
             break
         hp = 1.0 / (beta + y) - 1.0
@@ -134,36 +136,26 @@ def quantile_exact(u: float, p: Params) -> QuantileResult:
     ``y = theta*x``, started from the first fixed-point iterate, and is
     monotone once bracketed.  It stops once ``|h(y)| <= max(1e-13,
     8*eps*max(1, log(1/u) + y))``: the ~1e-13 is a bound on that residual,
-    not on x.  The returned residual is ``survival(value) - u`` evaluated
-    in linear space.  Raises DomainError when the quantile is not finite.
+    not on x.  The result carries the quantile and the number of Newton
+    steps.  Raises DomainError when the quantile is not finite.
     """
     u = _check_tail_mass(u)
     y, iterations = _solve_scaled(-math.log(u), p.beta)
-    x = _check_finite(y / p.theta, p)
-    return QuantileResult(
-        value=x,
-        iterations=iterations,
-        residual=survival(x, p) - u,
-        method="newton_bracketed",
-    )
+    return QuantileResult(_check_finite(y / p.theta, p), iterations)
 
 
 def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
     """Same root solve parameterized by ``L = log(1/u)``.
 
     Works for arbitrarily deep tails (e.g. L ~ thousands) where the tail
-    mass itself would underflow; the residual is then reported in the log
-    scale as ``log survival(x) + L``.
+    mass itself would underflow; the stopping rule bounds the log-scale
+    residual ``log survival(x) + L`` as in :func:`quantile_exact`.
     """
     L = float(log_inv_u)
     if not (L > 0.0) or not math.isfinite(L):
         raise DomainError(f"log(1/u) must be finite and > 0, got {log_inv_u!r}")
     y, iterations = _solve_scaled(L, p.beta)
-    x = _check_finite(y / p.theta, p)
-    log_resid = math.log1p(y / p.beta) - y + L
-    return QuantileResult(
-        value=x, iterations=iterations, residual=log_resid, method="newton_log_tail"
-    )
+    return QuantileResult(_check_finite(y / p.theta, p), iterations)
 
 
 def quantile_values(u, p: Params) -> np.ndarray:

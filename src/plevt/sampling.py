@@ -20,7 +20,6 @@ from .quantile import quantile_values
 
 __all__ = [
     "SeedSpec",
-    "SampleOrigin",
     "SortedSample",
     "mixture_values",
     "sample_mixture",
@@ -63,26 +62,11 @@ class SeedSpec:
         return SeedSpec(self.master_seed, stream_id)
 
 
-@dataclass(frozen=True, slots=True)
-class SampleOrigin:
-    """Provenance tag: simulated(seed, params) or ingested(path)."""
-
-    kind: str
-    seed: SeedSpec | None = None
-    params: Params | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("simulated", "ingested"):
-            raise DomainError(f"origin kind must be simulated|ingested, got {self.kind!r}")
-
-
 @dataclass(frozen=True)
 class SortedSample:
-    """Ascending, finite observations plus their provenance."""
+    """Ascending, finite observations."""
 
     values: np.ndarray
-    origin: SampleOrigin
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -123,8 +107,7 @@ def mixture_values(n: int, p: Params, seed: SeedSpec) -> np.ndarray:
 
 def sample_mixture(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     """Sorted sample of size n from the mixture representation."""
-    values = np.sort(mixture_values(n, p, seed))
-    return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
+    return SortedSample(np.sort(mixture_values(n, p, seed)))
 
 
 def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
@@ -135,15 +118,13 @@ def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     u = rng.random(n)
     # measure-zero guard: rng.random can return exactly 0, outside (0, 1)
     u = np.where(u == 0.0, _MIN_UNIFORM, u)
-    values = np.sort(quantile_values(u, p))
-    return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
+    return SortedSample(np.sort(quantile_values(u, p)))
 
 
 def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSample:
     """The k+1 largest of n i.i.d. draws, ascending, in O(k): the one-seed
     case of :func:`top_order_statistics_rows`."""
-    values = top_order_statistics_rows(n, k, p, [seed])[0]
-    return SortedSample(values, SampleOrigin("simulated", seed=seed, params=p))
+    return SortedSample(top_order_statistics_rows(n, k, p, [seed])[0])
 
 
 def top_order_statistics_rows(n: int, k: int, p: Params, seeds) -> np.ndarray:
@@ -240,13 +221,10 @@ def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:
 
 def load_sample_csv(path: str) -> SortedSample:
     """Ingest a CSV of observations as a SortedSample (sorted ascending)."""
-    values = np.sort(read_values_csv(path))
-    return SortedSample(values, SampleOrigin("ingested", path=str(path)))
+    return SortedSample(np.sort(read_values_csv(path)))
 
 
-def write_values_csv(values, fh, header: str | None = None) -> None:
+def write_values_csv(values, fh) -> None:
     """Write one value per line with full round-trip precision."""
-    if header:
-        fh.write(header + "\n")
     for v in np.asarray(values, dtype=np.float64):
         fh.write(repr(float(v)) + "\n")

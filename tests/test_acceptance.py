@@ -65,7 +65,7 @@ from plevt.harness import (
     run_suite,
     suite_to_json,
 )
-from plevt.sampling import SampleOrigin, SeedSpec, SortedSample
+from plevt.sampling import SeedSpec, SortedSample
 from plevt.tail import WeightFunction, dh_statistic, hill
 
 GRID = [Params(t, b) for t in (0.5, 1.0, 2.0) for b in (1.1, 2.0, 5.0)]
@@ -360,8 +360,7 @@ def test_criterion_09_oracle_equivalence(capfd):
     worst_dh = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 13))
-        sample = SortedSample(np.sort(np.exp(rng.normal(size=n))),
-                              SampleOrigin("ingested"))
+        sample = SortedSample(np.sort(np.exp(rng.normal(size=n))))
         k = int(rng.integers(1, n))
         worst_h = max(worst_h, abs(hill(sample, k) - hill_naive(sample.values, k))
                       / max(1.0, abs(hill_naive(sample.values, k))))

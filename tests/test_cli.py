@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import plevt
+import plevt.cli
+import plevt.harness
 from plevt import Params, hill, pdf, quantile_values
 from plevt.cli import _two_sided_z, main
 from plevt.sampling import SeedSpec, load_sample_csv, sample_mixture
@@ -457,6 +459,22 @@ def test_verify_dh_clt_overflow_is_usage_error(capsys):
                              "--reps", "100", "--seed", "7", *extra)
         assert code == 2 and out == "", extra
         assert err.startswith("error:") and "Traceback" not in err, extra
+
+
+def test_verify_refuses_streams_past_2_64_before_running(capsys, monkeypatch):
+    # the refusal names the --stream as given, not the first stream id past
+    # 2**64, and --all refuses before its first experiment runs
+    runs = []
+    for module in (plevt.cli, plevt.harness):
+        monkeypatch.setattr(module, "run_experiment", lambda e, workers=1: runs.append(e))
+    for argv in (["--kind", "max_gumbel", "--reps", "100", "--stream", str(2**64 - 16)],
+                 ["--kind", "sampler_gof", "--stream", str(2**64 - 1)],
+                 ["--all", "--stream", str(2**64 - 1)],
+                 ["--all", "--stream", str(2**64 - 100)]):
+        code, out, err = run(capsys, "verify", "--seed", "7", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and f"streams {argv[-1]} to" in err, argv
+    assert runs == []
 
 
 def test_unreadable_weight_table_is_input_error(tmp_path, canon_csv, capsys):

@@ -95,6 +95,22 @@ def test_single_shot_kinds_refuse_replication():
     assert Experiment(kind="sampler_gof", reps=1).reps == 1
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_streams_must_end_below_2_64(kind):
+    # replication r draws on stream + r, and sampler_gof's two samples on
+    # stream and stream + 1: the last of them must still be a stream id
+    reps = 100 if kind in REPLICATED_KINDS else None
+    used = 100 if reps else 2 if kind == "sampler_gof" else 1
+    n = None if kind == "quantile_error_order" else 2000
+    k = 20 if kind in ("hill_clt", "dh_clt") else None
+    top = Experiment(kind=kind, n=n, k=k, reps=reps, seed=SeedSpec(7, 2**64 - used),
+                     rerun_on_fail=False)
+    run_experiment(top)  # the last stream id draws like any other
+    if used > 1:
+        with pytest.raises(ParameterError, match=f"streams {2**64 - used + 1} to"):
+            Experiment(kind=kind, reps=reps, seed=SeedSpec(7, 2**64 - used + 1))
+
+
 def test_k_only_for_spacings_kinds():
     with pytest.raises(ParameterError):
         Experiment(kind="max_gumbel", k=10)

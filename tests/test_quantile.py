@@ -17,6 +17,8 @@ from plevt import (
     survival,
     tail_expansion_terms,
 )
+import plevt.distribution
+import plevt.quantile
 from plevt.quantile import _solve_scaled_array
 
 from oracles import (
@@ -89,10 +91,30 @@ def test_tail_mass_validation():
 
 
 def test_result_metadata():
-    r = quantile_exact(1e-6, Params(1.0, 2.0))
-    assert r.method == "newton_bracketed"
+    p = Params(1.0, 2.0)
+    r = quantile_exact(1e-6, p)
     assert 1 <= r.iterations <= 200
-    assert abs(r.residual) <= 1e-12
+    y = p.theta * r.value
+    assert abs(math.log1p(y / p.beta) - y - math.log(1e-6)) <= 1e-12
+
+
+def test_scalar_solves_never_evaluate_the_survival_function(monkeypatch):
+    # the solve and its stopping rule stay on the log scale; a linear-scale
+    # residual would cost a survival call per quantile
+    calls = []
+
+    def counting(x, p):
+        calls.append(x)
+        return survival(x, p)
+
+    monkeypatch.setattr(plevt.quantile, "survival", counting, raising=False)
+    monkeypatch.setattr(plevt.distribution, "survival", counting)
+    p = Params(1.0, 2.0)
+    for u in (0.5, 1e-6, 1e-300):
+        quantile_exact(u, p)
+    for big_l in (1.0, 700.0, 5000.0):
+        quantile_from_log_tail(big_l, p)
+    assert calls == []
 
 
 def test_log_tail_extends_past_float_underflow():
@@ -105,8 +127,9 @@ def test_log_tail_extends_past_float_underflow():
     assert r_deep.value == pytest.approx(x_direct, rel=1e-13)
     r_under = quantile_from_log_tail(800.0, p)
     assert r_under.value > r_deep.value
-    # residual is reported in log scale: log(survival) + log_inv_u
-    assert abs(r_under.residual) <= 1e-10
+    # the log-scale residual log(survival) + log_inv_u, from the value
+    y = p.theta * r_under.value
+    assert abs(math.log1p(y / p.beta) - y + 800.0) <= 1e-10
 
 
 def test_log_tail_matches_expansion_deep():

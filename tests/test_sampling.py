@@ -28,7 +28,6 @@ from plevt import (
 from plevt.gof import ks_distance_sorted, ks_two_sample
 from plevt.quantile import quantile_values
 from plevt.sampling import (
-    SampleOrigin,
     parse_values_lines,
     top_order_statistics,
     top_order_statistics_rows,
@@ -81,8 +80,6 @@ def test_mixture_sample_is_sorted_and_positive():
     assert s.n == 5000
     assert np.all(np.diff(s.values) >= 0.0)
     assert np.all(s.values >= 0.0)
-    assert s.origin.kind == "simulated"
-    assert s.origin.seed == SeedSpec(3)
 
 
 def test_mixture_passes_ks_against_cdf():
@@ -136,27 +133,27 @@ def test_theta_beta_shape_effect():
 
 def test_sorted_sample_rejects_unsorted():
     with pytest.raises(DomainError):
-        SortedSample(np.array([2.0, 1.0]), SampleOrigin("ingested"))
+        SortedSample(np.array([2.0, 1.0]))
 
 
 def test_sorted_sample_rejects_nonfinite_and_empty():
     with pytest.raises(DomainError):
-        SortedSample(np.array([1.0, math.nan]), SampleOrigin("ingested"))
+        SortedSample(np.array([1.0, math.nan]))
     with pytest.raises(DomainError):
-        SortedSample(np.array([]), SampleOrigin("ingested"))
+        SortedSample(np.array([]))
     with pytest.raises(DomainError):
-        SortedSample(np.ones((2, 2)), SampleOrigin("ingested"))
+        SortedSample(np.ones((2, 2)))
 
 
 def test_spacings_hand_check():
-    s = SortedSample(np.array([0.1, 0.5, 1.2, 2.0, 3.5]), SampleOrigin("ingested"))
+    s = SortedSample(np.array([0.1, 0.5, 1.2, 2.0, 3.5]))
     got = spacings(s, 3)
     # descending from the top: X(5)-X(4), X(4)-X(3), X(3)-X(2)
     np.testing.assert_allclose(got, [1.5, 0.8, 0.7], rtol=1e-15)
 
 
 def test_spacings_k_bounds():
-    s = SortedSample(np.array([1.0, 2.0, 3.0]), SampleOrigin("ingested"))
+    s = SortedSample(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DomainError):
         spacings(s, 0)
     with pytest.raises(DomainError):
@@ -371,5 +368,3 @@ def test_load_sample_sorts(tmp_path):
     path.write_text("3.0\n1.0\n2.0\n")
     s = load_sample_csv(str(path))
     np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0])
-    assert s.origin.kind == "ingested"
-    assert s.origin.path == str(path)

@@ -20,15 +20,14 @@ from plevt import (
     sample_mixture,
     standardize_dh,
 )
-from plevt.sampling import SampleOrigin, top_order_statistics_rows
+from plevt.sampling import top_order_statistics_rows
 from plevt.tail import SpacingPlan
 
 from oracles import dh_naive, hill_naive
 
 
 def _sorted(values):
-    return SortedSample(np.sort(np.asarray(values, dtype=np.float64)),
-                        SampleOrigin("ingested"))
+    return SortedSample(np.sort(np.asarray(values, dtype=np.float64)))
 
 
 CANON = _sorted([0.1, 0.5, 1.2, 2.0, 3.5])
@@ -233,14 +232,14 @@ def test_overflowing_estimate_ratio_is_refused():
 
 
 def test_dh_degenerate_sample():
-    s = SortedSample(np.full(6, 2.5), SampleOrigin("ingested"))
+    s = SortedSample(np.full(6, 2.5))
     with pytest.raises(DegenerateSampleError):
         dh_statistic(s, WeightFunction.identity(), 3, 1.0)
 
 
 def test_hill_degenerate_sample():
     # all top-k spacings zero: hill refuses like dh_statistic
-    s = SortedSample(np.array([1.0, 2.5, 2.5, 2.5, 2.5]), SampleOrigin("ingested"))
+    s = SortedSample(np.array([1.0, 2.5, 2.5, 2.5, 2.5]))
     with pytest.raises(DegenerateSampleError):
         hill(s, 3)
     with pytest.raises(DegenerateSampleError):
