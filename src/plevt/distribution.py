@@ -27,6 +27,7 @@ from .errors import (
     FitInfeasibleError,
     NotEvaluableError,
     ParameterError,
+    check_int,
 )
 
 __all__ = [
@@ -147,10 +148,7 @@ def moment(n: int, p: Params) -> float:
     Evaluated in log space so n in the hundreds stays exact to relative
     rounding; raises OverflowError if the value exceeds float range.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"moment order must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"moment order must be >= 0, got {n}")
+    n = check_int(n, "moment order", 0)
     if n == 0:
         return 1.0
     log_m = (
@@ -171,9 +169,7 @@ def moment_radius_sequence(p: Params, n_max: int) -> np.ndarray:
     converges to ``1/theta`` (the reciprocal rate) at the slow rate
     log(n)/n; the raw roots ``m_n**(1/n)`` diverge and are not used.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    n = np.arange(1, n_max + 1, dtype=np.float64)
+    n = np.arange(1, check_int(n_max, "n_max", 1) + 1, dtype=np.float64)
     return np.exp((np.log(p.beta + n) - math.log(p.beta)) / n) / p.theta
 
 

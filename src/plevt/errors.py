@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer-argument check, shared across the package."""
+
+import numpy as np
 
 
 class PlevtError(Exception):
@@ -50,3 +52,14 @@ class ExperimentRefusedError(PlevtError, RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         self.diagnostics = dict(diagnostics or {})
         super().__init__(message)
+
+
+def check_int(value, name: str, minimum: int | None = None, error=DomainError) -> int:
+    """``value`` as an int >= ``minimum``; bools and non-integers raise ``error``."""
+    if type(value) is not int:  # the common case skips the isinstance checks
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise error(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value

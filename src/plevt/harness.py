@@ -17,26 +17,28 @@ compares the empirical law against its limiting reference:
                          bounded ratio across fourteen decades of u
 
 Replication r of an experiment draws from the Philox stream
-``seed.stream_id + r`` under the experiment's master seed, so suites are
-reproducible one replication at a time.  An attempt draws every
-replication in one loop, then solves, reduces and standardizes them as
-arrays; only ``record_clt`` keeps a scalar solve per replication, which the
-array solver can miss by one ulp.  A thread pool measured slower than one
-thread, so the ``workers`` argument of :func:`run_experiment` and
-:func:`run_suite` is accepted for compatibility and changes nothing.
+``seed.stream_id + r`` under the experiment's master seed
+(:meth:`plevt.sampling.SeedSpec.rngs`), so suites are reproducible one
+replication at a time.  An attempt draws every replication in one loop,
+then solves, reduces and standardizes them as arrays; only ``record_clt``
+keeps a scalar solve per replication, which the array solver can miss by
+one ulp.  A thread pool measured slower than one thread, so the
+``workers`` argument of :func:`run_experiment` and :func:`run_suite` is
+accepted for compatibility and changes nothing.
 
 Each kind is one entry of the ``_KINDS`` table (runner, default thresholds,
-n and reps).  Every replicated kind builds its report in one helper, which
-sorts the standardized replications, compares them with the reference law
-and keeps them in ``extras["replications"]``.
+n and reps).  A runner reads its seed and thresholds from its
+:class:`Experiment` alone.  Every replicated kind builds its report in one
+helper, which sorts the standardized replications, compares them with the
+reference law and keeps them in ``extras["replications"]``.
 
 No replication draws a full sample.  ``max_gumbel``, ``hill_clt`` and
 ``dh_clt`` use only the top k+1 order statistics (k = 0 for the maximum),
 which :func:`plevt.sampling.top_order_statistics_rows` draws exactly in law
 from k+1 exponentials and one gamma variate (Renyi representation), so a
 replication costs O(k) whatever n is.  ``record_clt`` draws the record's
-log tail mass G_n ~ Gamma(n) as one gamma variate, shared with
-:func:`plevt.records.simulate_record`, so it costs O(1) in n.
+log tail mass G_n ~ Gamma(n) as one gamma variate per replication
+(:func:`plevt.records.record_log_tails`), so it costs O(1) in n.
 
 A replicated experiment that misses its tolerances is re-run once with a
 derived master seed (documented golden-ratio increment); only a second miss
@@ -50,15 +52,16 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, TextIO
 
 import numpy as np
 
 from . import gof
 from .distribution import Params, cdf
-from .errors import ExperimentRefusedError, ParameterError
+from .errors import ExperimentRefusedError, ParameterError, check_int
 from .quantile import quantile_exact, quantile_tail_expansion
-from .records import record_log_tail, record_value_from_log_tail, standardized_record
+from .records import record_log_tails, record_value_from_log_tail, standardized_record
 from .sampling import (
     SeedSpec,
     sample_inverse_cdf,
@@ -134,10 +137,10 @@ def default_thresholds(kind: str) -> Thresholds:
 class Experiment:
     """Configuration of one harness experiment.
 
-    Unset fields are filled with kind defaults; fields that do not apply to
-    the kind must stay unset. ``seed.stream_id`` is the base stream index,
-    replication ``r`` uses stream ``stream_id + r``, and every stream the
-    kind uses must lie below 2**64.
+    Unset fields, thresholds included, are filled with kind defaults; fields
+    that do not apply to the kind must stay unset. ``seed.stream_id`` is the
+    base stream index, replication ``r`` uses stream ``stream_id + r``, and
+    every stream the kind uses must lie below 2**64.
     """
 
     kind: str
@@ -158,6 +161,9 @@ class Experiment:
             )
         spec = _KINDS[self.kind]
         set_field = object.__setattr__
+        count = partial(check_int, error=ParameterError)
+        if self.thresholds is None:
+            set_field(self, "thresholds", spec.thresholds)
 
         if spec.n is None:
             if self.n is not None:
@@ -165,22 +171,19 @@ class Experiment:
         elif self.n is None:
             set_field(self, "n", spec.n)
         else:
-            n = int(self.n)
-            if n < 2:
-                raise ParameterError(f"sample size must be >= 2, got {n}")
-            set_field(self, "n", n)
+            set_field(self, "n", count(self.n, "sample size", 2))
 
-        if spec.reps is not None:
-            reps = spec.reps if self.reps is None else int(self.reps)
+        if spec.reps is None:
+            if self.reps is not None and count(self.reps, "reps") != 1:
+                raise ParameterError(f"{self.kind} runs exactly once")
+            set_field(self, "reps", 1)
+        else:
+            reps = spec.reps if self.reps is None else count(self.reps, "reps")
             if reps < _MIN_REPS:
                 raise ParameterError(
                     f"replicated experiments need reps >= {_MIN_REPS}, got {reps}"
                 )
             set_field(self, "reps", reps)
-        else:
-            if self.reps not in (None, 1):
-                raise ParameterError(f"{self.kind} runs exactly once")
-            set_field(self, "reps", 1)
 
         # sampler_gof draws two samples, on streams stream_id and stream_id + 1
         streams = 2 if self.kind == "sampler_gof" else self.reps
@@ -192,7 +195,7 @@ class Experiment:
             )
 
         if self.kind in ("hill_clt", "dh_clt"):
-            k = default_k(self.n) if self.k is None else int(self.k)
+            k = default_k(self.n) if self.k is None else count(self.k, "k")
             if not 1 <= k <= self.n - 1:
                 raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={self.n}")
             set_field(self, "k", k)
@@ -214,9 +217,6 @@ class Experiment:
                 raise ParameterError(f"{self.kind} takes no weight function")
             if self.s is not None:
                 raise ParameterError(f"{self.kind} takes no power s")
-
-    def resolved_thresholds(self) -> Thresholds:
-        return self.thresholds if self.thresholds is not None else default_thresholds(self.kind)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,11 +281,6 @@ def derived_rerun_seed(seed: SeedSpec) -> SeedSpec:
     )
 
 
-def _replication_seeds(e: Experiment, seed: SeedSpec) -> list[SeedSpec]:
-    """Replication r's stream, ``seed.stream_id + r``, for r = 0..reps-1."""
-    return [seed.stream(seed.stream_id + r) for r in range(e.reps)]
-
-
 #: Reference laws of the replicated kinds: the name of their cdf in
 #: :mod:`plevt.gof` (looked up at call time, so a wrapper installed on the
 #: module is seen), their mean and their variance.
@@ -307,10 +302,11 @@ def _summary(
 
 
 def _replicated_report(
-    e: Experiment, th: Thresholds, seed: SeedSpec, values: np.ndarray, reference: str, extras: dict
+    e: Experiment, values: np.ndarray, reference: str, extras: dict
 ) -> McReport:
     """Report of a replicated attempt: the standardized replications against
     the reference law, with the sorted replications kept in the extras."""
+    th = e.thresholds
     zs, mean, var, ks = _summary(values, reference)
     _, mean_target, var_target = _REFERENCES[reference]
     passed = (
@@ -328,21 +324,19 @@ def _replicated_report(
         threshold=0.0 if th.ks is None else float(th.ks),
         passed=passed,
         runtime_ms=0,
-        seed=seed.master_seed,
+        seed=e.seed.master_seed,
         extras={"replications": zs, **extras},
     )
 
 
-def _run_max_gumbel(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+def _run_max_gumbel(e: Experiment) -> McReport:
     p = e.params
     q_n = quantile_exact(1.0 / e.n, p).value
-    maxima = top_order_statistics_rows(e.n, 0, p, _replication_seeds(e, seed))[:, 0]
-    return _replicated_report(
-        e, th, seed, p.theta * (maxima - q_n), "gumbel", {"centering": q_n}
-    )
+    maxima = top_order_statistics_rows(e.n, 0, p, e.seed, e.reps)[:, 0]
+    return _replicated_report(e, p.theta * (maxima - q_n), "gumbel", {"centering": q_n})
 
 
-def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+def _run_spacings_clt(e: Experiment) -> McReport:
     """``hill_clt`` (identity weights, s = 1) and ``dh_clt``."""
     p = e.params
     gamma = p.gamma
@@ -365,14 +359,14 @@ def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport
                 f"= {diag['ratio1']:.3g} exceeds {_RATIO1_BOUND:g}",
                 diagnostics=diag,
             )
-        if diag["bn"] > th.bn_bound:
+        if diag["bn"] > e.thresholds.bn_bound:
             raise ExperimentRefusedError(
                 f"a single weight dominates the variance: max f(j)/j^s / s_n "
-                f"= {diag['bn']:.3g} exceeds {th.bn_bound:g}",
+                f"= {diag['bn']:.3g} exceeds {e.thresholds.bn_bound:g}",
                 diagnostics=diag,
             )
 
-    tops = top_order_statistics_rows(e.n, k, p, _replication_seeds(e, seed))
+    tops = top_order_statistics_rows(e.n, k, p, e.seed, e.reps)
     ts = plan.rows(tops)
     z_a, z_b = standardize_dh(ts, gamma)
 
@@ -388,27 +382,26 @@ def _run_spacings_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport
         extras["estimator_mean"] = zb_mean
         extras["estimator_var"] = zb_var
         extras["estimator_ks"] = zb_ks
-    return _replicated_report(e, th, seed, z_a / gamma**s, "std_normal", extras)
+    return _replicated_report(e, z_a / gamma**s, "std_normal", extras)
 
 
-def _run_record_clt(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+def _run_record_clt(e: Experiment) -> McReport:
     p = e.params
     n = e.n
-    g = np.array([record_log_tail(n, rs) for rs in _replication_seeds(e, seed)])
+    g = record_log_tails(n, e.seed, e.reps)
     x = np.array([record_value_from_log_tail(v, p) for v in g.tolist()])
     _, ctrl_mean, ctrl_var, ctrl_ks = _summary((g - n) / math.sqrt(n))
     control = {"control_mean": ctrl_mean, "control_var": ctrl_var, "control_ks": ctrl_ks}
-    return _replicated_report(e, th, seed, standardized_record(x, n, p), "std_normal", control)
+    return _replicated_report(e, standardized_record(x, n, p), "std_normal", control)
 
 
-def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+def _run_sampler_gof(e: Experiment) -> McReport:
     p = e.params
-    base = seed.stream_id
-    mix = sample_mixture(e.n, p, seed.stream(base))
+    mix = sample_mixture(e.n, p, e.seed)
     ks_one = gof.ks_distance_sorted(mix.values, cdf(mix.values, p))
     crit_one = _GOF_FACTOR / math.sqrt(e.n)
 
-    inv = sample_inverse_cdf(e.n, p, seed.stream(base + 1))
+    inv = sample_inverse_cdf(e.n, p, SeedSpec(e.seed.master_seed, e.seed.stream_id + 1))
     ks_two = gof.ks_two_sample(mix.values, inv.values)
     crit_two = _GOF_FACTOR * math.sqrt(2.0 / e.n)
 
@@ -423,7 +416,7 @@ def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
         threshold=crit_one,
         passed=passed,
         runtime_ms=0,
-        seed=seed.master_seed,
+        seed=e.seed.master_seed,
         extras={
             "two_sample_ks": ks_two,
             "two_sample_threshold": crit_two,
@@ -436,7 +429,7 @@ def _run_sampler_gof(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
 ERROR_ORDER_U_GRID = tuple(float(10.0**-d) for d in range(2, 15, 2))
 
 
-def _run_quantile_error_order(e: Experiment, th: Thresholds, seed: SeedSpec) -> McReport:
+def _run_quantile_error_order(e: Experiment) -> McReport:
     p = e.params
     raw = []
     weighted = []
@@ -447,7 +440,7 @@ def _run_quantile_error_order(e: Experiment, th: Thresholds, seed: SeedSpec) -> 
         weighted.append(err * big_l * big_l)
     weighted_arr = np.asarray(weighted)
     ratio = float(np.max(weighted_arr) / np.min(weighted_arr))
-    passed = ratio <= th.error_ratio_bound
+    passed = ratio <= e.thresholds.error_ratio_bound
     return McReport(
         kind=e.kind,
         reps=1,
@@ -455,10 +448,10 @@ def _run_quantile_error_order(e: Experiment, th: Thresholds, seed: SeedSpec) -> 
         empirical_var=float(np.var(weighted_arr, ddof=1)),
         ks_distance=0.0,
         reference="none",
-        threshold=float(th.error_ratio_bound),
+        threshold=float(e.thresholds.error_ratio_bound),
         passed=passed,
         runtime_ms=0,
-        seed=seed.master_seed,
+        seed=e.seed.master_seed,
         extras={
             "u_grid": list(ERROR_ORDER_U_GRID),
             "raw_errors": raw,
@@ -475,7 +468,7 @@ class _Kind:
     default tolerances, default sample size (None: the kind takes none) and
     default replication count (None: the kind runs once)."""
 
-    run: Callable[[Experiment, Thresholds, SeedSpec], McReport]
+    run: Callable[[Experiment], McReport]
     thresholds: Thresholds
     n: int | None
     reps: int | None
@@ -512,20 +505,18 @@ def run_experiment(e: Experiment, workers: int = 1) -> McReport:
     ``workers`` is accepted for compatibility and ignored: replications run
     serially (see the module docstring).
     """
-    th = e.resolved_thresholds()
     runner = _KINDS[e.kind].run
     t0 = time.perf_counter()
-    report = runner(e, th, e.seed)
+    report = runner(e)
     attempts = 1
     if not report.passed and e.rerun_on_fail and e.kind in STOCHASTIC_KINDS:
-        retry_seed = derived_rerun_seed(e.seed)
         first = {
             "seed": report.seed,
             "empirical_mean": report.empirical_mean,
             "empirical_var": report.empirical_var,
             "ks_distance": report.ks_distance,
         }
-        report = runner(e, th, retry_seed)
+        report = runner(replace(e, seed=derived_rerun_seed(e.seed)))
         report.extras["first_attempt"] = first
         attempts = 2
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))

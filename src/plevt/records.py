@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Params
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .quantile import quantile_from_log_tail
 from .sampling import SeedSpec
 
@@ -27,21 +27,17 @@ __all__ = [
     "RecordSequence",
     "extract_records",
     "simulate_record",
-    "record_log_tail",
+    "record_log_tails",
     "standardized_record",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class RecordSequence:
-    """Strict upper records with their 1-based positions in the stream.
-
-    ``indices`` is None for records that were simulated directly rather
-    than extracted from a realized stream.
-    """
+    """Strict upper records with their 1-based positions in the stream."""
 
     values: np.ndarray
-    indices: np.ndarray | None = None
+    indices: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -50,13 +46,12 @@ class RecordSequence:
         if np.any(np.diff(values) <= 0.0):
             raise DomainError("record values must be strictly increasing")
         object.__setattr__(self, "values", values)
-        if self.indices is not None:
-            idx = np.asarray(self.indices, dtype=np.int64)
-            if idx.shape != values.shape or np.any(np.diff(idx) <= 0):
-                raise DomainError("record indices must match values and increase")
-            if idx.size and idx[0] < 1:
-                raise DomainError("record indices are 1-based")
-            object.__setattr__(self, "indices", idx)
+        idx = np.asarray(self.indices, dtype=np.int64)
+        if idx.shape != values.shape or np.any(np.diff(idx) <= 0):
+            raise DomainError("record indices must match values and increase")
+        if idx.size and idx[0] < 1:
+            raise DomainError("record indices are 1-based")
+        object.__setattr__(self, "indices", idx)
 
 
 def extract_records(stream) -> RecordSequence:
@@ -75,19 +70,20 @@ def extract_records(stream) -> RecordSequence:
 def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:
     """Draw the n-th record directly via the exponential-sum representation.
 
-    G_n comes from :func:`record_log_tail` on the seed's stream; the record
+    G_n is one ``standard_gamma(n)`` draw on the seed's stream; the record
     is the quantile at log tail mass G_n, by the log-tail root solve at
     every depth, also where exp(-G_n) underflows.
     """
-    return record_value_from_log_tail(record_log_tail(n, seed), p)
+    n = check_int(n, "record index", 1)
+    return record_value_from_log_tail(seed.rng().standard_gamma(n), p)
 
 
-def record_log_tail(n: int, seed: SeedSpec) -> float:
-    """G_n, the log tail mass of the n-th record: one ``standard_gamma(n)``
-    draw on the seed's stream, the law of a sum of n unit exponentials."""
-    if n < 1:
-        raise DomainError(f"record index must be >= 1, got {n}")
-    return float(seed.rng().standard_gamma(n))
+def record_log_tails(n: int, seed: SeedSpec, reps: int) -> np.ndarray:
+    """G_n, the log tail mass of the n-th record, for each of ``reps``
+    replications: entry r is one ``standard_gamma(n)`` draw, the law of a
+    sum of n unit exponentials, on stream ``seed.stream_id + r``."""
+    n = check_int(n, "record index", 1)
+    return np.array([rng.standard_gamma(n) for rng in seed.rngs(reps)])
 
 
 def record_value_from_log_tail(g: float, p: Params) -> float:
@@ -97,7 +93,6 @@ def record_value_from_log_tail(g: float, p: Params) -> float:
 
 def standardized_record(x_n: float | np.ndarray, n: int, p: Params) -> float | np.ndarray:
     """Center at gamma*n and scale by gamma*sqrt(n), elementwise on arrays."""
-    if n < 1:
-        raise DomainError(f"record index must be >= 1, got {n}")
+    check_int(n, "record index", 1)
     gamma = p.gamma
     return (x_n - gamma * n) / (gamma * math.sqrt(n))

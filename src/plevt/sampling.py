@@ -10,12 +10,13 @@ transform ``-log1p(-U)`` with U in [0, 1), which never evaluates log(0).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distribution import Params, mixture_weights
-from .errors import CsvFormatError, DomainError
+from .errors import CsvFormatError, DomainError, check_int
 from .quantile import quantile_values
 
 __all__ = [
@@ -46,9 +47,7 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-            if not (0 <= int(v) < _U64):
+            if not 0 <= check_int(v, name) < _U64:
                 raise DomainError(f"{name} must lie in [0, 2**64), got {v!r}")
             object.__setattr__(self, name, int(v))
 
@@ -57,9 +56,15 @@ class SeedSpec:
         key = self.master_seed | (self.stream_id << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def stream(self, stream_id: int) -> "SeedSpec":
-        """Same master seed, different stream (one per replication)."""
-        return SeedSpec(self.master_seed, stream_id)
+    def rngs(self, reps: int) -> Iterator[np.random.Generator]:
+        """Generators on streams ``stream_id .. stream_id + reps - 1``, in
+        order: replication r draws from stream ``stream_id + r``.  A range
+        that would pass 2**64 - 1 is refused here, before anything is drawn."""
+        first, stop = self.stream_id, self.stream_id + check_int(reps, "reps", 0)
+        if stop > _U64:
+            raise DomainError(f"streams {first} to {first} + {reps - 1} pass 2**64 - 1")
+        keys = (self.master_seed | (stream << 64) for stream in range(first, stop))
+        return (np.random.Generator(np.random.Philox(key=key)) for key in keys)
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,7 @@ def mixture_values(n: int, p: Params, seed: SeedSpec) -> np.ndarray:
     exponential block is always drawn, used or not, which keeps the stream
     layout independent of the component choices.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = check_int(n, "sample size", 1)
     rng = seed.rng()
     w = mixture_weights(p)
     component = rng.random(n)
@@ -112,8 +116,7 @@ def sample_mixture(n: int, p: Params, seed: SeedSpec) -> SortedSample:
 
 def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     """Sorted sample of size n by inverting the cdf at uniform draws."""
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = check_int(n, "sample size", 1)
     rng = seed.rng()
     u = rng.random(n)
     # measure-zero guard: rng.random can return exactly 0, outside (0, 1)
@@ -124,28 +127,28 @@ def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
 def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSample:
     """The k+1 largest of n i.i.d. draws, ascending, in O(k): the one-seed
     case of :func:`top_order_statistics_rows`."""
-    return SortedSample(top_order_statistics_rows(n, k, p, [seed])[0])
+    return SortedSample(top_order_statistics_rows(n, k, p, seed, 1)[0])
 
 
-def top_order_statistics_rows(n: int, k: int, p: Params, seeds) -> np.ndarray:
-    """The k+1 largest of n i.i.d. draws for each seed, as a
-    ``(len(seeds), k+1)`` array of ascending rows, in O(k) per row (Renyi).
+def top_order_statistics_rows(n: int, k: int, p: Params, seed: SeedSpec, reps: int) -> np.ndarray:
+    """The k+1 largest of n i.i.d. draws for each of ``reps`` replications,
+    as a ``(reps, k+1)`` array of ascending rows, in O(k) per row (Renyi).
 
     With ``Gamma_j = E_1 + ... + E_j`` for unit exponentials, the j-th
     smallest of n uniform tail masses is ``Gamma_j / Gamma_{n+1}`` in law,
-    so ``X_{n-j+1,n} = Q(Gamma_j / Gamma_{n+1})``.  Row i draws only
+    so ``X_{n-j+1,n} = Q(Gamma_j / Gamma_{n+1})``.  Row r draws only
     ``E_1..E_{k+1}`` (by inverse transform) and ``Gamma_{n+1} -
-    Gamma_{k+1}`` as one ``standard_gamma(n-k)``, on ``seeds[i]``'s stream;
+    Gamma_{k+1}`` as one ``standard_gamma(n-k)`` on stream ``stream_id + r``;
     the transforms and the quantile solve then run once on the whole array.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = check_int(n, "sample size", 1)
+    k = check_int(k, "k")
     if not 0 <= k <= n - 1:
         raise DomainError(f"k must lie in [0, n-1] = [0, {n - 1}], got {k}")
-    u = np.empty((len(seeds), k + 1))
-    rest = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
-        rng = seed.rng()
+    rngs = seed.rngs(reps)
+    u = np.empty((reps, k + 1))
+    rest = np.empty(reps)
+    for i, rng in enumerate(rngs):
         u[i] = rng.random(k + 1)
         rest[i] = rng.standard_gamma(n - k)
     # measure-zero guard: U = 0 would give Gamma_1 = 0 and an infinite tail

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError
+from .errors import DegenerateSampleError, DomainError, check_int
 from .sampling import SortedSample, read_values_csv, spacings, top_spacings
 
 __all__ = [
@@ -113,8 +113,7 @@ class WeightFunction:
 
     def weights(self, k: int) -> np.ndarray:
         """Evaluate f(1..k); table weights must cover k entries."""
-        if k < 1:
-            raise DomainError(f"k must be >= 1, got {k}")
+        k = check_int(k, "k", 1)
         j = np.arange(1, k + 1, dtype=np.float64)
         if self.kind == "identity":
             return j
@@ -264,18 +263,13 @@ def standardize_dh(ts: TailStatistics, gamma: float) -> tuple[float, float]:
 
 def check_k1(n: int, k: int) -> float:
     """Growth diagnostic ``k**(3/4) / log n``; small means k is admissible."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    n, k = check_int(n, "n", 2), check_int(k, "k", 1)
     return k**0.75 / math.log(n)
 
 
 def default_k(n: int) -> int:
     """Default top-sample size ``max(5, floor((log n)**(4/5)))``."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    return max(5, int(math.floor(math.log(n) ** 0.8)))
+    return max(5, int(math.floor(math.log(check_int(n, "n", 2)) ** 0.8)))
 
 
 def check_dh_conditions(f: WeightFunction, n: int, k: int, s: float) -> dict:

@@ -192,6 +192,12 @@ def test_moment_rejects_bad_order():
         moment(1.5, p)
 
 
+@pytest.mark.parametrize("value", [7.9, "200", True, math.inf, math.nan], ids=repr)
+def test_moment_radius_sequence_refuses_a_non_integer_length(value):
+    with pytest.raises(DomainError, match=f"n_max must be an integer, got {value!r}"):
+        moment_radius_sequence(Params(1.0, 2.0), value)
+
+
 def test_moment_radius_converges_to_gamma():
     # ((n+beta)/beta)^(1/n)/theta -> 1/theta; at n=400 the gap is ~1.3%
     for theta, beta in GRID:

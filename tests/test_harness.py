@@ -134,9 +134,23 @@ def test_weight_and_power_only_for_dh():
 
 def test_thresholds_resolution():
     e = Experiment(kind="hill_clt")
-    assert e.resolved_thresholds() == default_thresholds("hill_clt")
+    assert e.thresholds == default_thresholds("hill_clt")
     custom = Thresholds(ks=0.5)
-    assert Experiment(kind="hill_clt", thresholds=custom).resolved_thresholds() is custom
+    assert Experiment(kind="hill_clt", thresholds=custom).thresholds is custom
+
+
+NOT_INTEGERS = [7.9, "200", True, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name", ["n", "k", "reps"])
+def test_integer_fields_refuse_other_types(name, value):
+    with pytest.raises(ParameterError, match=f"must be an integer, got {value!r}"):
+        Experiment(kind="hill_clt", **{name: value})
+    assert getattr(Experiment(kind="hill_clt", **{name: np.int64(200)}), name) == 200
+    if name == "reps":  # also where the only admissible count is 1
+        with pytest.raises(ParameterError, match="must be an integer"):
+            Experiment(kind="sampler_gof", reps=value)
 
 
 def test_every_kind_has_defaults():

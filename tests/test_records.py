@@ -18,6 +18,7 @@ from plevt import (
     standardized_record,
 )
 from plevt.gof import ks_two_sample
+from plevt.records import record_log_tails
 
 from oracles import records_naive
 
@@ -81,11 +82,13 @@ def test_extract_matches_naive_loop():
 
 def test_record_sequence_validation():
     with pytest.raises(DomainError):
-        RecordSequence(np.array([1.0, 1.0]))
+        RecordSequence(np.array([1.0, 1.0]), indices=np.array([1, 2]))
     with pytest.raises(DomainError):
-        RecordSequence(np.array([2.0, 1.0]))
+        RecordSequence(np.array([2.0, 1.0]), indices=np.array([1, 2]))
     with pytest.raises(DomainError):
         RecordSequence(np.array([1.0, 2.0]), indices=np.array([1]))
+    with pytest.raises(TypeError):
+        RecordSequence(np.array([1.0, 2.0]))  # indices are required
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,27 @@ def test_simulate_record_equals_manual_gamma_draw():
 def test_simulate_record_rejects_bad_n():
     with pytest.raises(DomainError):
         simulate_record(0, P, SeedSpec(1))
+
+
+@pytest.mark.parametrize("master, first", [(21, 0), (2**64 - 1, 2**64 - 5)])
+def test_record_log_tails_are_one_gamma_draw_per_stream(master, first):
+    n = 400
+    g = record_log_tails(n, SeedSpec(master, first), 5)
+    assert g.shape == (5,) and g.dtype == np.float64
+    for r in range(5):
+        assert g[r] == SeedSpec(master, first + r).rng().standard_gamma(n)
+    with pytest.raises(DomainError):
+        record_log_tails(n, SeedSpec(master, 2**64 - 5), 6)  # stream 2**64 is no stream
+
+
+@pytest.mark.parametrize("value", [7.9, "200", True, math.inf, math.nan], ids=repr)
+def test_record_draws_refuse_non_integer_counts(value):
+    with pytest.raises(DomainError, match=f"record index must be an integer, got {value!r}"):
+        record_log_tails(value, SeedSpec(1), 3)
+    with pytest.raises(DomainError, match=f"reps must be an integer, got {value!r}"):
+        record_log_tails(40, SeedSpec(1), value)
+    with pytest.raises(DomainError, match=f"record index must be an integer, got {value!r}"):
+        simulate_record(value, P, SeedSpec(1))
 
 
 def test_record_one_is_distributed_like_parent():

@@ -62,7 +62,56 @@ def test_streams_are_distinct():
     a = mixture_values(1000, P, SeedSpec(77, 0))
     b = mixture_values(1000, P, SeedSpec(77, 1))
     assert not np.array_equal(a, b)
-    assert SeedSpec(77).stream(5) == SeedSpec(77, 5)
+    *_, fifth = SeedSpec(77).rngs(6)
+    np.testing.assert_array_equal(fifth.random(8), SeedSpec(77, 5).rng().random(8))
+
+
+@pytest.mark.parametrize("master, first", [
+    (3, 0),
+    (2**64 - 1, 0),
+    (0, 2**64 - 4),
+    (2**64 - 1, 2**64 - 4),
+    (0x9E3779B97F4A7C15, 2**63 - 2),
+])
+def test_rngs_are_the_one_stream_generators_in_order(master, first):
+    # replication i of rngs draws what SeedSpec(master, first + i).rng() draws;
+    # seeds and stream ids near 2**64 - 1 check how the key words are packed
+    k, n = 7, 100_000
+    gens = list(SeedSpec(master, first).rngs(4))
+    assert len(gens) == 4
+    for i, rng in enumerate(gens):
+        ref = SeedSpec(master, first + i).rng()
+        np.testing.assert_array_equal(rng.random(k + 1), ref.random(k + 1))
+        assert rng.standard_gamma(n - k) == ref.standard_gamma(n - k)
+    assert list(SeedSpec(master, first).rngs(0)) == []
+
+
+def test_rngs_refuse_a_range_past_2_64_on_the_call():
+    seed = SeedSpec(5, 2**64 - 3)
+    assert len(list(seed.rngs(3))) == 3  # the last stream id, 2**64 - 1, is valid
+    # the refusal comes from the call itself, not from the first next()
+    with pytest.raises(DomainError, match="pass 2\\*\\*64 - 1"):
+        seed.rngs(4)
+    with pytest.raises(DomainError, match="reps must be >= 0"):
+        seed.rngs(-1)
+    with pytest.raises(DomainError):
+        top_order_statistics_rows(100, 2, P, seed, 4)
+
+
+NOT_INTEGERS = [7.9, "200", True, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name", ["n", "k", "reps"])
+def test_row_sampler_refuses_non_integer_counts(name, value):
+    counts = {"n": 100, "k": 2, "reps": 3}
+    with pytest.raises(DomainError, match=f"must be an integer, got {value!r}"):
+        top_order_statistics_rows(p=P, seed=SeedSpec(1), **{**counts, name: value})
+    if name != "reps":
+        with pytest.raises(DomainError, match="must be an integer"):
+            top_order_statistics(p=P, seed=SeedSpec(1), **{"n": 100, "k": 2, name: value})
+    counts[name] = np.int64(counts[name])
+    assert top_order_statistics_rows(p=P, seed=SeedSpec(1), **counts).shape == (3, 3)
 
 
 def test_different_masters_differ():
@@ -165,18 +214,17 @@ def test_top_order_statistics_rows_match_per_seed_loop():
     # reference: the one-sample draw path written out per seed; the row form
     # must reproduce it bit for bit, and the one-seed call is its first row
     n, k = 100_000, 7
-    seeds = [SeedSpec(3, r) for r in range(300)]
-    rows = top_order_statistics_rows(n, k, P, seeds)
+    rows = top_order_statistics_rows(n, k, P, SeedSpec(3), 300)
     assert rows.shape == (300, k + 1)
-    for seed, row in zip(seeds, rows):
-        rng = seed.rng()
+    for r, row in enumerate(rows):
+        rng = SeedSpec(3, r).rng()
         u = rng.random(k + 1)
         u = np.where(u == 0.0, 2.0**-53, u)
         partial = np.cumsum(-np.log1p(-u))
         total = partial[-1] + rng.standard_gamma(n - k)
         ref = np.maximum.accumulate(quantile_values(partial[::-1] / total, P))
         np.testing.assert_array_equal(row, ref)
-    np.testing.assert_array_equal(top_order_statistics(n, k, P, seeds[5]).values, rows[5])
+    np.testing.assert_array_equal(top_order_statistics(n, k, P, SeedSpec(3, 5)).values, rows[5])
 
 
 # ---------------------------------------------------------------------------

@@ -258,8 +258,7 @@ def test_row_statistics_match_one_sample_loop(f, s):
     # for the estimate; the row form and dh_statistic on each row as one
     # sample must reproduce them bit for bit
     k = 20
-    tops = top_order_statistics_rows(10_000, k, Params(1.0, 2.0),
-                                     [SeedSpec(9, r) for r in range(1000)])
+    tops = top_order_statistics_rows(10_000, k, Params(1.0, 2.0), SeedSpec(9), 1000)
     ts = SpacingPlan.build(f, k, s).rows(tops)
     z_a, z_b = standardize_dh(ts, 0.7)
     j = np.arange(1.0, k + 1.0)
@@ -305,6 +304,14 @@ def test_default_k_schedule():
     # the schedule respects the growth condition across scales
     for n in (10**3, 10**5, 10**7):
         assert check_k1(n, default_k(n)) < 1.5
+
+
+@pytest.mark.parametrize("value", [7.9, "200", True, math.inf, math.nan], ids=repr)
+def test_counts_refuse_non_integers(value):
+    for call in (lambda: default_k(value), lambda: check_k1(value, 7),
+                 lambda: check_k1(100_000, value), lambda: WeightFunction.identity().weights(value)):
+        with pytest.raises(DomainError, match=f"must be an integer, got {value!r}"):
+            call()
 
 
 def test_check_dh_conditions_keys_and_values():
