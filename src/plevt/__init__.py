@@ -45,19 +45,16 @@ from .quantile import (
     quantile_from_log_tail,
     quantile_tail_expansion,
     quantile_values,
-    tail_expansion_terms,
 )
 from .records import (
     RecordSequence,
     extract_records,
-    record_value_from_log_tail,
     simulate_record,
     standardized_record,
 )
 from .sampling import (
     SeedSpec,
     SortedSample,
-    load_sample_csv,
     mixture_values,
     read_values_csv,
     sample_inverse_cdf,
@@ -99,7 +96,6 @@ __all__ = [
     "quantile_from_log_tail",
     "quantile_values",
     "quantile_tail_expansion",
-    "tail_expansion_terms",
     # sampling
     "SeedSpec",
     "SortedSample",
@@ -109,7 +105,6 @@ __all__ = [
     "top_order_statistics",
     "spacings",
     "read_values_csv",
-    "load_sample_csv",
     "write_values_csv",
     # tail estimation
     "WeightFunction",
@@ -124,7 +119,6 @@ __all__ = [
     "RecordSequence",
     "extract_records",
     "simulate_record",
-    "record_value_from_log_tail",
     "standardized_record",
     # harness
     "Experiment",

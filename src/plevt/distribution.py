@@ -28,6 +28,7 @@ from .errors import (
     NotEvaluableError,
     ParameterError,
     check_int,
+    check_real,
 )
 
 __all__ = [
@@ -53,8 +54,8 @@ class Params:
     beta: float
 
     def __post_init__(self):
-        theta = float(self.theta)
-        beta = float(self.beta)
+        theta = check_real(self.theta, "theta", ParameterError)
+        beta = check_real(self.beta, "beta", ParameterError)
         if not (math.isfinite(theta) and theta > 0.0):
             raise ParameterError(f"theta must be finite and > 0, got {self.theta!r}")
         if not (math.isfinite(beta) and beta > 1.0):

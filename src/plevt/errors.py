@@ -1,4 +1,4 @@
-"""Exception types, and the integer-argument check, shared across the package."""
+"""Exception types, and the integer- and real-argument checks, shared across the package."""
 
 import numpy as np
 
@@ -62,4 +62,13 @@ def check_int(value, name: str, minimum: int | None = None, error=DomainError) -
         value = int(value)
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_real(value, name: str, error=DomainError) -> float:
+    """``value`` as a float; bools, strings and other non-reals raise ``error``."""
+    if type(value) is not float:  # the common case skips the isinstance checks
+        if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+            raise error(f"{name} must be a real number, got {value!r}")
+        value = float(value)
     return value

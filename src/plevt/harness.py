@@ -59,9 +59,9 @@ import numpy as np
 
 from . import gof
 from .distribution import Params, cdf
-from .errors import ExperimentRefusedError, ParameterError, check_int
-from .quantile import quantile_exact, quantile_tail_expansion
-from .records import record_log_tails, record_value_from_log_tail, standardized_record
+from .errors import ExperimentRefusedError, ParameterError, check_int, check_real
+from .quantile import quantile_exact, quantile_from_log_tail, quantile_tail_expansion
+from .records import record_log_tails, standardized_record
 from .sampling import (
     SeedSpec,
     sample_inverse_cdf,
@@ -208,7 +208,7 @@ class Experiment:
                 "weight",
                 WeightFunction.identity() if self.weight is None else self.weight,
             )
-            s = 1.0 if self.s is None else float(self.s)
+            s = 1.0 if self.s is None else check_real(self.s, "power s", ParameterError)
             if not math.isfinite(s) or s < 1.0:
                 raise ParameterError(f"power s must be finite and >= 1, got {s}")
             set_field(self, "s", s)
@@ -389,7 +389,7 @@ def _run_record_clt(e: Experiment) -> McReport:
     p = e.params
     n = e.n
     g = record_log_tails(n, e.seed, e.reps)
-    x = np.array([record_value_from_log_tail(v, p) for v in g.tolist()])
+    x = np.array([quantile_from_log_tail(v, p).value for v in g.tolist()])
     _, ctrl_mean, ctrl_var, ctrl_ks = _summary((g - n) / math.sqrt(n))
     control = {"control_mean": ctrl_mean, "control_var": ctrl_var, "control_ks": ctrl_ks}
     return _replicated_report(e, standardized_record(x, n, p), "std_normal", control)

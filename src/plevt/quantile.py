@@ -31,12 +31,10 @@ from .errors import DomainError
 
 __all__ = [
     "QuantileResult",
-    "ExpansionTerms",
     "quantile_exact",
     "quantile_from_log_tail",
     "quantile_values",
     "quantile_tail_expansion",
-    "tail_expansion_terms",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -170,62 +168,16 @@ def quantile_values(u, p: Params) -> np.ndarray:
     return x
 
 
-def quantile_tail_expansion(u: float | None, p: Params, *, log_inv_u: float | None = None) -> float:
+def quantile_tail_expansion(u: float, p: Params) -> float:
     """Two-term tail expansion ``(L + log(L) - log(beta)) / theta``.
 
     Needs ``L = log(1/u) > 1`` (tail mass below 1/e) so that log(L) is
-    positive; accepts the tail either as u or directly as L, so the deep
-    tail where u underflows stays evaluable.  The error against the exact
-    quantile is O(log(L)/L) and decreases monotonically along the tail.
+    positive.  The error against the exact quantile is O(log(L)/L) and
+    decreases monotonically along the tail.
     """
-    if log_inv_u is None:
-        L = -math.log(_check_tail_mass(u))
-    else:
-        L = float(log_inv_u)
-        if not math.isfinite(L):
-            raise DomainError(f"log(1/u) must be finite, got {log_inv_u!r}")
+    L = -math.log(_check_tail_mass(u))
     if L <= 1.0:
         raise DomainError(
             f"tail expansion needs log(1/u) > 1 (u < 1/e), got log(1/u)={L!r}"
         )
     return _check_finite((L + math.log(L) - math.log(p.beta)) / p.theta, p)
-
-
-@dataclass(frozen=True, slots=True)
-class ExpansionTerms:
-    """Pieces of the fixed-point identity evaluated at the exact quantile.
-
-    ``total_shift`` is ``theta*x - log(1/u)``, decomposed as ``log(x) +
-    scale_shift`` where ``scale_shift = log1p_ratio - log(R)`` and
-    ``log1p_ratio = log(1 + R/x)`` with R = beta/theta.  ``relative_shift``
-    is ``(log(x) + log1p_ratio - log(beta)) / log(1/u)``, the second-order
-    term that the logarithmic sandwich bounds control.
-    """
-
-    value: float
-    log1p_ratio: float
-    scale_shift: float
-    total_shift: float
-    relative_shift: float
-    fixed_point_residual: float
-
-
-def tail_expansion_terms(u: float, p: Params) -> ExpansionTerms:
-    """Evaluate the fixed-point decomposition at the exact quantile."""
-    u = _check_tail_mass(u)
-    x = quantile_exact(u, p).value
-    L = -math.log(u)
-    R = p.beta / p.theta
-    log1p_ratio = math.log1p(R / x)
-    scale_shift = log1p_ratio - math.log(R)
-    total_shift = math.log(x) + scale_shift
-    relative_shift = (math.log(x) + log1p_ratio - math.log(p.beta)) / L
-    residual = p.theta * x - L - total_shift
-    return ExpansionTerms(
-        value=x,
-        log1p_ratio=log1p_ratio,
-        scale_shift=scale_shift,
-        total_shift=total_shift,
-        relative_shift=relative_shift,
-        fixed_point_residual=residual,
-    )

@@ -75,7 +75,7 @@ def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:
     every depth, also where exp(-G_n) underflows.
     """
     n = check_int(n, "record index", 1)
-    return record_value_from_log_tail(seed.rng().standard_gamma(n), p)
+    return quantile_from_log_tail(seed.rng().standard_gamma(n), p).value
 
 
 def record_log_tails(n: int, seed: SeedSpec, reps: int) -> np.ndarray:
@@ -84,11 +84,6 @@ def record_log_tails(n: int, seed: SeedSpec, reps: int) -> np.ndarray:
     sum of n unit exponentials, on stream ``seed.stream_id + r``."""
     n = check_int(n, "record index", 1)
     return np.array([rng.standard_gamma(n) for rng in seed.rngs(reps)])
-
-
-def record_value_from_log_tail(g: float, p: Params) -> float:
-    """Quantile at log tail mass g > 0: the log-tail root solve, at any depth."""
-    return quantile_from_log_tail(g, p).value
 
 
 def standardized_record(x_n: float | np.ndarray, n: int, p: Params) -> float | np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "spacings",
     "read_values_csv",
     "parse_values_lines",
-    "load_sample_csv",
     "write_values_csv",
 ]
 
@@ -220,11 +219,6 @@ def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:
         except ValueError:
             pass
         raise CsvFormatError(label, line_no, raw)
-
-
-def load_sample_csv(path: str) -> SortedSample:
-    """Ingest a CSV of observations as a SortedSample (sorted ascending)."""
-    return SortedSample(np.sort(read_values_csv(path)))
 
 
 def write_values_csv(values, fh) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, check_int
+from .errors import DegenerateSampleError, DomainError, check_int, check_real
 from .sampling import SortedSample, read_values_csv, spacings, top_spacings
 
 __all__ = [
@@ -56,32 +56,29 @@ class WeightFunction:
 
     Supported forms: ``identity`` (f(j) = j), ``pow:a`` (f(j) = j**a),
     ``log1p`` (f(j) = log(1+j)), and ``table:<path>`` (explicit values,
-    one per line, which must cover every j up to the k in use).
+    one per line, which must cover every j up to the k in use).  An
+    instance is a label and ``f``, which maps the float array j = 1..k to
+    f(1..k).
     """
 
-    def __init__(self, kind: str, exponent: float | None = None,
-                 values: np.ndarray | None = None, label: str | None = None):
-        if kind not in ("identity", "pow", "log1p", "table"):
-            raise DomainError(f"unknown weight kind {kind!r}")
-        self.kind = kind
-        self.exponent = exponent
-        self.values = None if values is None else np.asarray(values, dtype=np.float64)
-        self.label = label or kind
+    def __init__(self, label: str, f):
+        self.label = label
+        self.f = f
 
     @classmethod
     def identity(cls) -> "WeightFunction":
-        return cls("identity", label="identity")
+        return cls("identity", lambda j: j)
 
     @classmethod
     def power(cls, a: float) -> "WeightFunction":
         a = float(a)
         if not math.isfinite(a):  # checked here, since 1**a == 1 hides it at k = 1
             raise DomainError(f"weights pow:{a:g} must be finite and > 0: exponent not finite")
-        return cls("pow", exponent=a, label=f"pow:{a:g}")
+        return cls(f"pow:{a:g}", lambda j: j**a)
 
     @classmethod
     def log1p(cls) -> "WeightFunction":
-        return cls("log1p", label="log1p")
+        return cls("log1p", np.log1p)
 
     @classmethod
     def table(cls, values, label: str | None = None) -> "WeightFunction":
@@ -90,7 +87,13 @@ class WeightFunction:
             raise DomainError("weight table must be a non-empty 1-d array")
         if not np.isfinite(arr).all() or (arr <= 0.0).any():
             raise DomainError("weight table entries must be finite and > 0")
-        return cls("table", values=arr, label=label or "table")
+
+        def f(j: np.ndarray) -> np.ndarray:
+            if arr.size < j.size:
+                raise DomainError(f"weight table has {arr.size} entries, need {j.size}")
+            return arr[:j.size].copy()
+
+        return cls(label or "table", f)
 
     @classmethod
     def from_spec(cls, spec: str) -> "WeightFunction":
@@ -114,24 +117,11 @@ class WeightFunction:
     def weights(self, k: int) -> np.ndarray:
         """Evaluate f(1..k); table weights must cover k entries."""
         k = check_int(k, "k", 1)
-        j = np.arange(1, k + 1, dtype=np.float64)
-        if self.kind == "identity":
-            return j
-        if self.kind == "pow":
-            with np.errstate(over="ignore"):
-                w = j**self.exponent
-            if not (np.isfinite(w).all() and (w > 0.0).all()):
-                raise DomainError(
-                    f"weights {self.label} must be finite and > 0 for j = 1..{k}"
-                )
-            return w
-        if self.kind == "log1p":
-            return np.log1p(j)
-        if self.values.size < k:
-            raise DomainError(
-                f"weight table has {self.values.size} entries, need {k}"
-            )
-        return self.values[:k].copy()
+        with np.errstate(over="ignore"):  # j**a = inf is refused just below
+            w = self.f(np.arange(1, k + 1, dtype=np.float64))
+        if not (0.0 < w.min() and w.max() < math.inf):  # NaN fails both
+            raise DomainError(f"weights {self.label} must be finite and > 0 for j = 1..{k}")
+        return w
 
     def __repr__(self):
         return f"WeightFunction({self.label!r})"
@@ -189,7 +179,7 @@ class SpacingPlan:
 
     @classmethod
     def build(cls, f: WeightFunction, k: int, s: float) -> "SpacingPlan":
-        return cls._of(f.weights(k), s)
+        return cls._of(f.weights(k), check_real(s, "power s"))
 
     @classmethod
     def _of(cls, w: np.ndarray, s: float) -> "SpacingPlan":

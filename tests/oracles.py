@@ -87,6 +87,26 @@ def quantile_tail_expansion_integral(u, theta, beta):
     return d + (big_l + integral) / theta
 
 
+def expansion_terms(u, theta, beta):
+    """Pieces of the fixed-point identity at the bisection root of survival(x) = u.
+
+    With L = log(1/u) and R = beta/theta the root satisfies ``theta*x = L +
+    log(x) + log1p(R/x) - log(R)``; ``fixed_point_residual`` is the gap in
+    that identity, and ``relative_shift = (log(x) + log1p(R/x) - log(beta))
+    / L`` is the second-order term that the logarithmic sandwich bounds
+    control.
+    """
+    x = quantile_bisection(u, theta, beta)
+    big_l = -math.log(u)
+    r = beta / theta
+    log1p_ratio = math.log1p(r / x)
+    return {
+        "value": x,
+        "relative_shift": (math.log(x) + log1p_ratio - math.log(beta)) / big_l,
+        "fixed_point_residual": theta * x - big_l - (math.log(x) + log1p_ratio - math.log(r)),
+    }
+
+
 def central_difference(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

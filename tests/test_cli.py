@@ -21,7 +21,7 @@ import plevt.cli
 import plevt.harness
 from plevt import Params, hill, pdf, quantile_values
 from plevt.cli import _two_sided_z, main
-from plevt.sampling import SeedSpec, load_sample_csv, sample_mixture
+from plevt.sampling import SeedSpec, SortedSample, read_values_csv, sample_mixture
 
 CANON = "x\n0.1\n0.5\n1.2\n2.0\n3.5\n"
 
@@ -111,8 +111,7 @@ def test_sample_deterministic_files(tmp_path, capsys):
     assert main(["sample", "-n", "500", "--seed", "42", "-o", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
-    vals = load_sample_csv(str(a))
-    assert vals.n == 500
+    assert read_values_csv(str(a)).size == 500
 
 
 def test_sample_sorted_flag(tmp_path, capsys):
@@ -230,7 +229,7 @@ def test_hill_k_grid_rows_and_ci_formula(tmp_path, capsys):
 def test_hill_matches_library(canon_csv, capsys):
     _, out, _ = run(capsys, "hill", "-i", canon_csv, "--k", "2")
     h = float(out.splitlines()[1].split(",")[1])
-    sample = load_sample_csv(canon_csv)
+    sample = SortedSample(np.sort(read_values_csv(canon_csv)))
     assert h == hill(sample, 2)
 
 
@@ -451,6 +450,17 @@ def test_verify_refused_config_exits_five(capsys):
     assert diag["bn"] == pytest.approx(1.0 / math.sqrt(10), rel=1e-12)
 
 
+def test_verify_refuses_slow_normalization_exits_five(capsys):
+    # ratio1 = 1/log 100 = 0.217 > 0.2 refuses; b_n = 1/sqrt(20) = 0.224 passes
+    code, out, err = run(capsys, "verify", "--kind", "dh_clt", "--n", "100", "--k", "20",
+                         "--s", "1", "--reps", "100", "--seed", "7")
+    assert code == 5 and out == ""
+    assert err.startswith("refused: weight normalization decays too slowly")
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["ratio1"] == pytest.approx(1.0 / math.log(100), rel=1e-12)
+    assert diag["bn"] == pytest.approx(1.0 / math.sqrt(20), rel=1e-12)
+
+
 def test_verify_dh_clt_overflow_is_usage_error(capsys):
     # normalizers past the double range are an input error (exit 2), not a
     # failed verification (exit 1)
@@ -508,6 +518,19 @@ def test_weights_evaluated_once_per_attempt_and_command(canon_csv, capsys, monke
     calls.clear()
     code, _, _ = run(capsys, "dhill", "-i", canon_csv, "--k", "3", "--f", "pow:0.5", "--s", "2")
     assert code == 0 and calls == [3]
+
+
+def test_verify_all_writes_the_suite_json_and_csv(tmp_path, capsys):
+    out, csv = tmp_path / "suite.json", tmp_path / "suite.csv"
+    code, stdout, _ = run(capsys, "verify", "--all", "--seed", "7", "--stable-json",
+                          "-o", str(out), "--csv", str(csv))
+    results = plevt.run_suite(plevt.standard_suite(Params(1.0, 2.0), SeedSpec(7)))
+    assert stdout == ""
+    assert out.read_text() == plevt.harness.suite_to_json(results, stable=True) + "\n"
+    summary = io.StringIO()
+    plevt.harness.write_csv_summary(results, summary)
+    assert csv.read_text() == summary.getvalue()
+    assert code == (0 if all(r.passed for _, r in results) else 1)
 
 
 def test_verify_all_and_kind_are_exclusive(capsys):
@@ -578,6 +601,19 @@ def test_env_numeric_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "sample", "--seed", "1")
     assert code == 0
     assert len(out.split()) == 4
+
+
+def test_env_store_true_and_list_flags(capsys, monkeypatch):
+    # PLEVT_SORTED=1 acts as --sorted, PLEVT_X=0.5,1.0 as --x 0.5 1.0
+    plain = run(capsys, "sample", "-n", "20", "--seed", "3")
+    flagged = run(capsys, "sample", "-n", "20", "--seed", "3", "--sorted")
+    assert flagged[0] == 0 and flagged != plain
+    monkeypatch.setenv("PLEVT_SORTED", "1")
+    assert run(capsys, "sample", "-n", "20", "--seed", "3") == flagged
+    listed = run(capsys, "eval", "--fn", "pdf", "--x", "0.5", "1.0")
+    assert listed[0] == 0 and len(listed[1].splitlines()) == 2
+    monkeypatch.setenv("PLEVT_X", "0.5,1.0")
+    assert run(capsys, "eval", "--fn", "pdf") == listed
 
 
 def test_env_bad_value_is_usage_error(monkeypatch):

@@ -1,6 +1,7 @@
 """Distribution core: density, survival, moments, fitting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_params_validation():
         Params(math.nan, 2.0)
     with pytest.raises(ParameterError):
         Params(1.0, math.inf)
+
+
+@pytest.mark.parametrize("value", ["1.0", True, np.True_, None, 1 + 0j], ids=repr)
+def test_params_refuse_non_reals(value):
+    message = f"must be a real number, got {re.escape(repr(value))}"
+    for theta, beta in ((value, 2.0), (1.0, value)):
+        with pytest.raises(ParameterError, match=message):
+            Params(theta, beta)
+    # ints and numpy reals are reals, taken as float
+    for theta, beta in ((1, 2), (np.int64(1), np.float32(2.0)), (np.float64(1.0), 2.0)):
+        p = Params(theta, beta)
+        assert (p.theta, p.beta) == (1.0, 2.0) and type(p.theta) is type(p.beta) is float
 
 
 def test_params_derived_fields():

@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import plevt.harness
 from plevt.errors import ExperimentRefusedError, ParameterError
 from plevt.gof import std_normal_cdf
 from plevt.harness import (
@@ -130,6 +132,14 @@ def test_weight_and_power_only_for_dh():
         Experiment(kind="dh_clt", s=0.5)
     with pytest.raises(ParameterError):
         Experiment(kind="dh_clt", s=math.inf)
+
+
+@pytest.mark.parametrize("value", ["2.5", True, np.True_], ids=repr)
+def test_power_s_refuses_non_reals(value):
+    message = f"power s must be a real number, got {re.escape(repr(value))}"
+    with pytest.raises(ParameterError, match=message):
+        Experiment(kind="dh_clt", s=value)
+    assert Experiment(kind="dh_clt", s=np.int64(2)).s == 2.0
 
 
 def test_thresholds_resolution():
@@ -352,6 +362,18 @@ def test_dh_refuses_lindeberg_violation():
     diag = exc.value.diagnostics
     assert diag["bn"] == pytest.approx(1.0 / math.sqrt(10), rel=1e-12)
     assert "exceeds" in str(exc.value)
+
+
+def test_dh_refuses_slow_normalization_before_drawing(monkeypatch):
+    # identity weight, s = 1: ratio1 = 1/log n = 0.217 > 0.2 at n = 100, while
+    # b_n = 1/sqrt(20) = 0.224 passes its 0.3 bound
+    monkeypatch.setattr(plevt.harness, "top_order_statistics_rows", None)  # never drawn
+    e = Experiment(kind="dh_clt", n=100, k=20, s=1.0, reps=100)
+    with pytest.raises(ExperimentRefusedError, match="decays too slowly") as exc:
+        run_experiment(e)
+    diag = exc.value.diagnostics
+    assert diag["ratio1"] == pytest.approx(1.0 / math.log(100), rel=1e-12)
+    assert diag["bn"] == pytest.approx(1.0 / math.sqrt(20), rel=1e-12)
 
 
 def test_dh_accepts_k_just_past_boundary():

@@ -15,13 +15,13 @@ from plevt import (
     quantile_tail_expansion,
     quantile_values,
     survival,
-    tail_expansion_terms,
 )
 import plevt.distribution
 import plevt.quantile
 from plevt.quantile import _solve_scaled_array
 
 from oracles import (
+    expansion_terms,
     quantile_bisection,
     quantile_lambertw,
     quantile_tail_expansion_integral,
@@ -137,7 +137,7 @@ def test_log_tail_matches_expansion_deep():
     p = Params(1.0, 2.0)
     for big_l in (200.0, 500.0, 5000.0):
         exact = quantile_from_log_tail(big_l, p).value
-        approx = quantile_tail_expansion(None, p, log_inv_u=big_l)
+        approx = (big_l + math.log(big_l) - math.log(p.beta)) / p.theta
         assert abs(exact - approx) <= 3.0 * math.log(big_l) / big_l
 
 
@@ -191,14 +191,14 @@ def test_expansion_terms_fixed_point_identity():
     for theta, beta in PARAM_GRID:
         p = Params(theta, beta)
         for u in (1e-3, 1e-8, 1e-13):
-            terms = tail_expansion_terms(u, p)
-            assert abs(terms.fixed_point_residual) <= 1e-11
+            terms = expansion_terms(u, theta, beta)
+            assert abs(terms["fixed_point_residual"]) <= 1e-11
+            assert quantile_exact(u, p).value == pytest.approx(terms["value"], rel=1e-12)
 
 
 def test_expansion_terms_relative_shift_decays():
-    p = Params(1.0, 2.0)
     shifts = [
-        abs(tail_expansion_terms(u, p).relative_shift)
+        abs(expansion_terms(u, 1.0, 2.0)["relative_shift"])
         for u in (1e-2, 1e-5, 1e-9, 1e-13)
     ]
     assert shifts == sorted(shifts, reverse=True)
@@ -229,14 +229,14 @@ def test_overflowing_quantile_raises():
     p = Params(1e-310, 2.0)
     with pytest.raises(DomainError):
         quantile_exact(0.1, p)
+    with pytest.raises(DomainError):
+        quantile_tail_expansion(0.1, p)
 
 
 def test_overflowing_log_tail_quantile_raises():
     p = Params(1e-310, 2.0)
     with pytest.raises(DomainError):
         quantile_from_log_tail(-math.log(0.1), p)
-    with pytest.raises(DomainError):
-        quantile_tail_expansion(None, p, log_inv_u=800.0)  # the deep-tail form
 
 
 def test_overflowing_quantile_values_raises():

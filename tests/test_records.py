@@ -13,7 +13,6 @@ from plevt import (
     extract_records,
     mixture_values,
     quantile_from_log_tail,
-    record_value_from_log_tail,
     simulate_record,
     standardized_record,
 )
@@ -108,7 +107,7 @@ def test_simulate_record_equals_manual_gamma_draw():
     seed = SeedSpec(321)
     n = 80
     g = float(seed.rng().standard_gamma(n))
-    assert simulate_record(n, P, seed) == record_value_from_log_tail(g, P)
+    assert simulate_record(n, P, seed) == quantile_from_log_tail(g, P).value
 
 
 def test_simulate_record_rejects_bad_n():
@@ -147,19 +146,18 @@ def test_record_one_is_distributed_like_parent():
 
 
 def test_deep_records_take_the_exact_log_tail_solve():
-    # past g = 700, where exp(-g) nears the double underflow, the record is
-    # still the exact log-tail root, with no jump across 700
-    for g in (700.0 - 1e-9, 700.0 + 1e-9, 800.0, 2000.0, 1e5, 1e6):
-        assert record_value_from_log_tail(g, P) == quantile_from_log_tail(g, P).value
-    below = record_value_from_log_tail(700.0 - 1e-9, P)
-    above = record_value_from_log_tail(700.0 + 1e-9, P)
+    # a record at log tail mass g is quantile_from_log_tail(g) (see
+    # test_simulate_record_equals_manual_gamma_draw); past g = 700, where
+    # exp(-g) nears the double underflow, that root has no jump across 700
+    below = quantile_from_log_tail(700.0 - 1e-9, P).value
+    above = quantile_from_log_tail(700.0 + 1e-9, P).value
     assert above == pytest.approx(below, abs=1e-8)
     assert above > 0.0 and math.isfinite(above)
 
 
 def test_deep_record_values_stay_finite_and_monotone():
     gs = [800.0, 2000.0, 1e5]
-    xs = [record_value_from_log_tail(g, P) for g in gs]
+    xs = [quantile_from_log_tail(g, P).value for g in gs]
     assert all(math.isfinite(x) for x in xs)
     assert xs == sorted(xs)
     # two-term shape: x ~ (g + log g - log beta)/theta far out

@@ -17,7 +17,6 @@ from plevt import (
     SeedSpec,
     SortedSample,
     cdf,
-    load_sample_csv,
     mixture_values,
     read_values_csv,
     sample_inverse_cdf,
@@ -411,8 +410,12 @@ def test_csv_bulk_read_matches_the_line_loop(rows, bad, header, crlf, bom):
         assert parsed == np.array([float(line) for line in body]).view(np.uint64).tolist()
 
 
-def test_load_sample_sorts(tmp_path):
+def test_unsorted_file_reads_in_file_order(tmp_path):
+    # reading keeps the file's order; a SortedSample takes the values sorted
     path = tmp_path / "unsorted.csv"
     path.write_text("3.0\n1.0\n2.0\n")
-    s = load_sample_csv(str(path))
-    np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0])
+    values = read_values_csv(str(path))
+    np.testing.assert_array_equal(values, [3.0, 1.0, 2.0])
+    with pytest.raises(DomainError, match="nondecreasing"):
+        SortedSample(values)
+    np.testing.assert_array_equal(SortedSample(np.sort(values)).values, [1.0, 2.0, 3.0])

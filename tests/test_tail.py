@@ -1,6 +1,7 @@
 """Hill and weighted-spacing estimators against brute-force references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,17 @@ def test_counts_refuse_non_integers(value):
                  lambda: check_k1(100_000, value), lambda: WeightFunction.identity().weights(value)):
         with pytest.raises(DomainError, match=f"must be an integer, got {value!r}"):
             call()
+
+
+@pytest.mark.parametrize("value", ["2", True, np.True_, None], ids=repr)
+def test_power_s_refuses_non_reals(value):
+    sample = _sorted(np.arange(1.0, 31.0))
+    message = f"power s must be a real number, got {re.escape(repr(value))}"
+    for call in (lambda: dh_statistic(sample, WeightFunction.identity(), 5, value),
+                 lambda: SpacingPlan.build(WeightFunction.log1p(), 5, value)):
+        with pytest.raises(DomainError, match=message):
+            call()
+    assert dh_statistic(sample, WeightFunction.identity(), 5, np.int64(2)).s == 2.0
 
 
 def test_check_dh_conditions_keys_and_values():
