@@ -18,7 +18,8 @@ compares the empirical law against its limiting reference:
 
 Replication r of an experiment draws from the Philox stream
 ``seed.stream_id + r`` under the experiment's master seed
-(:meth:`plevt.sampling.SeedSpec.rngs`), so suites are reproducible one
+(:meth:`plevt.sampling.SeedSpec.rngs`, which resets one Philox generator
+per attempt to each replication's stream), so suites are reproducible one
 replication at a time.  An attempt draws every replication in one loop,
 then solves, reduces and standardizes them as arrays; only ``record_clt``
 keeps a scalar solve per replication, which the array solver can miss by

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Params
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 __all__ = [
     "QuantileResult",
@@ -53,7 +53,7 @@ class QuantileResult:
 
 
 def _check_tail_mass(u: float) -> float:
-    u = float(u)
+    u = check_real(u, "tail mass")
     if not (0.0 < u < 1.0) or not math.isfinite(u):
         raise DomainError(f"tail mass must lie strictly in (0, 1), got {u!r}")
     return u
@@ -149,7 +149,7 @@ def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
     mass itself would underflow; the stopping rule bounds the log-scale
     residual ``log survival(x) + L`` as in :func:`quantile_exact`.
     """
-    L = float(log_inv_u)
+    L = check_real(log_inv_u, "log(1/u)")
     if not (L > 0.0) or not math.isfinite(L):
         raise DomainError(f"log(1/u) must be finite and > 0, got {log_inv_u!r}")
     y, iterations = _solve_scaled(L, p.beta)

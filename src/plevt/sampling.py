@@ -56,14 +56,40 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
     def rngs(self, reps: int) -> Iterator[np.random.Generator]:
-        """Generators on streams ``stream_id .. stream_id + reps - 1``, in
-        order: replication r draws from stream ``stream_id + r``.  A range
-        that would pass 2**64 - 1 is refused here, before anything is drawn."""
+        """The generator on each of streams ``stream_id .. stream_id + reps
+        - 1`` in turn: replication r draws from stream ``stream_id + r``,
+        and draws what ``SeedSpec(master_seed, stream_id + r).rng()`` draws.
+
+        One call builds one Philox generator and resets it to each stream,
+        so every step yields the same object: a yielded generator is valid
+        until the next one is requested.  Separate calls share nothing.  A
+        range that would pass 2**64 - 1 is refused here, before anything is
+        drawn."""
         first, stop = self.stream_id, self.stream_id + check_int(reps, "reps", 0)
         if stop > _U64:
             raise DomainError(f"streams {first} to {first} + {reps - 1} pass 2**64 - 1")
-        keys = (self.master_seed | (stream << 64) for stream in range(first, stop))
-        return (np.random.Generator(np.random.Philox(key=key)) for key in keys)
+        return _reset_streams(self.master_seed, first, stop)
+
+
+def _reset_streams(master_seed: int, first: int, stop: int) -> Iterator[np.random.Generator]:
+    # the state a fresh Philox(key=master_seed | (stream << 64)) starts in:
+    # counter 0, empty buffer, no spare 32-bit half.  Setting it copies the
+    # arrays, so only the key's stream word changes between streams.
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits = np.random.Philox(key=master_seed)
+    rng = np.random.Generator(bits)
+    for stream in range(first, stop):
+        key[1] = stream
+        bits.state = state
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -168,7 +194,7 @@ def spacings(sample: SortedSample, k: int) -> np.ndarray:
 def top_spacings(values: np.ndarray, k: int) -> np.ndarray:
     """:func:`spacings` along the last axis of ascending ``values``; C-order,
     so numpy's vector loops treat each row as they treat one sample."""
-    n = values.shape[-1]
+    n, k = values.shape[-1], check_int(k, "k")
     if not (1 <= k <= n - 1):
         raise DomainError(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
     return np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()

@@ -71,7 +71,7 @@ class WeightFunction:
 
     @classmethod
     def power(cls, a: float) -> "WeightFunction":
-        a = float(a)
+        a = check_real(a, "weight exponent")
         if not math.isfinite(a):  # checked here, since 1**a == 1 hides it at k = 1
             raise DomainError(f"weights pow:{a:g} must be finite and > 0: exponent not finite")
         return cls(f"pow:{a:g}", lambda j: j**a)

@@ -1,5 +1,6 @@
 """Monte Carlo harness: experiment validation, determinism, reruns, refusals."""
 
+import hashlib
 import io
 import json
 import math
@@ -246,6 +247,17 @@ _PINNED = {
 }
 
 
+# SHA-256 of extras["replications"].view(np.uint64), the sorted
+# standardized replications, recorded while each replication still built
+# its own Philox generator
+_PINNED_REPLICATIONS = {
+    "dh_clt": "0cd73b0ba98804f42e8dd3a7ba7c2f42e7d1f898b1a6a5cc0f5e730eae7b3501",
+    "hill_clt": "b4fb3d5b7a686fc18baf0c3a078ce7a9701cd95fde6acce21f3160dc1790b2f9",
+    "max_gumbel": "63b0ba6c4224329454d8acf4d2df2a38231895e7857a0ce4c14f2122be09c5f2",
+    "record_clt": "af206e2b9b7a1fd29ce46bb0a38de49dc49569438f135508916da1505b69aedf",
+}
+
+
 @pytest.mark.parametrize("kind", sorted(_PINNED))
 def test_report_bits_pinned(kind):
     """Stable reports equal figures recorded before the harness computed
@@ -259,6 +271,11 @@ def test_report_bits_pinned(kind):
     assert report_to_json(r, stable=True) == expected
     if mean_hill is not None:
         assert r.extras["mean_hill"].hex() == mean_hill
+    if kind in _PINNED_REPLICATIONS:
+        zs = r.extras["replications"]
+        assert zs.dtype == np.float64 and zs.shape == (extra["reps"],)
+        digest = hashlib.sha256(zs.view(np.uint64).tobytes()).hexdigest()
+        assert digest == _PINNED_REPLICATIONS[kind]
 
 
 @pytest.mark.parametrize("kind, extra", [

@@ -1,6 +1,7 @@
 """Quantile solvers, Lambert-W cross-check, and the tail expansion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,19 @@ from oracles import (
 
 PARAM_GRID = [(1.0, 2.0), (3.0, 1.5), (0.5, 1.2), (0.7, 6.0)]
 U_GRID = [0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
+
+
+@pytest.mark.parametrize("value", ["0.5", True, np.True_, None], ids=repr)
+def test_scalar_entry_points_refuse_non_reals(value):
+    p = Params(1.0, 2.0)
+    got = re.escape(repr(value))
+    for call, name in ((quantile_exact, "tail mass"), (quantile_tail_expansion, "tail mass"),
+                       (quantile_from_log_tail, re.escape("log(1/u)"))):
+        with pytest.raises(DomainError, match=f"{name} must be a real number, got {got}"):
+            call(value, p)
+    # ints and numpy reals are reals, taken as float
+    assert quantile_exact(np.float32(0.5), p) == quantile_exact(0.5, p)
+    assert quantile_from_log_tail(800, p) == quantile_from_log_tail(np.float64(800.0), p)
 
 
 def test_exact_matches_bisection_oracle():

@@ -26,6 +26,7 @@ from plevt import (
 )
 from plevt.gof import ks_distance_sorted, ks_two_sample
 from plevt.quantile import quantile_values
+from plevt.records import record_log_tails
 from plevt.sampling import (
     parse_values_lines,
     top_order_statistics,
@@ -74,15 +75,64 @@ def test_streams_are_distinct():
 ])
 def test_rngs_are_the_one_stream_generators_in_order(master, first):
     # replication i of rngs draws what SeedSpec(master, first + i).rng() draws;
-    # seeds and stream ids near 2**64 - 1 check how the key words are packed
+    # seeds and stream ids near 2**64 - 1 check how the key words are packed.
+    # A yielded generator is valid until the next is requested, so each is
+    # drawn from inside the loop.
     k, n = 7, 100_000
-    gens = list(SeedSpec(master, first).rngs(4))
-    assert len(gens) == 4
-    for i, rng in enumerate(gens):
+    streams = 0
+    for i, rng in enumerate(SeedSpec(master, first).rngs(4)):
         ref = SeedSpec(master, first + i).rng()
         np.testing.assert_array_equal(rng.random(k + 1), ref.random(k + 1))
         assert rng.standard_gamma(n - k) == ref.standard_gamma(n - k)
+        streams += 1
+    assert streams == 4
     assert list(SeedSpec(master, first).rngs(0)) == []
+
+
+@pytest.mark.parametrize("master", [3, 2**64 - 1])
+def test_rngs_reset_keeps_nothing_of_the_stream_before(master):
+    # streams 5, then 2, then 5 from separate calls, two streams per call;
+    # each generator is left half-used before the next is requested: a
+    # spare 32-bit half (has_uint32) and a partly used output buffer
+    for first in (5, 2, 5):
+        for i, rng in enumerate(SeedSpec(master, first).rngs(2)):
+            ref = SeedSpec(master, first + i).rng()
+            np.testing.assert_array_equal(rng.random(8), ref.random(8))
+            assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+            assert rng.random(1) == ref.random(1)
+            state = rng.bit_generator.state
+            assert (state["has_uint32"], state["buffer_pos"]) == (1, 2)
+
+
+def test_rngs_iterators_stepped_alternately_stay_apart():
+    # each call owns its generator: stepping one iterator leaves the
+    # generator the other one yielded on its own stream
+    low, high = SeedSpec(9, 0).rngs(3), SeedSpec(9, 10).rngs(3)
+    for i in range(3):
+        a = next(low)
+        b = next(high)
+        assert a is not b
+        ref_a, ref_b = SeedSpec(9, i).rng(), SeedSpec(9, 10 + i).rng()
+        np.testing.assert_array_equal(a.random(8), ref_a.random(8))
+        np.testing.assert_array_equal(b.random(8), ref_b.random(8))
+        assert a.standard_gamma(50) == ref_a.standard_gamma(50)
+
+
+def test_replicated_draws_build_one_philox(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    expected_rows = top_order_statistics_rows(1000, 7, P, SeedSpec(5), 50)
+    expected_tails = record_log_tails(400, SeedSpec(5), 50)
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    np.testing.assert_array_equal(top_order_statistics_rows(1000, 7, P, SeedSpec(5), 50), expected_rows)
+    assert len(built) == 1
+    np.testing.assert_array_equal(record_log_tails(400, SeedSpec(5), 50), expected_tails)
+    assert len(built) == 2
 
 
 def test_rngs_refuse_a_range_past_2_64_on_the_call():

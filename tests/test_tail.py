@@ -19,6 +19,7 @@ from plevt import (
     dh_statistic,
     hill,
     sample_mixture,
+    spacings,
     standardize_dh,
 )
 from plevt.sampling import top_order_statistics_rows
@@ -324,6 +325,25 @@ def test_power_s_refuses_non_reals(value):
         with pytest.raises(DomainError, match=message):
             call()
     assert dh_statistic(sample, WeightFunction.identity(), 5, np.int64(2)).s == 2.0
+
+
+@pytest.mark.parametrize("value", ["2", True, np.True_, None], ids=repr)
+def test_weight_exponent_refuses_non_reals(value):
+    message = f"weight exponent must be a real number, got {re.escape(repr(value))}"
+    with pytest.raises(DomainError, match=message):
+        WeightFunction.power(value)
+    assert WeightFunction.power(np.int64(2)).label == WeightFunction.power(2.0).label == "pow:2"
+
+
+@pytest.mark.parametrize("value", ["2", True, np.True_, 2.0, None], ids=repr)
+def test_spacing_count_refuses_non_integers(value):
+    # hill(sample, True) used to return the k = 1 value, and "2" a bare TypeError
+    sample = _sorted(np.arange(1.0, 31.0))
+    message = f"k must be an integer, got {re.escape(repr(value))}"
+    for call in (lambda: hill(sample, value), lambda: spacings(sample, value)):
+        with pytest.raises(DomainError, match=message):
+            call()
+    assert hill(sample, np.int64(2)) == hill(sample, 2)
 
 
 def test_check_dh_conditions_keys_and_values():
