@@ -1,4 +1,4 @@
-"""Exception types, and the integer- and real-argument checks, shared across the package."""
+"""Exception types, and the integer, real and real-array checks shared across the package."""
 
 import numpy as np
 
@@ -72,3 +72,15 @@ def check_real(value, name: str, error=DomainError) -> float:
             raise error(f"{name} must be a real number, got {value!r}")
         value = float(value)
     return value
+
+
+def check_real_array(values, name: str, error=DomainError) -> np.ndarray:
+    """``values`` as a float64 array; a dtype other than integer or float raises ``error``.
+
+    Strings, bools, ``None`` (object arrays) and complex numbers are refused
+    by one look at the dtype: the values themselves are not scanned.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
+    return np.asarray(arr, dtype=np.float64)

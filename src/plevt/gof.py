@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "std_normal_cdf",
     "gumbel_cdf",
@@ -45,10 +47,21 @@ def ks_distance_sorted(sorted_values: np.ndarray, cdf_values: np.ndarray) -> flo
 
 
 def ks_two_sample(x, y) -> float:
-    """Two-sample KS distance between the ecdfs of x and y."""
+    """Two-sample KS distance between the ecdfs of x and y.
+
+    One stable merge of the two sorted samples counts, at each pooled
+    point, how many values of x lie at or below it; the ecdfs are compared
+    at the last point of each run of equal values.  Raises DomainError on
+    an empty sample.
+    """
     x = np.sort(np.asarray(x, dtype=np.float64))
     y = np.sort(np.asarray(y, dtype=np.float64))
+    if x.size == 0 or y.size == 0:
+        raise DomainError("two-sample KS needs two non-empty samples")
     pooled = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, pooled, side="right") / x.size
-    cdf_y = np.searchsorted(y, pooled, side="right") / y.size
-    return float(np.max(np.abs(cdf_x - cdf_y)))
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    last = np.append(merged[1:] != merged[:-1], True)
+    count_x = np.cumsum(order < x.size)[last]
+    count_y = np.flatnonzero(last) + 1 - count_x
+    return float(np.max(np.abs(count_x / x.size - count_y / y.size)))

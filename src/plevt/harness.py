@@ -21,11 +21,10 @@ Replication r of an experiment draws from the Philox stream
 (:meth:`plevt.sampling.SeedSpec.rngs`, which resets one Philox generator
 per attempt to each replication's stream), so suites are reproducible one
 replication at a time.  An attempt draws every replication in one loop,
-then solves, reduces and standardizes them as arrays; only ``record_clt``
-keeps a scalar solve per replication, which the array solver can miss by
-one ulp.  A thread pool measured slower than one thread, so the
-``workers`` argument of :func:`run_experiment` and :func:`run_suite` is
-accepted for compatibility and changes nothing.
+then solves, reduces and standardizes them as arrays.  A thread pool
+measured slower than one thread, so the ``workers`` argument of
+:func:`run_experiment` and :func:`run_suite` is accepted for compatibility
+and changes nothing.
 
 Each kind is one entry of the ``_KINDS`` table (runner, default thresholds,
 n and reps).  A runner reads its seed and thresholds from its
@@ -61,7 +60,7 @@ import numpy as np
 from . import gof
 from .distribution import Params, cdf
 from .errors import ExperimentRefusedError, ParameterError, check_int, check_real
-from .quantile import quantile_exact, quantile_from_log_tail, quantile_tail_expansion
+from .quantile import _quantiles_at_log_tails, quantile_exact, quantile_tail_expansion
 from .records import record_log_tails, standardized_record
 from .sampling import (
     SeedSpec,
@@ -390,7 +389,7 @@ def _run_record_clt(e: Experiment) -> McReport:
     p = e.params
     n = e.n
     g = record_log_tails(n, e.seed, e.reps)
-    x = np.array([quantile_from_log_tail(v, p).value for v in g.tolist()])
+    x = _quantiles_at_log_tails(g, p)
     _, ctrl_mean, ctrl_var, ctrl_ks = _summary((g - n) / math.sqrt(n))
     control = {"control_mean": ctrl_mean, "control_var": ctrl_var, "control_ks": ctrl_ks}
     return _replicated_report(e, standardized_record(x, n, p), "std_normal", control)

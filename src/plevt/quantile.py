@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Params
-from .errors import DomainError, check_real
+from .errors import DomainError, check_real, check_real_array
 
 __all__ = [
     "QuantileResult",
@@ -156,16 +156,35 @@ def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
     return QuantileResult(_check_finite(y / p.theta, p), iterations)
 
 
-def quantile_values(u, p: Params) -> np.ndarray:
-    """Vectorized quantiles for an array of tail masses (array solver)."""
-    arr = np.asarray(u, dtype=np.float64)
-    if arr.size and (not np.isfinite(arr).all() or (arr <= 0.0).any() or (arr >= 1.0).any()):
-        raise DomainError("tail masses must lie strictly in (0, 1)")
+def _quantiles_at_log_tails(log_inv_u: np.ndarray, p: Params) -> np.ndarray:
+    """Quantiles at an array of ``L = log(1/u)`` by the array solver.
+
+    The array form of :func:`quantile_from_log_tail`, with its refusals:
+    DomainError unless every L is finite and > 0 and every quantile finite.
+    It can differ from the scalar loop in the last bit (numpy's log1p is
+    not libm's).
+    """
+    if not (np.isfinite(log_inv_u) & (log_inv_u > 0.0)).all():
+        raise DomainError(
+            "tail masses must lie strictly in (0, 1): log(1/u) must be finite and > 0"
+        )
     with np.errstate(over="ignore"):  # an infinite x is refused just below
-        x = _solve_scaled_array(-np.log(arr), p.beta) / p.theta
+        x = _solve_scaled_array(log_inv_u, p.beta) / p.theta
     if not np.isfinite(x).all():
         raise DomainError(f"quantile overflows float64 for {p}")
     return x
+
+
+def quantile_values(u, p: Params) -> np.ndarray:
+    """Vectorized quantiles for an array of tail masses (array solver).
+
+    Raises DomainError unless the tail masses are reals strictly in (0, 1)
+    and every quantile is finite.
+    """
+    arr = check_real_array(u, "tail masses")
+    with np.errstate(divide="ignore", invalid="ignore"):  # u outside (0, 1): an L refused below
+        log_inv_u = -np.log(arr)
+    return _quantiles_at_log_tails(log_inv_u, p)
 
 
 def quantile_tail_expansion(u: float, p: Params) -> float:

@@ -156,6 +156,17 @@ def ks_critical_two_sample(n, m, alpha=0.001):
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((n + m) / (n * m))
 
 
+def ks_two_sample_searchsorted(x, y):
+    """Two-sample KS distance by binary search: both ecdfs evaluated at
+    every pooled point (the formula plevt used before its merge)."""
+    x = np.sort(np.asarray(x, dtype=np.float64))
+    y = np.sort(np.asarray(y, dtype=np.float64))
+    pooled = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, pooled, side="right") / x.size
+    cdf_y = np.searchsorted(y, pooled, side="right") / y.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
 def records_naive(stream):
     """Running-maximum records with 1-based indices, as a python loop."""
     values, indices = [], []

@@ -347,7 +347,7 @@ def small_csv(tmp_path_factory):
     return str(p)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(s=st.floats(1.0, 1e308), a=st.floats(-400.0, 400.0), k=st.integers(1, 9))
 def test_dhill_never_escapes_with_a_traceback(small_csv, s, a, k):
     # whatever (s, pow:a, k) leaves the double range must be a usage error

@@ -11,8 +11,9 @@ import pytest
 from scipy.special import ndtr
 
 import plevt.harness
+from plevt.distribution import Params
 from plevt.errors import ExperimentRefusedError, ParameterError
-from plevt.gof import std_normal_cdf
+from plevt.gof import ks_two_sample, std_normal_cdf
 from plevt.harness import (
     KINDS,
     REPLICATED_KINDS,
@@ -29,6 +30,8 @@ from plevt.harness import (
     suite_to_json,
     write_csv_summary,
 )
+from plevt.quantile import quantile_from_log_tail
+from plevt.records import record_log_tails, standardized_record
 from plevt.sampling import SeedSpec
 from plevt.tail import WeightFunction
 
@@ -276,6 +279,19 @@ def test_report_bits_pinned(kind):
         assert zs.dtype == np.float64 and zs.shape == (extra["reps"],)
         digest = hashlib.sha256(zs.view(np.uint64).tobytes()).hexdigest()
         assert digest == _PINNED_REPLICATIONS[kind]
+
+
+def test_record_clt_array_solve_keeps_the_law():
+    """One array solve per attempt against the scalar solve per replication
+    it replaced, 1e5 replications each on independent master seeds: the
+    same law by a two-sample KS test at the harness's 1.95 factor."""
+    n, reps, p = 400, 100_000, Params(1.0, 2.0)
+    e = Experiment(kind="record_clt", n=n, reps=reps, seed=SeedSpec(2026), rerun_on_fail=False)
+    new = run_experiment(e).extras["replications"]
+    g = record_log_tails(n, SeedSpec(2027), reps)
+    x = np.array([quantile_from_log_tail(v, p).value for v in g.tolist()])
+    old = standardized_record(x, n, p)
+    assert ks_two_sample(new, old) <= 1.95 * math.sqrt(2.0 / reps)
 
 
 @pytest.mark.parametrize("kind, extra", [

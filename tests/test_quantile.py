@@ -19,7 +19,7 @@ from plevt import (
 )
 import plevt.distribution
 import plevt.quantile
-from plevt.quantile import _solve_scaled_array
+from plevt.quantile import _quantiles_at_log_tails, _solve_scaled_array
 
 from oracles import (
     expansion_terms,
@@ -43,6 +43,23 @@ def test_scalar_entry_points_refuse_non_reals(value):
     # ints and numpy reals are reals, taken as float
     assert quantile_exact(np.float32(0.5), p) == quantile_exact(0.5, p)
     assert quantile_from_log_tail(800, p) == quantile_from_log_tail(np.float64(800.0), p)
+
+
+@pytest.mark.parametrize("value", ["x", ["0.5", "a"], "0.5", [0.5, None], [True, False],
+                                   np.array([0.5 + 0.0j])], ids=repr)
+def test_quantile_values_refuses_non_reals(value):
+    # one look at the dtype: no bare ValueError, no coerced string
+    with pytest.raises(DomainError, match="tail masses must be real numbers"):
+        quantile_values(value, Params(1.0, 2.0))
+
+
+def test_quantile_values_takes_integer_and_float32_arrays():
+    p = Params(1.0, 2.0)
+    got = quantile_values(np.array([0.5, 0.25], dtype=np.float32), p)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, quantile_values([0.5, 0.25], p))
+    with pytest.raises(DomainError, match=re.escape("strictly in (0, 1)")):
+        quantile_values(np.array([1, 0]), p)
 
 
 def test_exact_matches_bisection_oracle():
@@ -251,6 +268,25 @@ def test_overflowing_log_tail_quantile_raises():
     p = Params(1e-310, 2.0)
     with pytest.raises(DomainError):
         quantile_from_log_tail(-math.log(0.1), p)
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 11.0])
+def test_log_tail_array_within_two_ulp_of_the_scalar_solve(beta):
+    # record log tails G_400 ~ Gamma(400); numpy's log1p and libm's differ
+    # in the last bit on a few percent of arguments
+    p = Params(1.0, beta)
+    ls = np.random.default_rng(400).standard_gamma(400, 20_000)
+    got = _quantiles_at_log_tails(ls, p)
+    ref = np.array([quantile_from_log_tail(v, p).value for v in ls.tolist()])
+    assert (got > 0.0).all() and (ref > 0.0).all()
+    ulps = np.abs(got.view(np.int64) - ref.view(np.int64))
+    assert ulps.max() <= 2
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_log_tail_array_refuses_non_finite_or_non_positive(bad):
+    with pytest.raises(DomainError, match=re.escape("log(1/u) must be finite and > 0")):
+        _quantiles_at_log_tails(np.array([3.0, bad, 5.0]), Params(1.0, 2.0))
 
 
 def test_overflowing_quantile_values_raises():

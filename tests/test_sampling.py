@@ -33,7 +33,7 @@ from plevt.sampling import (
     top_order_statistics_rows,
 )
 
-from oracles import parse_values_lines_loop
+from oracles import ks_two_sample_searchsorted, parse_values_lines_loop
 
 P = Params(1.0, 2.0)
 
@@ -199,6 +199,33 @@ def test_inverse_cdf_agrees_with_mixture():
     b = sample_inverse_cdf(n, P, SeedSpec(5, 1))
     d = ks_two_sample(a.values, b.values)
     assert d <= 1.95 * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_ks_two_sample_equals_the_searchsorted_formula(seed):
+    # the harness's sampler_gof pair: two sorted samples of 1e5
+    a = sample_mixture(100_000, P, SeedSpec(seed, 0)).values
+    b = sample_inverse_cdf(100_000, P, SeedSpec(seed, 1)).values
+    assert ks_two_sample(a, b) == ks_two_sample_searchsorted(a, b)
+
+
+_TIED = st.lists(
+    st.one_of(st.integers(-3, 20).map(float), st.sampled_from([-0.0, 0.0, 5e-324])),
+    min_size=1, max_size=50,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=_TIED, y=_TIED)
+def test_ks_two_sample_equals_the_searchsorted_formula_with_ties(x, y):
+    # unsorted input, repeated values within and across the samples
+    assert ks_two_sample(x, y) == ks_two_sample_searchsorted(x, y)
+
+
+@pytest.mark.parametrize("x, y", [([], [1.0]), ([1.0], []), ([], [])])
+def test_ks_two_sample_refuses_an_empty_sample(x, y):
+    with pytest.raises(DomainError, match="non-empty"):
+        ks_two_sample(x, y)
 
 
 def test_inverse_cdf_sample_is_quantile():
