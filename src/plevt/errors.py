@@ -74,13 +74,13 @@ def check_real(value, name: str, error=DomainError) -> float:
     return value
 
 
-def check_real_array(values, name: str, error=DomainError) -> np.ndarray:
-    """``values`` as a float64 array; a dtype other than integer or float raises ``error``.
+def check_real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; a dtype other than integer or float raises DomainError.
 
     Strings, bools, ``None`` (object arrays) and complex numbers are refused
     by one look at the dtype: the values themselves are not scanned.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
-        raise error(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
+        raise DomainError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
     return np.asarray(arr, dtype=np.float64)

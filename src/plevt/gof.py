@@ -52,12 +52,15 @@ def ks_two_sample(x, y) -> float:
     One stable merge of the two sorted samples counts, at each pooled
     point, how many values of x lie at or below it; the ecdfs are compared
     at the last point of each run of equal values.  Raises DomainError on
-    an empty sample.
+    an empty sample or a value that is not finite.
     """
     x = np.sort(np.asarray(x, dtype=np.float64))
     y = np.sort(np.asarray(y, dtype=np.float64))
     if x.size == 0 or y.size == 0:
         raise DomainError("two-sample KS needs two non-empty samples")
+    # sorted, so -inf comes first and +inf, then NaN, last
+    if not np.isfinite([x[0], x[-1], y[0], y[-1]]).all():
+        raise DomainError("two-sample KS needs finite samples")
     pooled = np.concatenate([x, y])
     order = np.argsort(pooled, kind="stable")
     merged = pooled[order]

@@ -228,6 +228,18 @@ def test_ks_two_sample_refuses_an_empty_sample(x, y):
         ks_two_sample(x, y)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0, _NAN], [1.0, _NAN]), ([_NAN], [_NAN]), ([1.0], [2.0, _NAN]),
+    ([_INF, 1.0], [1.0]), ([1.0], [-_INF, 2.0]), ([_INF], [_INF]),
+])
+def test_ks_two_sample_refuses_a_non_finite_value(x, y):
+    with pytest.raises(DomainError, match="finite"):
+        ks_two_sample(x, y)
+
+
 def test_inverse_cdf_sample_is_quantile():
     # sample_inverse_cdf maps the seed's uniforms through the quantile
     from plevt import quantile_exact
