@@ -145,13 +145,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not args.x:
             raise ParameterError(f"--fn {args.fn} requires --x")
         fn = {"pdf": pdf, "survival": survival, "cdf": cdf}[args.fn]
-        xs = np.asarray(args.x, dtype=np.float64)
+        xs = np.asarray(args.x)
         for x, v in zip(xs, np.atleast_1d(fn(xs, p))):
             lines.append(f"{float(x)!r}\t{float(v)!r}")
     elif args.fn == "quantile":
         if not args.u:
             raise ParameterError("--fn quantile requires --u")
-        us = np.asarray(args.u, dtype=np.float64)
+        us = np.asarray(args.u)
         for u, v in zip(us, quantile_values(us, p)):
             lines.append(f"{float(u)!r}\t{float(v)!r}")
     else:  # moment
@@ -169,8 +169,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ParameterError("sample requires -n/--n (or PLEVT_N)")
-    if args.n < 1:
-        raise ParameterError(f"-n must be >= 1, got {args.n}")
     p = Params(args.theta, args.beta)
     seed = _resolve_seed(args)
     if args.sorted:
@@ -294,8 +292,6 @@ def cmd_records(args: argparse.Namespace) -> int:
     if args.simulate:
         if args.n is None:
             raise ParameterError("records --simulate requires --n (record index)")
-        if args.n < 1:
-            raise ParameterError(f"--n must be >= 1, got {args.n}")
         p = Params(args.theta, args.beta)
         seed = _resolve_seed(args)
         value = simulate_record(args.n, p, seed)

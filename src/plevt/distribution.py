@@ -29,6 +29,7 @@ from .errors import (
     ParameterError,
     check_int,
     check_real,
+    check_real_array,
 )
 
 __all__ = [
@@ -88,7 +89,7 @@ def mixture_weights(p: Params) -> MixtureWeights:
 
 
 def _as_array(x):
-    arr = np.asarray(x, dtype=np.float64)
+    arr = check_real_array(x, "x")
     return arr, arr.ndim == 0
 
 
@@ -138,9 +139,7 @@ def survival(x, p: Params):
 
 def cdf(x, p: Params):
     """Distribution function ``1 - survival(x)``; 1 at x = +inf."""
-    arr, scalar = _as_array(x)
-    out = 1.0 - survival(arr, p)
-    return float(out) if scalar else out
+    return 1.0 - survival(x, p)
 
 
 def moment(n: int, p: Params) -> float:
@@ -186,7 +185,7 @@ def von_mises_ratio(x: float, p: Params) -> float:
     one where the density is positive in floating point, otherwise the
     defining ratio is a 0/0 form and the point is reported not evaluable.
     """
-    x = float(x)
+    x = check_real(x, "x")
     if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"von Mises ratio needs finite x > 0, got {x!r}")
     if pdf(x, p) == 0.0:
@@ -224,10 +223,10 @@ def fit_method_of_moments(sample) -> FitResult:
 
     ``sample`` may be a SortedSample or any 1-d array of observations.
     """
-    values = np.asarray(getattr(sample, "values", sample), dtype=np.float64)
+    values = check_real_array(getattr(sample, "values", sample), "sample")
     if values.size < 2:
         raise DomainError(f"need at least 2 observations, got {values.size}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is NaN, refused below
         m1 = float(np.mean(values))
         m2 = float(np.mean(values**2))
     if not (math.isfinite(m1) and math.isfinite(m2)):

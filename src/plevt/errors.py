@@ -78,9 +78,19 @@ def check_real_array(values, name: str) -> np.ndarray:
     """``values`` as a float64 array; a dtype other than integer or float raises DomainError.
 
     Strings, bools, ``None`` (object arrays) and complex numbers are refused
-    by one look at the dtype: the values themselves are not scanned.
+    by one look at the dtype: no value is scanned, and float64 input is not copied.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
     return np.asarray(arr, dtype=np.float64)
+
+
+def check_sample(values, name: str) -> np.ndarray:
+    """``values`` as a non-empty 1-d float64 array of finite reals, else DomainError."""
+    arr = check_real_array(values, name)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError(f"{name} must be a non-empty 1-d array")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} values must all be finite")
+    return arr

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_real_array, check_sample
 
 __all__ = [
     "std_normal_cdf",
@@ -25,21 +25,21 @@ def std_normal_cdf(x):
     ``1e-14 + eps*x**2``.  Below about -37.5 the value is subnormal, where
     ndtr returns 0.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = check_real_array(x, "x")
     erfc = map(math.erfc, (arr * -math.sqrt(0.5)).ravel().tolist())  # scaled as ndtr scales
     return 0.5 * np.fromiter(erfc, np.float64, arr.size).reshape(arr.shape)
 
 
 def gumbel_cdf(x):
     """Standard Gumbel cdf exp(-exp(-x))."""
-    return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
+    return np.exp(-np.exp(-check_real_array(x, "x")))
 
 
 def ks_distance_sorted(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:
     """sup-distance between the ecdf of sorted data and given cdf values."""
     n = sorted_values.size
     if n == 0:
-        raise ValueError("empty sample")
+        raise DomainError("empty sample")
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - cdf_values))
     d_minus = float(np.max(cdf_values - (i - 1.0) / n))
@@ -51,16 +51,11 @@ def ks_two_sample(x, y) -> float:
 
     One stable merge of the two sorted samples counts, at each pooled
     point, how many values of x lie at or below it; the ecdfs are compared
-    at the last point of each run of equal values.  Raises DomainError on
-    an empty sample or a value that is not finite.
+    at the last point of each run of equal values.  Raises DomainError
+    unless x and y are non-empty 1-d arrays of finite reals.
     """
-    x = np.sort(np.asarray(x, dtype=np.float64))
-    y = np.sort(np.asarray(y, dtype=np.float64))
-    if x.size == 0 or y.size == 0:
-        raise DomainError("two-sample KS needs two non-empty samples")
-    # sorted, so -inf comes first and +inf, then NaN, last
-    if not np.isfinite([x[0], x[-1], y[0], y[-1]]).all():
-        raise DomainError("two-sample KS needs finite samples")
+    x = np.sort(check_sample(x, "x"))
+    y = np.sort(check_sample(y, "y"))
     pooled = np.concatenate([x, y])
     order = np.argsort(pooled, kind="stable")
     merged = pooled[order]

@@ -51,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, TextIO
 
@@ -113,7 +113,8 @@ class Thresholds:
     the Gumbel kind). ``None`` disables any of these three checks.
     ``bn_bound`` is the largest ``b_n`` that ``dh_clt`` accepts before it
     refuses, and ``error_ratio_bound`` the largest weighted-error ratio that
-    ``quantile_error_order`` passes.
+    ``quantile_error_order`` passes.  A bound that is not a finite real >= 0
+    raises ParameterError: the JSON report would carry it as NaN or Infinity.
     """
 
     ks: float | None = None
@@ -121,6 +122,14 @@ class Thresholds:
     var_window: float | None = None
     bn_bound: float = 0.3
     error_ratio_bound: float = 50.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:  # ks or a window: that check is off
+                continue
+            if not 0.0 <= check_real(v, f.name, ParameterError) < math.inf:
+                raise ParameterError(f"{f.name} must be finite and >= 0, got {v!r}")
 
 
 _MIN_REPS = 100

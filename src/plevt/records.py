@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Params
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real_array, check_sample
 from .quantile import quantile_from_log_tail
 from .sampling import SeedSpec
 
@@ -40,27 +40,19 @@ class RecordSequence:
     indices: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise DomainError("record values must form a 1-d array")
-        if np.any(np.diff(values) <= 0.0):
+        values = check_sample(self.values, "record sequence")
+        if np.any(values[1:] <= values[:-1]):  # no subtraction to overflow
             raise DomainError("record values must be strictly increasing")
         object.__setattr__(self, "values", values)
         idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.shape != values.shape or np.any(np.diff(idx) <= 0):
-            raise DomainError("record indices must match values and increase")
-        if idx.size and idx[0] < 1:
-            raise DomainError("record indices are 1-based")
+        if idx.shape != values.shape or idx[0] < 1 or np.any(np.diff(idx) <= 0):
+            raise DomainError("record indices must be 1-based, match values and increase")
         object.__setattr__(self, "indices", idx)
 
 
 def extract_records(stream) -> RecordSequence:
     """Scan a stream for strict upper records (first element included)."""
-    arr = np.asarray(stream, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("stream must be a non-empty 1-d array")
-    if not np.isfinite(arr).all():
-        raise DomainError("stream values must all be finite")
+    arr = check_sample(stream, "stream")
     runmax = np.maximum.accumulate(arr)
     is_record = np.concatenate(([True], arr[1:] > runmax[:-1]))
     idx = np.flatnonzero(is_record)
@@ -87,7 +79,13 @@ def record_log_tails(n: int, seed: SeedSpec, reps: int) -> np.ndarray:
 
 
 def standardized_record(x_n: float | np.ndarray, n: int, p: Params) -> float | np.ndarray:
-    """Center at gamma*n and scale by gamma*sqrt(n), elementwise on arrays."""
+    """Center at gamma*n and scale by gamma*sqrt(n), elementwise on arrays (a float
+    for a scalar); DomainError unless the values and the results are finite reals."""
+    x = check_real_array(x_n, "record values")
     check_int(n, "record index", 1)
     gamma = p.gamma
-    return (x_n - gamma * n) / (gamma * math.sqrt(n))
+    with np.errstate(over="ignore"):  # an infinite value is refused just below
+        z = (x - gamma * n) / (gamma * math.sqrt(n))
+    if not np.isfinite(z).all():
+        raise DomainError("record values and their standardized values must be finite")
+    return float(z) if z.ndim == 0 else z

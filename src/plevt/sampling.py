@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import Params, mixture_weights
-from .errors import CsvFormatError, DomainError, check_int
+from .errors import CsvFormatError, DomainError, check_int, check_sample
 from .quantile import quantile_values
 
 __all__ = [
@@ -100,12 +100,8 @@ class SortedSample:
     n: int = field(init=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise DomainError("sample must be a non-empty 1-d array")
-        if not np.isfinite(values).all():
-            raise DomainError("sample values must all be finite")
-        if np.any(np.diff(values) < 0.0):
+        values = check_sample(self.values, "sample")
+        if np.any(values[1:] < values[:-1]):  # no subtraction to overflow
             raise DomainError("sample values must be nondecreasing")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", int(values.size))
@@ -248,6 +244,6 @@ def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:
 
 
 def write_values_csv(values, fh) -> None:
-    """Write one value per line with full round-trip precision."""
-    for v in np.asarray(values, dtype=np.float64):
+    """Write a finite 1-d sample one value per line with full round-trip precision."""
+    for v in check_sample(values, "values"):
         fh.write(repr(float(v)) + "\n")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, check_int, check_real
+from .errors import DegenerateSampleError, DomainError, check_int, check_real, check_sample
 from .sampling import SortedSample, read_values_csv, spacings, top_spacings
 
 __all__ = [
@@ -82,10 +82,8 @@ class WeightFunction:
 
     @classmethod
     def table(cls, values, label: str | None = None) -> "WeightFunction":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("weight table must be a non-empty 1-d array")
-        if not np.isfinite(arr).all() or (arr <= 0.0).any():
+        arr = check_sample(values, "weight table")
+        if (arr <= 0.0).any():
             raise DomainError("weight table entries must be finite and > 0")
 
         def f(j: np.ndarray) -> np.ndarray:
@@ -242,12 +240,18 @@ def standardize_dh(ts: TailStatistics, gamma: float) -> tuple[float, float]:
     """Standardized pair at a known gamma (elementwise for row statistics).
 
     Returns ``z_a = (t_n - gamma**s * a_n) / s_n`` (limit N(0, gamma**(2s)))
-    and ``z_b = (a_n / s_n) * (dh_estimate - gamma)`` (limit N(0, gamma**2 / s**2)).
+    and ``z_b = (a_n / s_n) * (dh_estimate - gamma)`` (limit N(0, gamma**2 / s**2));
+    DomainError unless gamma is a finite real > 0 and both are finite.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise DomainError(f"gamma must be finite and > 0, got {gamma!r}")
-    z_a = (ts.t_n - gamma**ts.s * ts.a_n) / ts.s_n
-    z_b = (ts.a_n / ts.s_n) * (ts.dh_estimate - gamma)
+    gamma = check_real(gamma, "gamma")
+    try:
+        with np.errstate(over="ignore"):  # a pair that is not finite is refused just below
+            z_a = (ts.t_n - gamma**ts.s * ts.a_n) / ts.s_n
+            z_b = (ts.a_n / ts.s_n) * (ts.dh_estimate - gamma)
+    except OverflowError:  # gamma**s past the double range
+        z_a = z_b = math.inf
+    if not (gamma > 0.0 and np.isfinite(z_a).all() and np.isfinite(z_b).all()):
+        raise DomainError(f"gamma must be finite and > 0 and give a finite pair, got {gamma!r}")
     return z_a, z_b
 
 

@@ -360,6 +360,148 @@ def test_dhill_never_escapes_with_a_traceback(small_csv, s, a, k):
     assert (code == 0) == (out.getvalue() != "")
 
 
+#: Inputs the file-reading subcommands draw from: good, tied, wide, short,
+#: empty, malformed and non-finite files, and one that does not exist.
+CLI_FILES = {
+    "small.csv": "".join(f"{v!r}\n" for v in [0.02, 0.3, 0.5, 0.9, 1.4, 2.2, 3.5, 5.0, 8.0, 13.0]),
+    "header.csv": CANON,
+    "ties.csv": "1.0\n" * 8,
+    "wide.csv": "".join(f"{v!r}\n" for v in [-1e308, 1e-300, 1.0, 1e154, 1e300, 1e308]),
+    "one.csv": "2.5\n",
+    "empty.csv": "",
+    "bad.csv": "1.0\nabc\n2.0\n",
+    "nan.csv": "1.0\nnan\n2.0\n",
+}
+
+REAL_TEXT = ["0", "-0.0", "1", "2.5", "0.95", "5e-324", "1e308", "-1e308", "nan", "inf",
+             "-inf", "abc", ""]
+COUNT_TEXT = ["-1", "0", "1", "2", "3", "5", "1.5", "abc", "", "99999999999999999999"]
+SMALL_TEXT = ["-1", "0", "1", "3", "20", "1.5", "abc", ""]  # a count that sizes an allocation
+SPEC_TEXT = ["identity", "log1p", "pow:0.5", "pow:160", "pow:nan", "bogus",
+             "table:/nonexistent/w.csv"]
+FILE_TEXT = sorted(CLI_FILES) + ["missing.csv"]
+REALS, COUNTS, SMALL, SPECS = map(st.sampled_from, (REAL_TEXT, COUNT_TEXT, SMALL_TEXT, SPEC_TEXT))
+SWITCH = "<switch>"
+
+
+def _flags(**options):
+    """argv tokens for a drawn subset of ``options`` (flag -> strategy of its
+    text), as ``--flag=value`` so that a value such as ``-inf`` is not read as
+    a flag."""
+    drawn = st.fixed_dictionaries({flag.replace("_", "-"): st.none() | strategy
+                                   for flag, strategy in options.items()})
+    return drawn.map(lambda d: [f"--{flag}" if value == SWITCH else f"--{flag}={value}"
+                                for flag, value in d.items() if value is not None])
+
+
+_input = st.sampled_from(FILE_TEXT)
+_params = {"theta": REALS, "beta": REALS}
+_seed = {"seed": COUNTS, "stream": COUNTS}
+_switch = st.just(SWITCH)
+
+#: The argv strategy of each subcommand; every count that sizes a draw or a
+#: replication loop stays small, so each example runs in milliseconds.
+SUBCOMMAND_ARGV = {
+    "eval": st.tuples(st.sampled_from(["pdf", "survival", "cdf", "quantile", "moment"]),
+                      _flags(x=REALS, u=REALS, n=COUNTS, **_params))
+    .map(lambda t: ["--fn", t[0], *t[1]]),
+    "sample": _flags(n=SMALL, sorted=_switch, **_params, **_seed),
+    "fit": st.tuples(_input, _flags()).map(lambda t: ["-i", t[0]]),
+    "hill": st.tuples(_input, _flags(k=COUNTS, level=REALS, k_grid=st.sampled_from(
+        ["1:3", "3:1", "1:2:0", "a:b", "2", "1:99"]))).map(lambda t: ["-i", t[0], *t[1]]),
+    "dhill": st.tuples(_input, _flags(k=COUNTS, f=SPECS, s=REALS))
+    .map(lambda t: ["-i", t[0], *t[1]]),
+    "records": st.one_of(
+        _input.map(lambda name: ["-i", name]),
+        _flags(n=COUNTS, **_params, **_seed).map(lambda argv: ["--simulate", *argv])),
+    "verify": st.tuples(
+        st.sampled_from(["max_gumbel", "hill_clt", "dh_clt", "record_clt", "sampler_gof",
+                         "quantile_error_order", "bogus"]),
+        st.sampled_from(["100", "1", "99", "abc"]),
+        _flags(n=st.sampled_from(["50", "2", "0", "abc"]), k=SMALL, f=SPECS, s=REALS,
+               ks=REALS, mean_window=REALS, var_window=REALS, no_rerun=_switch, **_params))
+    .map(lambda t: ["--kind", t[0], "--reps", t[1], "--seed", "7", *t[2]]),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("cli_inputs")
+    for name, text in CLI_FILES.items():
+        (folder / name).write_text(text)
+    return folder
+
+
+def _exits_cleanly(argv, folder) -> int:
+    """Run ``argv`` and check the contract: one of the README's exit codes
+    (argparse's usage errors included), no traceback on stderr and no NaN
+    or Infinity on stdout.  Returns the exit code."""
+    argv = [str(folder / tok) if tok in FILE_TEXT else tok for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(6), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    assert not re.search(r"NaN|Infinity", out.getvalue()), (argv, out.getvalue())
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_no_subcommand_escapes_with_a_traceback(command, cli_files):
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(argv=SUBCOMMAND_ARGV[command])
+    def check(argv):
+        _exits_cleanly([command, *argv], cli_files)
+
+    check()
+
+
+_VERIFY = ["verify", "--reps", "100", "--seed", "7", "--kind"]
+
+#: A command that exits 0 or 1, and the flags to sweep through their values.
+CLI_SWEEPS = [
+    (["eval", "--fn", "pdf", "--x", "1.0"], {"--x": REAL_TEXT, "--theta": REAL_TEXT,
+                                             "--beta": REAL_TEXT}),
+    (["eval", "--fn", "cdf", "--x", "1.0"], {"--x": REAL_TEXT}),
+    (["eval", "--fn", "quantile", "--u", "0.5"], {"--u": REAL_TEXT, "--theta": REAL_TEXT}),
+    (["eval", "--fn", "moment", "--n", "2"], {"--n": COUNT_TEXT, "--theta": REAL_TEXT}),
+    (["sample", "-n", "3", "--seed", "1"], {"-n": SMALL_TEXT, "--seed": COUNT_TEXT,
+                                            "--stream": COUNT_TEXT, "--beta": REAL_TEXT}),
+    (["fit", "-i", "header.csv"], {"-i": FILE_TEXT}),
+    (["hill", "-i", "small.csv"], {"-i": FILE_TEXT, "--k": COUNT_TEXT, "--level": REAL_TEXT}),
+    (["dhill", "-i", "small.csv", "--k", "3"], {"-i": FILE_TEXT, "--k": COUNT_TEXT,
+                                                "--f": SPEC_TEXT, "--s": REAL_TEXT}),
+    (["records", "-i", "small.csv"], {"-i": FILE_TEXT}),
+    (["records", "--simulate", "--n", "3", "--seed", "1"], {"--n": COUNT_TEXT,
+                                                            "--beta": REAL_TEXT}),
+    (_VERIFY + ["record_clt", "--n", "50"], {"--n": SMALL_TEXT, "--reps": SMALL_TEXT,
+                                             "--ks": REAL_TEXT, "--mean-window": REAL_TEXT,
+                                             "--var-window": REAL_TEXT, "--stream": COUNT_TEXT,
+                                             "--theta": REAL_TEXT}),
+    (_VERIFY + ["dh_clt", "--n", "100000", "--k", "20", "--s", "2"],
+     {"--k": SMALL_TEXT, "--f": SPEC_TEXT, "--s": REAL_TEXT}),
+    (_VERIFY + ["max_gumbel", "--n", "1000"], {"--ks": REAL_TEXT}),
+    (["verify", "--kind", "quantile_error_order"], {"--beta": REAL_TEXT}),
+]
+
+
+@pytest.mark.parametrize("base, sweep", CLI_SWEEPS, ids=["_".join(b) for b, _ in CLI_SWEEPS])
+def test_every_flag_value_exits_cleanly(base, sweep, cli_files):
+    # each flag through each of its values, the rest of the command held valid;
+    # a long flag takes its value as --flag=value, so -inf is not read as a flag
+    assert _exits_cleanly(base, cli_files) in (0, 1)
+    for flag, values in sweep.items():
+        for value in values:
+            argv = list(base)
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+            argv += [f"{flag}={value}"] if flag.startswith("--") else [flag, value]
+            _exits_cleanly(argv, cli_files)
+
+
 def test_dhill_estimate_overflow_is_usage_error(tmp_path, capsys):
     # t_n = 1.44e308 and a_n = 0.005 are finite, but t_n / a_n is not
     p = tmp_path / "far.csv"

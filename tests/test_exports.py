@@ -1,10 +1,12 @@
 """The export lists: every name in an ``__all__`` resolves, none is listed
-twice, and star imports of the package and its modules succeed."""
+twice, star imports of the package and its modules succeed, and every
+public callable has an entry in the edge-input contract table."""
 
 import importlib
 import pkgutil
 
 import pytest
+from test_contract import CONTRACT, LISTED, RECORDS
 
 import plevt
 
@@ -33,3 +35,11 @@ def test_star_import(module):
     namespace: dict = {}
     exec(f"from {module.__name__} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_every_public_callable_has_a_contract_entry():
+    # the error classes are callable too, but they are what the contract raises
+    public = {name for name in plevt.__all__ if callable(obj := getattr(plevt, name))
+              and not (isinstance(obj, type) and issubclass(obj, BaseException))}
+    assert public - set(CONTRACT) - RECORDS == set()
+    assert RECORDS <= public and set(LISTED) <= set(CONTRACT)
