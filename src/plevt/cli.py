@@ -145,14 +145,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not args.x:
             raise ParameterError(f"--fn {args.fn} requires --x")
         fn = {"pdf": pdf, "survival": survival, "cdf": cdf}[args.fn]
-        xs = np.asarray(args.x)
-        for x, v in zip(xs, np.atleast_1d(fn(xs, p))):
+        for x, v in zip(args.x, fn(args.x, p)):
             lines.append(f"{float(x)!r}\t{float(v)!r}")
     elif args.fn == "quantile":
         if not args.u:
             raise ParameterError("--fn quantile requires --u")
-        us = np.asarray(args.u)
-        for u, v in zip(us, quantile_values(us, p)):
+        for u, v in zip(args.u, quantile_values(args.u, p)):
             lines.append(f"{float(u)!r}\t{float(v)!r}")
     else:  # moment
         if args.n is None:

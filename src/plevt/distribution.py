@@ -88,19 +88,14 @@ def mixture_weights(p: Params) -> MixtureWeights:
     return MixtureWeights(exponential=(p.beta - 1.0) / p.beta, gamma2=1.0 / p.beta)
 
 
-def _as_array(x):
-    arr = check_real_array(x, "x")
-    return arr, arr.ndim == 0
-
-
-def _finish(arr, out, scalar: bool, limit: float):
-    """Return ``out`` (a float for scalar x) with NaN x refused.
+def _finish(arr, out):
+    """Return ``out`` (a float for a 0-d x) with NaN x refused.
 
     ``inf * exp(-inf)`` is NaN, so a NaN in ``out`` comes either from a NaN
     in x, which raises DomainError, or from theta*x reaching +inf, where
-    the value is replaced by its limit.
+    the value is replaced by its limit, 0.
     """
-    if scalar:
+    if arr.ndim == 0:
         value = float(out)
         if not math.isnan(value):
             return value
@@ -108,8 +103,8 @@ def _finish(arr, out, scalar: bool, limit: float):
         return out
     if np.isnan(arr).any():
         raise DomainError("x must not be NaN")
-    out = np.where(np.isnan(out), limit, out)
-    return float(out) if scalar else out
+    out = np.where(np.isnan(out), 0.0, out)
+    return float(out) if arr.ndim == 0 else out
 
 
 # NaN from inf*exp(-inf) goes to _finish; a decorator adds 1.3 us a call, a with 2.0 (numpy 2.4)
@@ -119,10 +114,10 @@ def pdf(x, p: Params):
 
     Tends to 0 as x -> +inf; NaN in x raises DomainError.
     """
-    arr, scalar = _as_array(x)
+    arr = check_real_array(x, "x")
     tx = p.theta * arr
     out = p.theta * (p.beta - 1.0 + tx) * np.exp(-tx) / p.beta
-    return _finish(arr, np.where(arr < 0.0, 0.0, out), scalar, 0.0)
+    return _finish(arr, np.where(arr < 0.0, 0.0, out))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for pdf
@@ -131,10 +126,10 @@ def survival(x, p: Params):
 
     Tends to 0 as x -> +inf; NaN in x raises DomainError.
     """
-    arr, scalar = _as_array(x)
+    arr = check_real_array(x, "x")
     tx = p.theta * arr
     out = (p.beta + tx) * np.exp(-tx) / p.beta
-    return _finish(arr, np.where(arr < 0.0, 1.0, out), scalar, 0.0)
+    return _finish(arr, np.where(arr < 0.0, 1.0, out))
 
 
 def cdf(x, p: Params):
