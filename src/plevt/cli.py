@@ -33,6 +33,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import __version__
 from .distribution import Params, cdf, fit_method_of_moments, moment, pdf, survival
 from .errors import (
     CsvFormatError,
@@ -388,33 +389,13 @@ def _add_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-i", "--input", default=None, help="input CSV path (default stdin)")
 
 
-class _VersionAction(argparse.Action):
-    """``--version``: prints ``plevt <version>`` and exits.  The version is
-    looked up only when asked, since loading ``importlib.metadata`` would
-    cost every command about as much as parsing its arguments."""
-
-    def __init__(self, option_strings, dest, help="show program's version number and exit"):
-        super().__init__(option_strings, dest=argparse.SUPPRESS,
-                         default=argparse.SUPPRESS, nargs=0, help=help)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            pkg_version = version("plevt")
-        except PackageNotFoundError:
-            pkg_version = "unknown"
-        print(f"plevt {pkg_version}")
-        parser.exit()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plevt",
         description="Pseudo-Lindley distribution toolkit: evaluation, sampling, "
         "tail estimation, records, and Monte Carlo verification.",
     )
-    parser.add_argument("--version", action=_VersionAction)
+    parser.add_argument("--version", action="version", version=f"plevt {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("eval", help="evaluate distribution functions")

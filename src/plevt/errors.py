@@ -1,6 +1,11 @@
-"""Exception types, and the integer, real and real-array checks shared across the package."""
+"""Exception types, and the integer, real and array checks shared across the package."""
+
+import sys
 
 import numpy as np
+
+#: The largest integer that converts to a finite float.
+_INT_MAX = int(sys.float_info.max)
 
 
 class PlevtError(Exception):
@@ -55,11 +60,15 @@ class ExperimentRefusedError(PlevtError, RuntimeError):
 
 
 def check_int(value, name: str, minimum: int | None = None, error=DomainError) -> int:
-    """``value`` as an int >= ``minimum``; bools and non-integers raise ``error``."""
+    """``value`` as an int >= ``minimum`` within the double range (every count
+    meets a float somewhere); bools and non-integers raise ``error``."""
     if type(value) is not int:  # the common case skips the isinstance checks
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise error(f"{name} must be an integer, got {value!r}")
         value = int(value)
+    if not -_INT_MAX <= value <= _INT_MAX:  # before any message prints its digits
+        raise error(f"{name} must lie within the double range (+-{_INT_MAX:.4g}), "
+                    f"got an integer of {value.bit_length()} bits")
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
     return value
@@ -84,6 +93,15 @@ def check_real_array(values, name: str) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
     return np.asarray(arr, dtype=np.float64)
+
+
+def check_int_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a dtype other than integer (strings, bools,
+    floats, which would truncate) raises DomainError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"{name} must be integers, got an array of dtype {arr.dtype}")
+    return np.asarray(arr, dtype=np.int64)
 
 
 def check_sample(values, name: str) -> np.ndarray:

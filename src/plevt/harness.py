@@ -28,8 +28,11 @@ and changes nothing.
 
 Each kind is one entry of the ``_KINDS`` table (runner, default thresholds,
 n and reps).  A runner reads its seed and thresholds from its
-:class:`Experiment` alone.  Every replicated kind builds its report in one
-helper, which sorts the standardized replications, compares them with the
+:class:`Experiment` alone.  :class:`Thresholds` holds the tolerances of
+the replicated kinds; the fixed bounds (refusal bounds, the KS factor of
+``sampler_gof``, the error-ratio bound of ``quantile_error_order``) are
+module constants.  Every replicated kind builds its report in one helper,
+which sorts the standardized replications, compares them with the
 reference law and keeps them in ``extras["replications"]``.
 
 No replication draws a full sample.  ``max_gumbel``, ``hill_clt`` and
@@ -94,41 +97,36 @@ RERUN_SEED_INCREMENT = 0x9E3779B97F4A7C15
 _SEED_MOD = 2**64
 
 
-# Fixed bounds: the k1 (hill_clt) and ratio1 (dh_clt) refusal bounds, the
-# growth from which the spacing kinds also report the estimator's own law,
-# and the factor of sampler_gof's KS critical values.
+# Fixed bounds: the k1 (hill_clt), ratio1 and b_n (dh_clt) refusal bounds,
+# the factor of sampler_gof's KS critical values and the largest
+# weighted-error ratio that quantile_error_order passes.
 _K1_BOUND = 1.5
 _RATIO1_BOUND = 0.2
-_GROWTH_MIN = 5.0
+_BN_BOUND = 0.3
 _GOF_FACTOR = 1.95
+_ERROR_RATIO_BOUND = 50.0
 
 
 @dataclass(frozen=True, slots=True)
 class Thresholds:
-    """Tolerances for one experiment kind, in five fields.
+    """Tolerances of a replicated kind.
 
     ``ks`` bounds the KS distance to the reference law. ``mean_window`` and
     ``var_window`` are absolute windows around the reference mean and
     variance (0 and 1 for the normal kinds, Euler-Mascheroni and pi^2/6 for
-    the Gumbel kind). ``None`` disables any of these three checks.
-    ``bn_bound`` is the largest ``b_n`` that ``dh_clt`` accepts before it
-    refuses, and ``error_ratio_bound`` the largest weighted-error ratio that
-    ``quantile_error_order`` passes.  A bound that is not a finite real >= 0
-    raises ParameterError: the JSON report would carry it as NaN or Infinity.
+    the Gumbel kind). ``None`` turns a check off.  A bound that is not
+    ``None`` or a finite real >= 0 raises ParameterError: the JSON report
+    would carry it as NaN or Infinity.
     """
 
     ks: float | None = None
     mean_window: float | None = None
     var_window: float | None = None
-    bn_bound: float = 0.3
-    error_ratio_bound: float = 50.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is None and f.default is None:  # ks or a window: that check is off
-                continue
-            if not 0.0 <= check_real(v, f.name, ParameterError) < math.inf:
+            if v is not None and not 0.0 <= check_real(v, f.name, ParameterError) < math.inf:
                 raise ParameterError(f"{f.name} must be finite and >= 0, got {v!r}")
 
 
@@ -147,9 +145,11 @@ class Experiment:
     """Configuration of one harness experiment.
 
     Unset fields, thresholds included, are filled with kind defaults; fields
-    that do not apply to the kind must stay unset. ``seed.stream_id`` is the
-    base stream index, replication ``r`` uses stream ``stream_id + r``, and
-    every stream the kind uses must lie below 2**64.
+    that do not apply to the kind must stay unset, and a single-shot kind
+    (``sampler_gof``, ``quantile_error_order``) takes only its default
+    thresholds.  ``seed.stream_id`` is the base stream index, replication
+    ``r`` uses stream ``stream_id + r``, and every stream the kind uses must
+    lie below 2**64.
     """
 
     kind: str
@@ -173,6 +173,11 @@ class Experiment:
         count = partial(check_int, error=ParameterError)
         if self.thresholds is None:
             set_field(self, "thresholds", spec.thresholds)
+        elif spec.reps is None and self.thresholds != spec.thresholds:
+            raise ParameterError(
+                f"{self.kind} checks fixed bounds and takes no thresholds, "
+                f"got {self.thresholds}"
+            )
 
         if spec.n is None:
             if self.n is not None:
@@ -250,24 +255,10 @@ class McReport:
     extras: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-_JSON_FIELDS = (
-    "kind",
-    "reps",
-    "empirical_mean",
-    "empirical_var",
-    "ks_distance",
-    "reference",
-    "threshold",
-    "passed",
-    "runtime_ms",
-    "seed",
-)
-
-
 def report_to_json_dict(report: McReport, *, stable: bool = False) -> dict:
     """Strict JSON dict of a report; ``stable`` zeroes the wall-clock field
     so equal-seed runs compare byte-identical."""
-    d = {name: getattr(report, name) for name in _JSON_FIELDS}
+    d = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "extras"}
     if stable:
         d["runtime_ms"] = 0
     return d
@@ -310,6 +301,12 @@ def _summary(
     return zs, mean, var, ks
 
 
+def _report(e: Experiment, **measured) -> McReport:
+    """Report of one attempt at ``e``: its kind, reps and master seed with
+    the measured fields; :func:`run_experiment` fills in the runtime."""
+    return McReport(kind=e.kind, reps=e.reps, runtime_ms=0, seed=e.seed.master_seed, **measured)
+
+
 def _replicated_report(
     e: Experiment, values: np.ndarray, reference: str, extras: dict
 ) -> McReport:
@@ -323,17 +320,14 @@ def _replicated_report(
         and (th.mean_window is None or abs(mean - mean_target) <= th.mean_window)
         and (th.var_window is None or abs(var - var_target) <= th.var_window)
     )
-    return McReport(
-        kind=e.kind,
-        reps=e.reps,
+    return _report(
+        e,
         empirical_mean=mean,
         empirical_var=var,
         ks_distance=ks,
         reference=reference,
         threshold=0.0 if th.ks is None else float(th.ks),
         passed=passed,
-        runtime_ms=0,
-        seed=e.seed.master_seed,
         extras={"replications": zs, **extras},
     )
 
@@ -368,29 +362,24 @@ def _run_spacings_clt(e: Experiment) -> McReport:
                 f"= {diag['ratio1']:.3g} exceeds {_RATIO1_BOUND:g}",
                 diagnostics=diag,
             )
-        if diag["bn"] > e.thresholds.bn_bound:
+        if diag["bn"] > _BN_BOUND:
             raise ExperimentRefusedError(
                 f"a single weight dominates the variance: max f(j)/j^s / s_n "
-                f"= {diag['bn']:.3g} exceeds {e.thresholds.bn_bound:g}",
+                f"= {diag['bn']:.3g} exceeds {_BN_BOUND:g}",
                 diagnostics=diag,
             )
 
     tops = top_order_statistics_rows(e.n, k, p, e.seed, e.reps)
     ts = plan.rows(tops)
-    z_a, z_b = standardize_dh(ts, gamma)
+    z_a, _ = standardize_dh(ts, gamma)
 
-    extras: dict = {
+    extras = {
         "k": k,
         "s": s,
         "weight": weight.label,
         "mean_hill": float(np.mean(np.sort(ts.hill))),
         **diag,
     }
-    if diag["growth"] >= _GROWTH_MIN:
-        _, zb_mean, zb_var, zb_ks = _summary(z_b * s / gamma)
-        extras["estimator_mean"] = zb_mean
-        extras["estimator_var"] = zb_var
-        extras["estimator_ks"] = zb_ks
     return _replicated_report(e, z_a / gamma**s, "std_normal", extras)
 
 
@@ -414,18 +403,14 @@ def _run_sampler_gof(e: Experiment) -> McReport:
     ks_two = gof.ks_two_sample(mix.values, inv.values)
     crit_two = _GOF_FACTOR * math.sqrt(2.0 / e.n)
 
-    passed = ks_one <= crit_one and ks_two <= crit_two
-    return McReport(
-        kind=e.kind,
-        reps=1,
+    return _report(
+        e,
         empirical_mean=float(np.mean(mix.values)),
         empirical_var=float(np.var(mix.values, ddof=1)),
         ks_distance=ks_one,
         reference="pseudo_lindley",
         threshold=crit_one,
-        passed=passed,
-        runtime_ms=0,
-        seed=e.seed.master_seed,
+        passed=ks_one <= crit_one and ks_two <= crit_two,
         extras={
             "two_sample_ks": ks_two,
             "two_sample_threshold": crit_two,
@@ -449,18 +434,14 @@ def _run_quantile_error_order(e: Experiment) -> McReport:
         weighted.append(err * big_l * big_l)
     weighted_arr = np.asarray(weighted)
     ratio = float(np.max(weighted_arr) / np.min(weighted_arr))
-    passed = ratio <= e.thresholds.error_ratio_bound
-    return McReport(
-        kind=e.kind,
-        reps=1,
+    return _report(
+        e,
         empirical_mean=float(np.mean(weighted_arr)),
         empirical_var=float(np.var(weighted_arr, ddof=1)),
         ks_distance=0.0,
         reference="none",
-        threshold=float(e.thresholds.error_ratio_bound),
-        passed=passed,
-        runtime_ms=0,
-        seed=e.seed.master_seed,
+        threshold=_ERROR_RATIO_BOUND,
+        passed=ratio <= _ERROR_RATIO_BOUND,
         extras={
             "u_grid": list(ERROR_ORDER_U_GRID),
             "raw_errors": raw,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Params
-from .errors import DomainError, check_int, check_real_array, check_sample
+from .errors import DomainError, check_int, check_int_array, check_real_array, check_sample
 from .quantile import quantile_from_log_tail
 from .sampling import SeedSpec
 
@@ -44,7 +44,7 @@ class RecordSequence:
         if np.any(values[1:] <= values[:-1]):  # no subtraction to overflow
             raise DomainError("record values must be strictly increasing")
         object.__setattr__(self, "values", values)
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = check_int_array(self.indices, "record indices")
         if idx.shape != values.shape or idx[0] < 1 or np.any(np.diff(idx) <= 0):
             raise DomainError("record indices must be 1-based, match values and increase")
         object.__setattr__(self, "indices", idx)

@@ -193,7 +193,8 @@ def top_spacings(values: np.ndarray, k: int) -> np.ndarray:
     n, k = values.shape[-1], check_int(k, "k")
     if not (1 <= k <= n - 1):
         raise DomainError(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
-    return np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()
+    with np.errstate(over="ignore"):  # a spacing past the double range is refused by its caller
+        return np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()
 
 
 def read_values_csv(path: str) -> np.ndarray:

@@ -27,7 +27,6 @@ Seeds, n, k, reps, weights, powers and the harness thresholds are fixed.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,9 +56,9 @@ from plevt import (
 )
 from plevt.errors import ExperimentRefusedError
 from plevt.gof import ks_two_sample
+import plevt.harness
 from plevt.harness import (
     Experiment,
-    default_thresholds,
     report_to_json,
     run_experiment,
     run_suite,
@@ -264,7 +263,7 @@ def test_criterion_05_hill_clt(capfd):
     ])
 
 
-def test_criterion_06_functional_hill_clt(capfd):
+def test_criterion_06_functional_hill_clt(capfd, monkeypatch):
     # (identity, s=2): f(j)/j^s = 1/j, so b_n -> (20*zeta(2))^(-1/2) and no
     # normal limit is promised; (pow:0.5, s=1): b_n -> 0 only like
     # (log k)^(-1/2).  Both are checked against their exact finite-n law.
@@ -278,24 +277,24 @@ def test_criterion_06_functional_hill_clt(capfd):
     checks = []
     for spec, s, k, bn_override in configs:
         tag = f"({spec},s={s:g},k={k})"
-        th = default_thresholds("dh_clt")
         e = Experiment(kind="dh_clt", k=k, s=s, weight=WeightFunction.from_spec(spec),
-                       seed=SEED, thresholds=th, rerun_on_fail=False)
-        if bn_override is not None:
-            # the default guard refuses, with b_n = max_j j^-0.5 / sqrt(H_k)
-            expected_bn = 1.0 / math.sqrt(sum(1.0 / j for j in range(1, k + 1)))
-            try:
-                run_experiment(e)
-                bn = None
-            except ExperimentRefusedError as err:
-                bn = err.diagnostics.get("bn")
-            shown = "not refused" if bn is None else f"refused, bn={bn:.3f}"
-            checks.append((f"guard{tag}",
-                           bn is not None and abs(bn - expected_bn) <= 1e-12,
-                           f"bn_bound={th.bn_bound:g}: {shown} "
-                           f"(1/sqrt(H_k)={expected_bn:.3f})"))
-            e = replace(e, thresholds=replace(th, bn_bound=bn_override))
-        rep = run_experiment(e)
+                       seed=SEED, rerun_on_fail=False)
+        with monkeypatch.context() as m:
+            if bn_override is not None:
+                # the default guard refuses, with b_n = max_j j^-0.5 / sqrt(H_k)
+                expected_bn = 1.0 / math.sqrt(sum(1.0 / j for j in range(1, k + 1)))
+                try:
+                    run_experiment(e)
+                    bn = None
+                except ExperimentRefusedError as err:
+                    bn = err.diagnostics.get("bn")
+                shown = "not refused" if bn is None else f"refused, bn={bn:.3f}"
+                checks.append((f"guard{tag}",
+                               bn is not None and abs(bn - expected_bn) <= 1e-12,
+                               f"bn bound {plevt.harness._BN_BOUND:g}: {shown} "
+                               f"(1/sqrt(H_k)={expected_bn:.3f})"))
+                m.setattr(plevt.harness, "_BN_BOUND", bn_override)
+            rep = run_experiment(e)
 
         weights = [j ** exponents[spec] for j in range(1, k + 1)]
         law = spacing_statistic_law(e.n, weights, s, e.params.theta, e.params.beta,

@@ -575,7 +575,7 @@ def test_verify_workers_match_serial(capsys):
 
 
 def test_verify_failed_threshold_exits_one(capsys):
-    # sampler_gof ignores --ks (its band is the distribution-free critical
+    # sampler_gof refuses --ks (its band is the distribution-free critical
     # value), so use a replicated kind to exercise the failure exit path
     code, out, _ = run(capsys, "verify", "--kind", "max_gumbel", "--n", "2000",
                        "--reps", "100", "--seed", "7", "--ks", "1e-6", "--no-rerun")
@@ -697,6 +697,17 @@ def test_verify_threshold_overrides_require_single_kind(capsys, monkeypatch):
     assert code == 2 and "--reps" in err
 
 
+@pytest.mark.parametrize("kind, flag", [("sampler_gof", "--ks"),
+                                        ("quantile_error_order", "--mean-window")])
+def test_single_shot_kind_refuses_tolerance_flags(capsys, monkeypatch, kind, flag):
+    # these kinds check fixed bounds: a tolerance they would not read is refused
+    code, out, err = run(capsys, "verify", "--kind", kind, "--seed", "7", flag, "1e-9")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    monkeypatch.setenv("PLEVT_" + flag[2:].replace("-", "_").upper(), "1e-9")
+    assert run(capsys, "verify", "--kind", kind, "--seed", "7")[0] == 2
+
+
 def test_verify_unknown_kind(capsys):
     code, _, _ = run(capsys, "verify", "--kind", "bogus")
     assert code == 2
@@ -769,31 +780,13 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert "plevt" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"plevt {plevt.__version__}\n"
 
 
-def test_version_is_looked_up_only_when_asked(capsys, monkeypatch):
-    import importlib.metadata
-
-    answers = iter(["1.2.3", None])
-    calls = []
-
-    def version(name):
-        calls.append(name)
-        answer = next(answers)
-        if answer is None:
-            raise importlib.metadata.PackageNotFoundError(name)
-        return answer
-
-    monkeypatch.setattr(importlib.metadata, "version", version)
-    assert run(capsys, "eval", "--fn", "pdf", "--x", "1")[0] == 0
-    assert calls == []
-    for expected in ("plevt 1.2.3\n", "plevt unknown\n"):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == expected
-    assert calls == ["plevt", "plevt"]
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == plevt.__version__
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ One table, ``CONTRACT``, gives every callable in ``plevt.__all__`` the kind
 of each of its parameters.  Each call must return only finite numbers or
 raise a :class:`plevt.PlevtError` subclass, and must raise, rather than
 coerce, where an argument is not of its kind: a string, a bool or ``None``
-for a number, a float for a count.  The one listed exception is
-``moment``'s ``OverflowError`` (criterion 2 catches it).
+for a number, a float for a count or a record index.  The one listed
+exception is ``moment``'s ``OverflowError`` (criterion 2 catches it).
 
 Two tests read the table.  One sweeps every adversarial value of a kind
 (strings, bools, ``None``, signed zeros, NaN, the infinities, subnormals,
@@ -47,13 +47,19 @@ ODD = NON_NUMBERS + SPECIAL_FLOATS + ODD_ARRAYS
 #: Every value the sweep passes for a parameter of each kind.
 ADVERSARIAL = {
     # an integer that sizes nothing (a moment order, a record index, a seed)
-    "count": ODD + [0, -1, 1, 2**64, np.int64(-5), np.uint64(2**64 - 1), 1.0, 3.0],
+    # (10**400 is past the double range, where a count would meet a float)
+    "count": ODD + [0, -1, 1, 2**64, 10**400, np.int64(-5), np.uint64(2**64 - 1), 1.0, 3.0],
     # an integer that sizes an allocation (n, reps, k, n_max)
     "size": ODD + [0, -1, 1, 2, 10**4, np.int64(7), 1.0, 3.0],
     "real": ODD + [0, 1, -3, 10**6, np.float64(2.5), np.float32(0.5), np.int32(2)],
     "tail mass": ODD + [0.5, 1.0, 1, 2, np.float64(0.25), np.float32(0.5)],
     # a real, or None where None turns a check off
     "window": ODD + [0, 1, 0.25],
+    # 1-based record positions: integers only, a float is refused, not truncated
+    "record indices": ODD + [[1, 2, 3], [0, 1, 2], [3, 2, 1], [1, 2, 2], [1.0, 2.0, 3.0],
+                             [1.5, 2.7, 3.1], ["1", "2", "3"], np.array([True, True, True]),
+                             np.array([1, 2, 3], np.uint64),
+                             np.array([1, 2**63, 2**64 - 1], np.uint64)],
     "real array": ODD + [[math.nan], [1.0, math.inf], [1e308, -1e308], [-1e308, 1e308],
                          [-0.0, 0.0], [5e-324, 1e-300], [0.1, 0.2, 0.3], [3, 1, 2],
                          np.array([1, 2, 3]), np.array([0.5, 0.75], np.float32)],
@@ -61,7 +67,7 @@ ADVERSARIAL = {
 
 #: The value a parameter of each kind holds while another one is swept.
 VALID = {"count": 5, "size": 3, "real": 2.0, "tail mass": 0.25, "window": 0.5,
-         "real array": np.array([0.5, 1.0, 2.0])}
+         "record indices": np.array([1, 2, 3]), "real array": np.array([0.5, 1.0, 2.0])}
 
 any_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 float_lists = st.lists(any_float, max_size=12)
@@ -79,6 +85,8 @@ DRAWN = {
     "real": st.one_of(any_float, st.integers(-10**6, 10**6), st.sampled_from(ODD)),
     "tail mass": st.one_of(st.floats(0.0, 1.0), st.sampled_from(ODD)),
     "window": st.one_of(any_float, st.sampled_from(ODD)),
+    "record indices": st.one_of(st.lists(st.integers(-2, 2**63 - 1), max_size=4),
+                                st.sampled_from(ADVERSARIAL["record indices"])),
     "real array": st.one_of(float_lists, float_lists.map(sorted).map(np.array),
                             st.lists(st.floats(0.0, 1.0), max_size=12).map(np.array),
                             st.sampled_from(ADVERSARIAL["real array"])),
@@ -107,7 +115,6 @@ OBJECTS = {
     "weight spec": ["identity", "log1p", "pow:2", "pow:nan", "pow:x", "bogus", " identity "],
     "label": ["w"],
     "weights": [lambda j: j, np.sqrt],
-    "record indices": [np.array([1, 2, 3]), np.array([1]), np.array([], int)],
     "text file": [io.StringIO],  # a fresh one per call
     "bool": [False, True],
     "csv path": [],  # filled by the fixture below
@@ -165,8 +172,7 @@ CONTRACT = {
     "run_suite": {"experiments": "experiments"},
     "standard_suite": {"params": "Params", "seed": "SeedSpec"},
     "report_to_json": {"report": "McReport", "stable": "bool"},
-    "Thresholds": {"ks": "window", "mean_window": "window", "var_window": "window",
-                   "bn_bound": "real", "error_ratio_bound": "real"},
+    "Thresholds": {"ks": "window", "mean_window": "window", "var_window": "window"},
     # not exported by the package, but public in its module
     "gof.ks_two_sample": {"x": "real array", "y": "real array"},
 }
@@ -209,10 +215,13 @@ def assert_finite(value, where: str) -> None:
 
 def not_of_kind(kind: str, value) -> bool:
     """True for a value that a parameter of ``kind`` must refuse, not coerce:
-    a count that is not an integer, or a real or an array of reals whose
-    dtype is not integer or floating (strings, bools, None, complex)."""
+    a count that is not an integer, record indices whose dtype is not
+    integer, or a real or an array of reals whose dtype is not integer or
+    floating (strings, bools, None, complex)."""
     if kind in ("count", "size"):
         return not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+    if kind == "record indices":
+        return np.asarray(value).dtype.kind not in "iu"
     if kind in ADVERSARIAL:
         return np.asarray(value).dtype.kind not in "iuf" and not (kind == "window" and value is None)
     return False
@@ -266,8 +275,8 @@ def test_drawn_values(name):
     check()
 
 
-#: Calls that coerced their argument, or raised a bare ValueError or
-#: TypeError, before the array checks of ``plevt.errors`` covered them.
+#: Calls that coerced their argument, or raised a bare ValueError,
+#: TypeError or OverflowError, before the checks of ``plevt.errors`` covered them.
 EDGES = {
     "pdf of a string": lambda: plevt.pdf("1", P),
     "survival of a bool": lambda: plevt.survival(True, P),
@@ -279,6 +288,13 @@ EDGES = {
     "SortedSample of strings": lambda: SortedSample(["1", "2"]),
     "extract_records of strings": lambda: plevt.extract_records(["1", "2"]),
     "RecordSequence of strings": lambda: plevt.RecordSequence(["1", "2"], np.array([1, 2])),
+    "RecordSequence of string indices": lambda: plevt.RecordSequence([1.0, 2.0], ["1", "2"]),
+    "RecordSequence of float indices": lambda: plevt.RecordSequence([1.0, 2.0], [1.5, 2.7]),
+    "standardized_record past the double range": lambda: plevt.standardized_record(1.0, 10**400, P),
+    "simulate_record past the double range": lambda: plevt.simulate_record(10**400, P, SeedSpec(1)),
+    "check_k1 past the double range": lambda: plevt.check_k1(10, 10**400),
+    "hill of a spacing past the double range":
+        lambda: plevt.hill(SortedSample(np.array([-1e308, 1e308])), 1),
     "weight table of bools": lambda: WeightFunction.table([True, True]),
     "two-sample KS of strings": lambda: plevt.gof.ks_two_sample(["1", "2"], ["3"]),
     "KS distance of an empty sample": lambda: plevt.gof.ks_distance_sorted(np.array([]), np.array([])),
@@ -289,5 +305,6 @@ EDGES = {
 
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_edge_is_refused(edge):
-    with pytest.raises(plevt.DomainError):
+    with warnings.catch_warnings(), pytest.raises(plevt.DomainError):
+        warnings.simplefilter("error")  # refused, not warned about first
         EDGES[edge]()

@@ -153,6 +153,14 @@ def test_thresholds_resolution():
     assert Experiment(kind="hill_clt", thresholds=custom).thresholds is custom
 
 
+@pytest.mark.parametrize("kind", ["sampler_gof", "quantile_error_order"])
+def test_single_shot_kinds_refuse_thresholds(kind):
+    # their bounds are fixed: a tolerance they would not read is refused
+    with pytest.raises(ParameterError, match=f"{kind} checks fixed bounds"):
+        Experiment(kind=kind, thresholds=Thresholds(ks=0.1))
+    assert Experiment(kind=kind, thresholds=Thresholds()).thresholds == Thresholds()
+
+
 NOT_INTEGERS = [7.9, "200", True, math.inf, math.nan]
 
 
@@ -357,12 +365,9 @@ def test_rerun_can_be_disabled():
     assert "first_attempt" not in r.extras
 
 
-def test_deterministic_kind_never_reruns():
-    e = Experiment(
-        kind="quantile_error_order",
-        thresholds=Thresholds(ks=None, error_ratio_bound=1e-9),
-    )
-    r = run_experiment(e)
+def test_deterministic_kind_never_reruns(monkeypatch):
+    monkeypatch.setattr(plevt.harness, "_ERROR_RATIO_BOUND", 1e-9)
+    r = run_experiment(Experiment(kind="quantile_error_order"))
     assert not r.passed
     assert r.extras["attempts"] == 1
 
