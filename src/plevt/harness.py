@@ -26,8 +26,12 @@ measured slower than one thread, so the ``workers`` argument of
 :func:`run_experiment` and :func:`run_suite` is accepted for compatibility
 and changes nothing.
 
-Each kind is one entry of the ``_KINDS`` table (runner, default thresholds,
-n and reps).  A runner reads its seed and thresholds from its
+Each kind is one entry of the ``_KINDS`` table: runner, default thresholds,
+n and reps, the optional fields it takes (k for ``hill_clt``; k, weight and
+s for ``dh_clt``), its refusal guards (a
+:meth:`plevt.tail.SpacingPlan.conditions` diagnostic and what it measures)
+and the streams a single-shot kind draws.  No other code tests a kind by
+name.  A runner reads its seed and thresholds from its
 :class:`Experiment` alone.  :class:`Thresholds` holds the tolerances of
 the replicated kinds; the fixed bounds (refusal bounds, the KS factor of
 ``sampler_gof``, the error-ratio bound of ``quantile_error_order``) are
@@ -199,8 +203,7 @@ class Experiment:
                 )
             set_field(self, "reps", reps)
 
-        # sampler_gof draws two samples, on streams stream_id and stream_id + 1
-        streams = 2 if self.kind == "sampler_gof" else self.reps
+        streams = spec.streams if spec.reps is None else self.reps
         first = self.seed.stream_id
         if first + streams > _SEED_MOD:
             raise ParameterError(
@@ -208,29 +211,22 @@ class Experiment:
                 f"{first} + {streams - 1}, but stream ids end at 2**64 - 1"
             )
 
-        if self.kind in ("hill_clt", "dh_clt"):
+        for name, noun in (("k", "top-statistics count k"), ("weight", "weight function"),
+                           ("s", "power s")):
+            if name not in spec.takes and getattr(self, name) is not None:
+                raise ParameterError(f"{self.kind} takes no {noun}")
+        if "k" in spec.takes:
             k = default_k(self.n) if self.k is None else count(self.k, "k")
             if not 1 <= k <= self.n - 1:
                 raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={self.n}")
             set_field(self, "k", k)
-        elif self.k is not None:
-            raise ParameterError(f"{self.kind} takes no top-statistics count k")
-
-        if self.kind == "dh_clt":
-            set_field(
-                self,
-                "weight",
-                WeightFunction.identity() if self.weight is None else self.weight,
-            )
+        if "weight" in spec.takes and self.weight is None:
+            set_field(self, "weight", WeightFunction.identity())
+        if "s" in spec.takes:
             s = 1.0 if self.s is None else check_real(self.s, "power s", ParameterError)
             if not math.isfinite(s) or s < 1.0:
                 raise ParameterError(f"power s must be finite and >= 1, got {s}")
             set_field(self, "s", s)
-        else:
-            if self.weight is not None:
-                raise ParameterError(f"{self.kind} takes no weight function")
-            if self.s is not None:
-                raise ParameterError(f"{self.kind} takes no power s")
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,28 +340,15 @@ def _run_spacings_clt(e: Experiment) -> McReport:
     p = e.params
     gamma = p.gamma
     k = e.k
-    weight, s = (WeightFunction.identity(), 1.0) if e.kind == "hill_clt" else (e.weight, e.s)
+    weight = WeightFunction.identity() if e.weight is None else e.weight
+    s = 1.0 if e.s is None else e.s
     plan = SpacingPlan.build(weight, k, s)
     diag = plan.conditions(e.n)
-
-    if e.kind == "hill_clt":
-        if diag["k1"] > _K1_BOUND:
+    bounds = {"k1": _K1_BOUND, "ratio1": _RATIO1_BOUND, "bn": _BN_BOUND}  # read at call time
+    for key, what in _KINDS[e.kind].guards:
+        if diag[key] > bounds[key]:
             raise ExperimentRefusedError(
-                f"k grows too fast for the Hill CLT: k^(3/4)/log n = {diag['k1']:.3g} "
-                f"exceeds {_K1_BOUND:g} (n={e.n}, k={k})",
-                diagnostics=diag,
-            )
-    else:
-        if diag["ratio1"] > _RATIO1_BOUND:
-            raise ExperimentRefusedError(
-                f"weight normalization decays too slowly: s_n(f,1)/(s_n(f,s) log n) "
-                f"= {diag['ratio1']:.3g} exceeds {_RATIO1_BOUND:g}",
-                diagnostics=diag,
-            )
-        if diag["bn"] > _BN_BOUND:
-            raise ExperimentRefusedError(
-                f"a single weight dominates the variance: max f(j)/j^s / s_n "
-                f"= {diag['bn']:.3g} exceeds {_BN_BOUND:g}",
+                f"{what} = {diag[key]:.3g} exceeds {bounds[key]:g} (n={e.n}, k={k})",
                 diagnostics=diag,
             )
 
@@ -455,25 +438,40 @@ def _run_quantile_error_order(e: Experiment) -> McReport:
 @dataclass(frozen=True, slots=True)
 class _Kind:
     """Everything the harness knows about one experiment kind: its runner,
-    default tolerances, default sample size (None: the kind takes none) and
-    default replication count (None: the kind runs once)."""
+    default tolerances, default sample size (None: takes none) and
+    replication count (None: runs once), the optional fields it takes, its
+    refusal guards (a :meth:`SpacingPlan.conditions` key refused above its
+    bound, and what the key measures) and the streams it draws if it runs once."""
 
     run: Callable[[Experiment], McReport]
     thresholds: Thresholds
     n: int | None
     reps: int | None
+    takes: tuple[str, ...] = ()
+    guards: tuple[tuple[str, str], ...] = ()
+    streams: int = 1
 
 
 _KINDS = {
     "max_gumbel": _Kind(_run_max_gumbel, Thresholds(ks=0.05), 100_000, 2000),
     "hill_clt": _Kind(
-        _run_spacings_clt, Thresholds(ks=0.08, mean_window=0.15, var_window=0.30), 100_000, 3000
+        _run_spacings_clt, Thresholds(ks=0.08, mean_window=0.15, var_window=0.30), 100_000, 3000,
+        takes=("k",),
+        guards=(("k1", "k grows too fast for the Hill CLT: k^(3/4)/log n"),),
     ),
-    "dh_clt": _Kind(_run_spacings_clt, Thresholds(ks=0.10, mean_window=0.20), 100_000, 3000),
+    "dh_clt": _Kind(
+        _run_spacings_clt, Thresholds(ks=0.10, mean_window=0.20), 100_000, 3000,
+        takes=("k", "weight", "s"),
+        guards=(
+            ("ratio1", "weight normalization decays too slowly: s_n(f,1)/(s_n(f,s) log n)"),
+            ("bn", "a single weight dominates the variance: max f(j)/j^s / s_n"),
+        ),
+    ),
     "record_clt": _Kind(
         _run_record_clt, Thresholds(ks=0.05, mean_window=0.05, var_window=0.10), 400, 5000
     ),
-    "sampler_gof": _Kind(_run_sampler_gof, Thresholds(), 100_000, None),
+    # two samples, on streams stream_id and stream_id + 1
+    "sampler_gof": _Kind(_run_sampler_gof, Thresholds(), 100_000, None, streams=2),
     "quantile_error_order": _Kind(_run_quantile_error_order, Thresholds(), None, None),
 }
 

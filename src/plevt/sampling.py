@@ -187,14 +187,24 @@ def spacings(sample: SortedSample, k: int) -> np.ndarray:
     return top_spacings(sample.values, k)
 
 
-def top_spacings(values: np.ndarray, k: int) -> np.ndarray:
-    """:func:`spacings` along the last axis of ascending ``values``; C-order,
-    so numpy's vector loops treat each row as they treat one sample."""
-    n, k = values.shape[-1], check_int(k, "k")
+def _top_count(n: int, k: int) -> int:
+    """``k`` as a number of top spacings of n values, in [1, n-1], else DomainError."""
+    k = check_int(k, "k")
     if not (1 <= k <= n - 1):
         raise DomainError(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
-    with np.errstate(over="ignore"):  # a spacing past the double range is refused by its caller
-        return np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()
+    return k
+
+
+def top_spacings(values: np.ndarray, k: int) -> np.ndarray:
+    """:func:`spacings` along the last axis of ascending ``values``; C-order,
+    so numpy's vector loops treat each row as they treat one sample.  A
+    spacing past the double range raises DomainError."""
+    k = _top_count(values.shape[-1], k)
+    with np.errstate(over="ignore"):  # a spacing past the double range is refused just below
+        sp = np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()
+    if not np.isfinite(sp).all():
+        raise DomainError(f"a top-{k} spacing overflows float64")
+    return sp
 
 
 def read_values_csv(path: str) -> np.ndarray:

@@ -21,7 +21,7 @@ the diagnostic ``check_k1 = k**(3/4) / log n``.
 ``SpacingPlan`` builds a_n, s_n and b_n once per (f, k, s), in one pass over
 the ratios f(j)/j**s; samples are reduced and diagnostics read against it.
 Normalizers that are not finite and > 0, Gamma(2s+1) past the double range
-(s above about 85.3) and an overflowing t_n or t_n / a_n raise DomainError.
+(s above about 85.3), an overflowing spacing, t_n or t_n / a_n raise DomainError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, check_int, check_real, check_sample
-from .sampling import SortedSample, read_values_csv, spacings, top_spacings
+from .sampling import SortedSample, _top_count, read_values_csv, spacings, top_spacings
 
 __all__ = [
     "WeightFunction",
@@ -232,6 +232,7 @@ class SpacingPlan:
 
 def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> TailStatistics:
     """All weighted-spacing statistics of the sample at (f, k, s)."""
+    _top_count(sample.n, k)  # before f(1..k) is built
     ts = SpacingPlan.build(f, k, s).rows(sample.values)
     return replace(ts, hill=float(ts.hill), t_n=float(ts.t_n), dh_estimate=float(ts.dh_estimate))
 

@@ -293,6 +293,8 @@ EDGES = {
     "standardized_record past the double range": lambda: plevt.standardized_record(1.0, 10**400, P),
     "simulate_record past the double range": lambda: plevt.simulate_record(10**400, P, SeedSpec(1)),
     "check_k1 past the double range": lambda: plevt.check_k1(10, 10**400),
+    "spacings of a spacing past the double range":
+        lambda: plevt.spacings(SortedSample(np.array([-1e308, 1e308])), 1),
     "hill of a spacing past the double range":
         lambda: plevt.hill(SortedSample(np.array([-1e308, 1e308])), 1),
     "weight table of bools": lambda: WeightFunction.table([True, True]),

@@ -138,6 +138,35 @@ def test_weight_and_power_only_for_dh():
         Experiment(kind="dh_clt", s=math.inf)
 
 
+#: The optional fields each kind takes, with a value for each and the noun
+#: that a kind which does not take the field names in its refusal.
+TAKES = {
+    "max_gumbel": {"n"},
+    "hill_clt": {"n", "k"},
+    "dh_clt": {"n", "k", "weight", "s"},
+    "record_clt": {"n"},
+    "sampler_gof": {"n"},
+    "quantile_error_order": set(),
+}
+OPTIONAL_FIELDS = {
+    "n": (200, "sample size"),
+    "k": (5, "top-statistics count k"),
+    "weight": (WeightFunction.power(0.5), "weight function"),
+    "s": (2.0, "power s"),
+}
+
+
+@pytest.mark.parametrize("name", OPTIONAL_FIELDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_takes_only_its_fields(kind, name):
+    value, noun = OPTIONAL_FIELDS[name]
+    if name in TAKES[kind]:
+        assert getattr(Experiment(kind=kind, **{name: value}), name) == value
+    else:
+        with pytest.raises(ParameterError, match=f"^{kind} takes no {noun}$"):
+            Experiment(kind=kind, **{name: value})
+
+
 @pytest.mark.parametrize("value", ["2.5", True, np.True_], ids=repr)
 def test_power_s_refuses_non_reals(value):
     message = f"power s must be a real number, got {re.escape(repr(value))}"
@@ -388,6 +417,15 @@ def test_hill_refuses_oversized_k():
     with pytest.raises(ExperimentRefusedError) as exc:
         run_experiment(e)
     assert exc.value.diagnostics["k1"] > 1.5
+
+
+def test_hill_refuses_fast_k_growth_before_drawing(monkeypatch):
+    # k^(3/4)/log n = 20^(3/4)/log 100 = 2.05 exceeds 1.5
+    monkeypatch.setattr(plevt.harness, "top_order_statistics_rows", None)  # never drawn
+    e = Experiment(kind="hill_clt", n=100, k=20, reps=100)
+    with pytest.raises(ExperimentRefusedError, match="^k grows too fast for the Hill CLT") as exc:
+        run_experiment(e)
+    assert exc.value.diagnostics["k1"] == pytest.approx(20**0.75 / math.log(100), rel=1e-12)
 
 
 def test_dh_refuses_lindeberg_violation():

@@ -233,6 +233,16 @@ def test_overflowing_estimate_ratio_is_refused():
         dh_statistic(s, f, 20, 2.0)
 
 
+def test_dh_compares_k_with_n_before_building_weights(monkeypatch):
+    # a k past the sample is refused before f(1..k) is allocated
+    def weights(self, k):
+        raise AssertionError(f"built {k} weights before k was compared with n")
+
+    monkeypatch.setattr(WeightFunction, "weights", weights)
+    with pytest.raises(DomainError, match=r"k must lie in \[1, n-1\]"):
+        dh_statistic(_sorted(np.arange(1.0, 11.0)), WeightFunction.identity(), 10, 1.0)
+
+
 def test_dh_degenerate_sample():
     s = SortedSample(np.full(6, 2.5))
     with pytest.raises(DegenerateSampleError):
