@@ -59,6 +59,7 @@ from .records import extract_records, simulate_record, standardized_record
 from .sampling import (
     SeedSpec,
     SortedSample,
+    _top_count,
     mixture_values,
     parse_values_lines,
     read_values_csv,
@@ -156,11 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:  # moment
         if args.n is None:
             raise ParameterError("--fn moment requires --n (the moment order)")
-        try:
-            value = moment(args.n, p)
-        except OverflowError as exc:
-            raise DomainError(str(exc)) from None
-        lines.append(f"{args.n}\t{value!r}")
+        lines.append(f"{args.n}\t{moment(args.n, p)!r}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -197,31 +194,22 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_k_grid(spec: str, n: int) -> list[int]:
+def _parse_k_grid(spec: str, n: int) -> range:
     parts = spec.split(":")
     if len(parts) not in (2, 3) or not all(s.strip() for s in parts):
-        raise ParameterError(
-            f"--k-grid expects MIN:MAX[:STEP], got {spec!r}"
-        )
+        raise ParameterError(f"--k-grid expects MIN:MAX[:STEP], got {spec!r}")
     try:
         nums = [int(s) for s in parts]
     except ValueError:
-        raise ParameterError(
-            f"--k-grid expects integers MIN:MAX[:STEP], got {spec!r}"
-        ) from None
+        raise ParameterError(f"--k-grid expects integers MIN:MAX[:STEP], got {spec!r}") from None
     lo, hi = nums[0], nums[1]
     step = nums[2] if len(nums) == 3 else 1
     if step < 1 or lo > hi:
         raise ParameterError(f"empty or descending --k-grid {spec!r}")
-    ks = list(range(lo, hi + 1, step))
-    for k in ks:
-        _validate_k(k, n)
+    ks = range(lo, hi + 1, step)
+    for k in (ks[0], ks[-1]):  # the two ends, before the grid is walked
+        _top_count(n, k)
     return ks
-
-
-def _validate_k(k: int, n: int) -> None:
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"--k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
 
 
 def _two_sided_z(level: float) -> float:
@@ -245,7 +233,6 @@ def cmd_hill(args: argparse.Namespace) -> int:
     if args.k_grid is not None:
         ks = _parse_k_grid(args.k_grid, n)
     elif args.k is not None:
-        _validate_k(args.k, n)
         ks = [args.k]
     else:
         ks = [default_k(n)]
@@ -266,8 +253,7 @@ def cmd_dhill(args: argparse.Namespace) -> int:
         raise ParameterError(f"dhill needs at least 3 observations, got {n}")
     sample = SortedSample(np.sort(values))
     weight = _read_input(WeightFunction.from_spec, args.f)
-    k = args.k if args.k is not None else default_k(n)
-    _validate_k(k, n)
+    k = _top_count(n, args.k if args.k is not None else default_k(n))  # before f(1..k) is built
     plan = SpacingPlan.build(weight, k, args.s)
     ts = plan.rows(sample.values)
     payload = {

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    _LOG_MAX,
     DomainError,
     FitInfeasibleError,
     NotEvaluableError,
@@ -141,7 +142,7 @@ def moment(n: int, p: Params) -> float:
     """Raw moment ``m_n = n! * (beta + n) / (theta**n * beta)``.
 
     Evaluated in log space so n in the hundreds stays exact to relative
-    rounding; raises OverflowError if the value exceeds float range.
+    rounding; raises DomainError if the value exceeds float range.
     """
     n = check_int(n, "moment order", 0)
     if n == 0:
@@ -152,8 +153,8 @@ def moment(n: int, p: Params) -> float:
         - n * math.log(p.theta)
         - math.log(p.beta)
     )
-    if log_m > math.log(np.finfo(np.float64).max):
-        raise OverflowError(f"moment of order {n} overflows float64 for {p}")
+    if log_m > _LOG_MAX:
+        raise DomainError(f"moment of order {n} overflows float64 for {p}")
     return math.exp(log_m)
 
 

@@ -1,11 +1,14 @@
 """Exception types, and the integer, real and array checks shared across the package."""
 
+import math
 import sys
 
 import numpy as np
 
 #: The largest integer that converts to a finite float.
 _INT_MAX = int(sys.float_info.max)
+#: The largest x with a finite exp(x): a log past it overflows on the way back.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class PlevtError(Exception):

@@ -70,12 +70,15 @@ from .errors import ExperimentRefusedError, ParameterError, check_int, check_rea
 from .quantile import _quantiles_at_log_tails, quantile_exact, quantile_tail_expansion
 from .records import record_log_tails, standardized_record
 from .sampling import (
+    _U64,
     SeedSpec,
+    _stream_stop,
+    _top_count,
     sample_inverse_cdf,
     sample_mixture,
     top_order_statistics_rows,
 )
-from .tail import SpacingPlan, WeightFunction, default_k, standardize_dh
+from .tail import SpacingPlan, WeightFunction, _power, default_k, standardize_dh
 
 __all__ = [
     "KINDS",
@@ -97,8 +100,6 @@ __all__ = [
 
 #: Additive constant for the automatic re-run seed (64-bit golden ratio).
 RERUN_SEED_INCREMENT = 0x9E3779B97F4A7C15
-
-_SEED_MOD = 2**64
 
 
 # Fixed bounds: the k1 (hill_clt), ratio1 and b_n (dh_clt) refusal bounds,
@@ -204,29 +205,19 @@ class Experiment:
             set_field(self, "reps", reps)
 
         streams = spec.streams if spec.reps is None else self.reps
-        first = self.seed.stream_id
-        if first + streams > _SEED_MOD:
-            raise ParameterError(
-                f"{self.kind} with reps={self.reps} uses streams {first} to "
-                f"{first} + {streams - 1}, but stream ids end at 2**64 - 1"
-            )
+        _stream_stop(self.seed.stream_id, streams, ParameterError)
 
         for name, noun in (("k", "top-statistics count k"), ("weight", "weight function"),
                            ("s", "power s")):
             if name not in spec.takes and getattr(self, name) is not None:
                 raise ParameterError(f"{self.kind} takes no {noun}")
         if "k" in spec.takes:
-            k = default_k(self.n) if self.k is None else count(self.k, "k")
-            if not 1 <= k <= self.n - 1:
-                raise ParameterError(f"need 1 <= k <= n-1, got k={k}, n={self.n}")
-            set_field(self, "k", k)
+            k = default_k(self.n) if self.k is None else self.k
+            set_field(self, "k", _top_count(self.n, k, ParameterError))
         if "weight" in spec.takes and self.weight is None:
             set_field(self, "weight", WeightFunction.identity())
         if "s" in spec.takes:
-            s = 1.0 if self.s is None else check_real(self.s, "power s", ParameterError)
-            if not math.isfinite(s) or s < 1.0:
-                raise ParameterError(f"power s must be finite and >= 1, got {s}")
-            set_field(self, "s", s)
+            set_field(self, "s", 1.0 if self.s is None else _power(self.s, ParameterError))
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,7 +264,7 @@ def suite_to_json(results, *, stable: bool = False) -> str:
 def derived_rerun_seed(seed: SeedSpec) -> SeedSpec:
     """Master seed for the single automatic re-run of a failed experiment."""
     return SeedSpec(
-        (seed.master_seed + RERUN_SEED_INCREMENT) % _SEED_MOD, seed.stream_id
+        (seed.master_seed + RERUN_SEED_INCREMENT) % _U64, seed.stream_id
     )
 
 

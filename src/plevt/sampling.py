@@ -63,12 +63,18 @@ class SeedSpec:
         One call builds one Philox generator and resets it to each stream,
         so every step yields the same object: a yielded generator is valid
         until the next one is requested.  Separate calls share nothing.  A
-        range that would pass 2**64 - 1 is refused here, before anything is
+        range past the last stream id is refused here, before anything is
         drawn."""
-        first, stop = self.stream_id, self.stream_id + check_int(reps, "reps", 0)
-        if stop > _U64:
-            raise DomainError(f"streams {first} to {first} + {reps - 1} pass 2**64 - 1")
-        return _reset_streams(self.master_seed, first, stop)
+        stop = _stream_stop(self.stream_id, check_int(reps, "reps", 0))
+        return _reset_streams(self.master_seed, self.stream_id, stop)
+
+
+def _stream_stop(first: int, count: int, error=DomainError) -> int:
+    """The end ``first + count`` of the streams ``first .. first + count - 1``;
+    a range past the last stream id, 2**64 - 1, raises ``error``."""
+    if first + count > _U64:
+        raise error(f"streams {first} to {first} + {count - 1} pass 2**64 - 1")
+    return first + count
 
 
 def _reset_streams(master_seed: int, first: int, stop: int) -> Iterator[np.random.Generator]:
@@ -187,11 +193,11 @@ def spacings(sample: SortedSample, k: int) -> np.ndarray:
     return top_spacings(sample.values, k)
 
 
-def _top_count(n: int, k: int) -> int:
-    """``k`` as a number of top spacings of n values, in [1, n-1], else DomainError."""
-    k = check_int(k, "k")
+def _top_count(n: int, k: int, error=DomainError) -> int:
+    """``k`` as a number of top spacings of n values, in [1, n-1], else ``error``."""
+    k = check_int(k, "k", error=error)
     if not (1 <= k <= n - 1):
-        raise DomainError(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
+        raise error(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
     return k
 
 

@@ -31,7 +31,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, check_int, check_real, check_sample
+from .errors import (
+    _LOG_MAX,
+    DegenerateSampleError,
+    DomainError,
+    check_int,
+    check_real,
+    check_sample,
+)
 from .sampling import SortedSample, _top_count, read_values_csv, spacings, top_spacings
 
 __all__ = [
@@ -46,9 +53,12 @@ __all__ = [
 ]
 
 
-def _gamma_fn(z: float) -> float:
-    # via log-gamma; relative error a few ulp of lgamma, well under 1e-12
-    return math.exp(math.lgamma(z))
+def _power(s, error=DomainError) -> float:
+    """``s`` as a spacing power, a finite real >= 1, else ``error``."""
+    s = check_real(s, "power s", error)
+    if not (s >= 1.0 and math.isfinite(s)):
+        raise error(f"power s must be finite and >= 1, got {s!r}")
+    return s
 
 
 class WeightFunction:
@@ -177,21 +187,21 @@ class SpacingPlan:
 
     @classmethod
     def build(cls, f: WeightFunction, k: int, s: float) -> "SpacingPlan":
-        return cls._of(f.weights(k), check_real(s, "power s"))
+        return cls._of(f.weights(k), _power(s))
 
     @classmethod
     def _of(cls, w: np.ndarray, s: float) -> "SpacingPlan":
-        if not (s >= 1.0 and math.isfinite(s)):
-            raise DomainError(f"power s must be finite and >= 1, got {s!r}")
         j = np.arange(1, w.size + 1, dtype=np.float64)
         with np.errstate(over="ignore"):  # j**s = inf gives r = 0, its limit; s_n = inf is refused
             r = w / j**s
             squares = float(np.sum(r**2))
-        try:  # Gamma(s+1) leaves the double range past s = 170.6, Gamma(2s+1) past 85.3
-            gamma1 = _gamma_fn(s + 1.0)
-            c2 = _gamma_fn(2.0 * s + 1.0) - gamma1**2
-        except OverflowError:
-            raise DomainError(f"Gamma(2s+1) overflows float64 at s = {s!r}") from None
+        # Gamma via log-gamma, a few ulp of lgamma (well under 1e-12).  Gamma(2s+1)
+        # leaves the double range past s = 85.3, before Gamma(s+1) does past 170.6
+        log_gamma2 = math.lgamma(2.0 * s + 1.0) if s < 86.0 else math.inf
+        if log_gamma2 > _LOG_MAX:
+            raise DomainError(f"Gamma(2s+1) overflows float64 at s = {s!r}")
+        gamma1 = math.exp(math.lgamma(s + 1.0))
+        c2 = math.exp(log_gamma2) - gamma1**2
         an, sn = gamma1 * float(np.sum(r)), math.sqrt(c2 * squares)
         if not (0.0 < an < math.inf and 0.0 < sn < math.inf):
             raise DomainError(f"normalizers a_n = {an!r}, s_n = {sn!r} must be finite and > 0")
@@ -245,12 +255,11 @@ def standardize_dh(ts: TailStatistics, gamma: float) -> tuple[float, float]:
     DomainError unless gamma is a finite real > 0 and both are finite.
     """
     gamma = check_real(gamma, "gamma")
-    try:
+    if gamma > 0.0:
         with np.errstate(over="ignore"):  # a pair that is not finite is refused just below
-            z_a = (ts.t_n - gamma**ts.s * ts.a_n) / ts.s_n
+            gamma_s = float(np.float64(gamma) ** ts.s)  # inf, not OverflowError, past the range
+            z_a = (ts.t_n - gamma_s * ts.a_n) / ts.s_n
             z_b = (ts.a_n / ts.s_n) * (ts.dh_estimate - gamma)
-    except OverflowError:  # gamma**s past the double range
-        z_a = z_b = math.inf
     if not (gamma > 0.0 and np.isfinite(z_a).all() and np.isfinite(z_b).all()):
         raise DomainError(f"gamma must be finite and > 0 and give a finite pair, got {gamma!r}")
     return z_a, z_b

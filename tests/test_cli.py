@@ -68,7 +68,7 @@ def test_eval_moment(capsys):
 
 
 def test_eval_moment_overflow_is_a_usage_error(capsys):
-    # the library raises OverflowError; the command refuses it as exit 2
+    # the library raises DomainError, which the command reports as exit 2
     code, out, err = run(capsys, "eval", "--fn", "moment", "--n", "1000")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "overflows" in err
@@ -285,6 +285,26 @@ def test_hill_bad_k_grid_spec(canon_csv, capsys):
     assert code == 2
 
 
+def test_hill_k_grid_ends_are_checked_before_the_grid_is_built(canon_csv, capsys):
+    # a grid of 1e20 values is refused by its upper end, not built first
+    code, out, err = run(capsys, "hill", "-i", canon_csv, "--k-grid", "1:99999999999999999999")
+    assert code == 2 and out == ""
+    assert err == "error: k must lie in [1, n-1] = [1, 4], got 99999999999999999999\n"
+    # the upper end is the grid's last value, which the step may leave below MAX
+    code, out, _ = run(capsys, "hill", "-i", canon_csv, "--k-grid", "1:6:3")
+    assert code == 0 and [row[0] for row in out.splitlines()[1:]] == ["1", "4"]
+
+
+def test_dhill_k_past_the_sample_builds_no_weights(canon_csv, capsys, monkeypatch):
+    def weights(self, k):
+        raise AssertionError(f"built {k} weights before k was compared with n")
+
+    monkeypatch.setattr(plevt.tail.WeightFunction, "weights", weights)
+    code, out, err = run(capsys, "dhill", "-i", canon_csv, "--k", "1000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: k must lie in [1, n-1]")
+
+
 def test_dhill_json_contract(canon_csv, capsys):
     code, out, _ = run(capsys, "dhill", "-i", canon_csv, "--k", "3", "--f",
                        "pow:0.5", "--s", "2")
@@ -471,7 +491,9 @@ CLI_SWEEPS = [
     (["sample", "-n", "3", "--seed", "1"], {"-n": SMALL_TEXT, "--seed": COUNT_TEXT,
                                             "--stream": COUNT_TEXT, "--beta": REAL_TEXT}),
     (["fit", "-i", "header.csv"], {"-i": FILE_TEXT}),
-    (["hill", "-i", "small.csv"], {"-i": FILE_TEXT, "--k": COUNT_TEXT, "--level": REAL_TEXT}),
+    (["hill", "-i", "small.csv"], {"-i": FILE_TEXT, "--k": COUNT_TEXT, "--level": REAL_TEXT,
+                                   "--k-grid": ["1:3", "3:1", "0:3", "1:2:0", "a:b", "1:99",
+                                                "1:99999999999999999999"]}),
     (["dhill", "-i", "small.csv", "--k", "3"], {"-i": FILE_TEXT, "--k": COUNT_TEXT,
                                                 "--f": SPEC_TEXT, "--s": REAL_TEXT}),
     (["records", "-i", "small.csv"], {"-i": FILE_TEXT}),

@@ -1,12 +1,15 @@
 """The export lists: every name in an ``__all__`` resolves, none is listed
-twice, star imports of the package and its modules succeed, and every
-public callable has an entry in the edge-input contract table."""
+twice, star imports of the package and its modules succeed, every
+public callable has an entry in the edge-input contract table, and every
+name a module imports is used there or exported."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
-from test_contract import CONTRACT, LISTED, RECORDS
+from test_contract import CONTRACT, RECORDS
 
 import plevt
 
@@ -14,6 +17,7 @@ MODULES = [plevt] + [
     importlib.import_module(f"plevt.{info.name}") for info in pkgutil.iter_modules(plevt.__path__)
 ]
 EXPORTING = [m for m in MODULES if hasattr(m, "__all__")]
+SOURCES = sorted(Path(plevt.__file__).parent.glob("*.py"))
 
 
 def test_package_and_library_modules_declare_exports():
@@ -42,4 +46,31 @@ def test_every_public_callable_has_a_contract_entry():
     public = {name for name in plevt.__all__ if callable(obj := getattr(plevt, name))
               and not (isinstance(obj, type) and issubclass(obj, BaseException))}
     assert public - set(CONTRACT) - RECORDS == set()
-    assert RECORDS <= public and set(LISTED) <= set(CONTRACT)
+    assert RECORDS <= public
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "from .errors import DomainError, check_real\n__all__ = ['check_real']\n"
+    assert unused_imports(source) == ["DomainError"]
+    assert unused_imports("import numpy as np\nimport os.path\nos.sep\n") == ["np"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
