@@ -42,6 +42,8 @@ _EPS = float(np.finfo(np.float64).eps)
 #: Residual tolerance and step cap of both solvers (see quantile_exact).
 _TOL = 1e-13
 _MAXITER = 200
+#: Elements per block of the array solver: its temporaries stay in cache.
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,19 +85,8 @@ def _solve_scaled(L: float, beta: float):
     return y, iterations
 
 
-def _solve_scaled_array(log_inv_u, beta):
-    """Solve log1p(y/beta) - y + L = 0 elementwise for y = theta * x.
-
-    L = log(1/u) is the log of the tail mass, so y is the upper quantile
-    in the scale-free variable theta*x (theta enters only as the caller's
-    final division).  h(y) is strictly decreasing and concave on y >= 0,
-    so a Newton iteration started left of the root overshoots once and
-    then converges monotonically from the right; a bisection bracket is
-    kept as a safeguard.
-    """
-    L = np.asarray(log_inv_u, dtype=np.float64)
-    scalar = L.ndim == 0
-    L = np.atleast_1d(L)
+def _solve_block(L, beta):
+    """The array Newton loop of :func:`_solve_scaled_array` on one 1-d block."""
     y = L + np.log1p(L / beta)  # first fixed-point iterate; lands left of root
     lo = y.copy()
     hi = np.full_like(y, np.inf)
@@ -118,7 +109,32 @@ def _solve_scaled_array(log_inv_u, beta):
         if np.array_equal(newy, y):
             break
         y = newy
-    return float(y[0]) if scalar else y
+    return y
+
+
+def _solve_scaled_array(log_inv_u, beta):
+    """Solve log1p(y/beta) - y + L = 0 elementwise for y = theta * x.
+
+    L = log(1/u) is the log of the tail mass, so y is the upper quantile
+    in the scale-free variable theta*x (theta enters only as the caller's
+    final division).  h(y) is strictly decreasing and concave on y >= 0,
+    so a Newton iteration started left of the root overshoots once and
+    then converges monotonically from the right; a bisection bracket is
+    kept as a safeguard.
+
+    The loop runs over blocks of ``_BLOCK`` elements of the flattened
+    input, so that the fifteen or so temporaries of each step stay in
+    cache rather than being fresh arrays the size of the input.  The bits
+    do not depend on the block size: every step is elementwise, and the
+    only coupling, the stop, fires once every element of the block sits
+    at a fixed point, which further steps would not move.
+    """
+    L = np.asarray(log_inv_u, dtype=np.float64)
+    flat = L.ravel()
+    y = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        y[start:start + _BLOCK] = _solve_block(flat[start:start + _BLOCK], beta)
+    return float(y[0]) if L.ndim == 0 else y.reshape(L.shape)
 
 
 def _check_finite(x: float, p: Params) -> float:

@@ -34,6 +34,7 @@ __all__ = [
 
 _U64 = 1 << 64
 _MIN_UNIFORM = 2.0**-53
+_CSV_BLOCK = 2**16  # values per write in write_values_csv
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,6 +262,11 @@ def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:
 
 
 def write_values_csv(values, fh) -> None:
-    """Write a finite 1-d sample one value per line with full round-trip precision."""
-    for v in check_sample(values, "values"):
-        fh.write(repr(float(v)) + "\n")
+    """Write a finite 1-d sample one value per line with full round-trip precision.
+
+    Each block of ``_CSV_BLOCK`` values is joined into one string and
+    written with one call, so memory stays bounded at any sample size.
+    """
+    values = check_sample(values, "values")
+    for start in range(0, values.size, _CSV_BLOCK):
+        fh.write("\n".join(map(repr, values[start:start + _CSV_BLOCK].tolist())) + "\n")

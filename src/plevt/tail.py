@@ -272,8 +272,13 @@ def check_k1(n: int, k: int) -> float:
 
 
 def default_k(n: int) -> int:
-    """Default top-sample size ``max(5, floor((log n)**(4/5)))``."""
-    return max(5, int(math.floor(math.log(check_int(n, "n", 2)) ** 0.8)))
+    """Default top-sample size ``min(max(5, floor((log n)**(4/5))), n - 1)``.
+
+    The cap keeps k a valid spacing count (at most n - 1); it binds only
+    for n <= 5.
+    """
+    n = check_int(n, "n", 2)
+    return min(max(5, int(math.floor(math.log(n) ** 0.8))), n - 1)
 
 
 def check_dh_conditions(f: WeightFunction, n: int, k: int, s: float) -> dict:

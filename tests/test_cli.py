@@ -233,6 +233,20 @@ def test_hill_matches_library(canon_csv, capsys):
     assert h == hill(sample, 2)
 
 
+@pytest.mark.parametrize("command", ["hill", "dhill"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_default_k_on_a_small_file_is_n_minus_one(tmp_path, capsys, command, n):
+    # with no --k the default is capped at n - 1, so a tiny file is accepted
+    p = tmp_path / "small.csv"
+    p.write_text("".join(f"{v}\n" for v in (0.1, 0.5, 1.2, 2.0, 3.5)[:n]))
+    code, out, err = run(capsys, command, "-i", str(p))
+    assert (code, err) == (0, "")
+    if command == "hill":
+        assert out.splitlines()[1].split(",")[0] == str(n - 1)
+    else:
+        assert json.loads(out)["k"] == n - 1
+
+
 def test_hill_k_out_of_range(canon_csv, capsys):
     code, _, err = run(capsys, "hill", "-i", canon_csv, "--k", "5")
     assert code == 2

@@ -120,6 +120,8 @@ def test_k_only_for_spacings_kinds():
     with pytest.raises(ParameterError):
         Experiment(kind="hill_clt", n=100, k=0)
     assert Experiment(kind="hill_clt", n=100, k=99).k == 99
+    # with no k, the default is capped at n - 1
+    assert [Experiment(kind=kind, n=5).k for kind in ("hill_clt", "dh_clt")] == [4, 4]
 
 
 def test_weight_and_power_only_for_dh():

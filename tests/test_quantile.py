@@ -1,7 +1,9 @@
 """Quantile solvers, Lambert-W cross-check, and the tail expansion."""
 
+import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from plevt import (
     DomainError,
     Params,
+    SeedSpec,
     quantile_exact,
     quantile_from_log_tail,
     quantile_tail_expansion,
@@ -19,7 +22,8 @@ from plevt import (
 )
 import plevt.distribution
 import plevt.quantile
-from plevt.quantile import _quantiles_at_log_tails, _solve_scaled_array
+from plevt.quantile import _BLOCK, _quantiles_at_log_tails, _solve_scaled_array
+from plevt.sampling import top_order_statistics_rows
 
 from oracles import (
     expansion_terms,
@@ -292,6 +296,65 @@ def test_log_tail_array_refuses_non_finite_or_non_positive(bad):
 def test_overflowing_quantile_values_raises():
     with pytest.raises(DomainError):
         quantile_values(np.array([0.5, 0.1]), Params(1e-310, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# the array solver runs in blocks of _BLOCK elements: same bits, less memory
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_blocked_solve_bits_pinned():
+    # digests recorded with the whole-array solver, before it ran in blocks;
+    # the inputs are fixed, so they also pin that no block size moves a bit
+    p = Params(1.3, 2.5)
+    u = np.logspace(-300, np.log10(0.9), 49_159)  # 3 blocks of 2**14, and 7
+    assert _sha256(quantile_values(u, p)) == (
+        "583b9d798c41b055d5b57ec236a2af457b02ddd57158a59c904199cca13643ad")
+    rows = np.exp(-np.random.default_rng(11).uniform(1e-3, 700.0, size=(1000, 21)))
+    got = quantile_values(rows, p)  # (reps, k+1), 21000 values over two blocks
+    assert got.shape == (1000, 21)
+    assert _sha256(got) == "ce3978e9ba10e4418c117afe2cca2af32e300b519b7ddacb5c78896899a1b80d"
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 0])
+def test_blocked_solve_does_not_depend_on_position(size):
+    # reversing the input moves every value to another block and other
+    # neighbours; the copy keeps it contiguous, as numpy's strided log can
+    # differ from its contiguous one in the last bit
+    p = Params(0.7, 1.0 + 1e-7)
+    u = np.exp(-np.random.default_rng(size).uniform(-300.0, 300.0, size) ** 2 / 100.0)
+    u = np.clip(u, 1e-300, 0.99)
+    got = quantile_values(u, p)
+    assert _sha256(quantile_values(u[::-1].copy(), p)) == _sha256(got[::-1])
+    for i in (0, size - 1)[:size]:  # a 0-d input takes the same path as one element
+        assert quantile_values(u[i], p) == got[i]
+
+
+def _peak_bytes(call):
+    """Peak of traced allocations during ``call()`` above those live before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_array_solve_memory_is_bounded():
+    # the whole-array solver peaked at 13.5x the input bytes and 2788 bytes
+    # per replication of top_order_statistics_rows; blocked, 3.0x and 1024
+    p = Params(1.0, 2.0)
+    u = np.linspace(1e-6, 0.9, 200_000)
+    assert _peak_bytes(lambda: quantile_values(u, p)) <= 4 * u.nbytes
+    reps = 20_000
+    peak = _peak_bytes(lambda: top_order_statistics_rows(100_000, 20, p, SeedSpec(1), reps))
+    assert peak <= 1200 * reps
 
 
 # ---------------------------------------------------------------------------

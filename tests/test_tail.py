@@ -313,6 +313,8 @@ def test_check_k1_value():
 def test_default_k_schedule():
     assert default_k(100_000) == 7
     assert default_k(100) >= 5
+    # capped at n - 1, a valid spacing count; only n <= 5 is affected
+    assert [default_k(n) for n in range(2, 8)] == [1, 2, 3, 4, 5, 5]
     # the schedule respects the growth condition across scales
     for n in (10**3, 10**5, 10**7):
         assert check_k1(n, default_k(n)) < 1.5
