@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -88,14 +88,13 @@ def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
         raw = os.environ.get(env_name)
         if raw is None:
             continue
+        conv = action.type or str
         try:
             if isinstance(action, argparse._StoreTrueAction):
                 action.default = raw.strip().lower() in ("1", "true", "yes", "on")
             elif action.nargs in ("+", "*"):
-                conv = action.type or str
                 action.default = [conv(tok) for tok in raw.split(",")]
             else:
-                conv = action.type or str
                 action.default = conv(raw)
         except ValueError:
             parser.error(f"invalid value in {env_name}: {raw!r}")
@@ -120,6 +119,14 @@ def _read_input_values(path: str | None) -> np.ndarray:
     return _read_input(read_values_csv, path)
 
 
+def _read_sample(path: str | None, command: str) -> SortedSample:
+    """The input values sorted, for a command that needs at least 3 of them."""
+    values = _read_input_values(path)
+    if values.size < 3:
+        raise ParameterError(f"{command} needs at least 3 observations, got {values.size}")
+    return SortedSample(np.sort(values))
+
+
 def _read_input(read, arg: str):
     """``read(arg)``, with a file it cannot open an input failure (exit 4)."""
     try:
@@ -142,22 +149,17 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     p = Params(args.theta, args.beta)
-    lines = []
-    if args.fn in ("pdf", "survival", "cdf"):
-        if not args.x:
-            raise ParameterError(f"--fn {args.fn} requires --x")
-        fn = {"pdf": pdf, "survival": survival, "cdf": cdf}[args.fn]
-        for x, v in zip(args.x, fn(args.x, p)):
-            lines.append(f"{float(x)!r}\t{float(v)!r}")
-    elif args.fn == "quantile":
-        if not args.u:
-            raise ParameterError("--fn quantile requires --u")
-        for u, v in zip(args.u, quantile_values(args.u, p)):
-            lines.append(f"{float(u)!r}\t{float(v)!r}")
-    else:  # moment
+    if args.fn == "moment":
         if args.n is None:
             raise ParameterError("--fn moment requires --n (the moment order)")
-        lines.append(f"{args.n}\t{moment(args.n, p)!r}")
+        lines = [f"{args.n}\t{moment(args.n, p)!r}"]
+    else:  # one value per point: x for the law's functions, u for the quantile
+        flag = "u" if args.fn == "quantile" else "x"
+        points = getattr(args, flag)
+        if not points:
+            raise ParameterError(f"--fn {args.fn} requires --{flag}")
+        fn = {"pdf": pdf, "survival": survival, "cdf": cdf, "quantile": quantile_values}[args.fn]
+        lines = [f"{float(x)!r}\t{float(v)!r}" for x, v in zip(points, fn(points, p))]
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -223,19 +225,15 @@ def _two_sided_z(level: float) -> float:
 
 
 def cmd_hill(args: argparse.Namespace) -> int:
-    values = _read_input_values(args.input)
-    n = int(values.size)
-    if n < 3:
-        raise ParameterError(f"hill needs at least 3 observations, got {n}")
-    sample = SortedSample(np.sort(values))
+    sample = _read_sample(args.input, "hill")
     if args.k is not None and args.k_grid is not None:
         raise ParameterError("--k and --k-grid are mutually exclusive")
     if args.k_grid is not None:
-        ks = _parse_k_grid(args.k_grid, n)
+        ks = _parse_k_grid(args.k_grid, sample.n)
     elif args.k is not None:
         ks = [args.k]
     else:
-        ks = [default_k(n)]
+        ks = [default_k(sample.n)]
     z = _two_sided_z(args.level)
     rows = ["k,hill,ci_low,ci_high"]
     for k in ks:
@@ -247,28 +245,13 @@ def cmd_hill(args: argparse.Namespace) -> int:
 
 
 def cmd_dhill(args: argparse.Namespace) -> int:
-    values = _read_input_values(args.input)
-    n = int(values.size)
-    if n < 3:
-        raise ParameterError(f"dhill needs at least 3 observations, got {n}")
-    sample = SortedSample(np.sort(values))
+    sample = _read_sample(args.input, "dhill")
     weight = _read_input(WeightFunction.from_spec, args.f)
-    k = _top_count(n, args.k if args.k is not None else default_k(n))  # before f(1..k) is built
-    plan = SpacingPlan.build(weight, k, args.s)
+    k = args.k if args.k is not None else default_k(sample.n)
+    plan = SpacingPlan.build(weight, sample.n, k, args.s)
     ts = plan.rows(sample.values)
-    payload = {
-        "n": n,
-        "k": ts.k,
-        "s": ts.s,
-        "weight": weight.label,
-        "hill": ts.hill,
-        "t_n": ts.t_n,
-        "a_n": ts.a_n,
-        "s_n": ts.s_n,
-        "b_n": ts.b_n,
-        "dh_estimate": ts.dh_estimate,
-        "conditions": plan.conditions(n),
-    }
+    payload = {"n": sample.n, "weight": weight.label, "conditions": plan.conditions(),
+               **asdict(ts)}
     _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -299,14 +282,6 @@ def cmd_records(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     p = Params(args.theta, args.beta)
     seed = _resolve_seed(args)
-    overrides = {}
-    if args.ks is not None:
-        overrides["ks"] = args.ks
-    if args.mean_window is not None:
-        overrides["mean_window"] = args.mean_window
-    if args.var_window is not None:
-        overrides["var_window"] = args.var_window
-
     if args.all:
         if args.kind is not None:
             raise ParameterError("--all and --kind are mutually exclusive")
@@ -322,35 +297,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"{', '.join(given)} (as a flag or a PLEVT_* variable)"
             )
         results = run_suite(standard_suite(p, seed), workers=args.workers)
-        _write_text(args.output, suite_to_json(results, stable=args.stable_json) + "\n")
-        if args.csv is not None:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                write_csv_summary(results, fh)
-        return EXIT_OK if all(r.passed for _, r in results) else EXIT_VERIFY_FAILED
-
-    if args.kind is None:
+        text = suite_to_json(results, stable=args.stable_json)
+    elif args.kind is None:
         raise ParameterError("verify requires --kind (or --all)")
-    thresholds = (
-        replace(default_thresholds(args.kind), **overrides) if overrides else None
-    )
-    experiment = Experiment(
-        kind=args.kind,
-        params=p,
-        n=args.n,
-        k=args.k,
-        weight=None if args.f is None else _read_input(WeightFunction.from_spec, args.f),
-        s=args.s,
-        reps=args.reps,
-        seed=seed,
-        thresholds=thresholds,
-        rerun_on_fail=not args.no_rerun,
-    )
-    report = run_experiment(experiment, workers=args.workers)
-    _write_text(args.output, report_to_json(report, stable=args.stable_json) + "\n")
+    else:
+        overrides = {"ks": args.ks, "mean_window": args.mean_window, "var_window": args.var_window}
+        overrides = {name: value for name, value in overrides.items() if value is not None}
+        thresholds = (
+            replace(default_thresholds(args.kind), **overrides) if overrides else None
+        )
+        experiment = Experiment(
+            kind=args.kind,
+            params=p,
+            n=args.n,
+            k=args.k,
+            weight=None if args.f is None else _read_input(WeightFunction.from_spec, args.f),
+            s=args.s,
+            reps=args.reps,
+            seed=seed,
+            thresholds=thresholds,
+            rerun_on_fail=not args.no_rerun,
+        )
+        report = run_experiment(experiment, workers=args.workers)
+        results = [(experiment, report)]
+        text = report_to_json(report, stable=args.stable_json)
+    _write_text(args.output, text + "\n")
     if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            write_csv_summary([(experiment, report)], fh)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+            write_csv_summary(results, fh)
+    return EXIT_OK if all(r.passed for _, r in results) else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,13 @@ def check_real_array(values, name: str) -> np.ndarray:
     """``values`` as a float64 array; a dtype other than integer or float raises DomainError.
 
     Strings, bools, ``None`` (object arrays) and complex numbers are refused
-    by one look at the dtype: no value is scanned, and float64 input is not copied.
+    by one look at the dtype: no value is scanned, and C-order float64 input is not copied.
+    Other layouts are copied to C order, as numpy's strided loops can differ in the last bit.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
-    return np.asarray(arr, dtype=np.float64)
+    return np.asarray(arr, dtype=np.float64, order="C")
 
 
 def check_int_array(values, name: str) -> np.ndarray:

@@ -333,8 +333,8 @@ def _run_spacings_clt(e: Experiment) -> McReport:
     k = e.k
     weight = WeightFunction.identity() if e.weight is None else e.weight
     s = 1.0 if e.s is None else e.s
-    plan = SpacingPlan.build(weight, k, s)
-    diag = plan.conditions(e.n)
+    plan = SpacingPlan.build(weight, e.n, k, s)
+    diag = plan.conditions()
     bounds = {"k1": _K1_BOUND, "ratio1": _RATIO1_BOUND, "bn": _BN_BOUND}  # read at call time
     for key, what in _KINDS[e.kind].guards:
         if diag[key] > bounds[key]:

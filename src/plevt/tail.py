@@ -18,8 +18,8 @@ ratio) vanishes and s_n(f,1) / (s_n(f,s) log n) tends to zero; the Hill
 case additionally wants k to grow slower than (log n)^{4/3}, tracked by
 the diagnostic ``check_k1 = k**(3/4) / log n``.
 
-``SpacingPlan`` builds a_n, s_n and b_n once per (f, k, s), in one pass over
-the ratios f(j)/j**s; samples are reduced and diagnostics read against it.
+``SpacingPlan`` owns 1 <= k <= n - 1 and builds a_n, s_n and b_n once per (f, n, k, s),
+in one pass over the ratios f(j)/j**s; samples are reduced and diagnostics read against it.
 Normalizers that are not finite and > 0, Gamma(2s+1) past the double range
 (s above about 85.3), an overflowing spacing, t_n or t_n / a_n raise DomainError.
 """
@@ -175,10 +175,11 @@ def hill(sample: SortedSample, k: int) -> float:
 @dataclass(frozen=True, slots=True)
 class SpacingPlan:
     """The weights ``w = f(1..k)`` at power s with ``a_n``, ``s_n`` and
-    ``b_n``, built once per (f, k, s) before any spacing is reduced against
-    them.  s_n(f, 1) waits for :meth:`conditions`: a statistic that is
-    finite is not refused for a diagnostic it does not need."""
+    ``b_n``, built once per (f, n, k, s) of a sample of n values before any
+    spacing is reduced against them.  s_n(f, 1) waits for :meth:`conditions`:
+    a statistic that is finite is not refused for a diagnostic it does not need."""
 
+    n: int
     s: float
     w: np.ndarray
     a_n: float
@@ -186,11 +187,13 @@ class SpacingPlan:
     b_n: float
 
     @classmethod
-    def build(cls, f: WeightFunction, k: int, s: float) -> "SpacingPlan":
-        return cls._of(f.weights(k), _power(s))
+    def build(cls, f: WeightFunction, n: int, k: int, s: float) -> "SpacingPlan":
+        n = check_int(n, "n", 2)
+        k = _top_count(n, k)  # before f(1..k) is built
+        return cls._of(n, f.weights(k), _power(s))
 
     @classmethod
-    def _of(cls, w: np.ndarray, s: float) -> "SpacingPlan":
+    def _of(cls, n: int, w: np.ndarray, s: float) -> "SpacingPlan":
         j = np.arange(1, w.size + 1, dtype=np.float64)
         with np.errstate(over="ignore"):  # j**s = inf gives r = 0, its limit; s_n = inf is refused
             r = w / j**s
@@ -205,10 +208,10 @@ class SpacingPlan:
         an, sn = gamma1 * float(np.sum(r)), math.sqrt(c2 * squares)
         if not (0.0 < an < math.inf and 0.0 < sn < math.inf):
             raise DomainError(f"normalizers a_n = {an!r}, s_n = {sn!r} must be finite and > 0")
-        return cls(float(s), w, an, sn, float(np.max(r)) / sn)
+        return cls(n, float(s), w, an, sn, float(np.max(r)) / sn)
 
-    def conditions(self, n: int) -> dict:
-        """CLT condition diagnostics at sample size n.
+    def conditions(self) -> dict:
+        """CLT condition diagnostics at the plan's sample size n.
 
         k1     = k**(3/4) / log n                (Hill growth, must be small),
         ratio1 = s_n(f,1) / (s_n(f,s) * log n)  (must be small),
@@ -216,7 +219,8 @@ class SpacingPlan:
         growth = a_n / s_n                      (must diverge for the
                                                  point-estimate form).
         """
-        sn1 = self._of(self.w, 1.0).s_n
+        n = self.n
+        sn1 = self._of(n, self.w, 1.0).s_n
         return {"k1": check_k1(n, self.w.size), "ratio1": sn1 / (self.s_n * math.log(n)),
                 "bn": self.b_n, "growth": self.a_n / self.s_n}
 
@@ -242,8 +246,7 @@ class SpacingPlan:
 
 def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> TailStatistics:
     """All weighted-spacing statistics of the sample at (f, k, s)."""
-    _top_count(sample.n, k)  # before f(1..k) is built
-    ts = SpacingPlan.build(f, k, s).rows(sample.values)
+    ts = SpacingPlan.build(f, sample.n, k, s).rows(sample.values)
     return replace(ts, hill=float(ts.hill), t_n=float(ts.t_n), dh_estimate=float(ts.dh_estimate))
 
 
@@ -283,4 +286,4 @@ def default_k(n: int) -> int:
 
 def check_dh_conditions(f: WeightFunction, n: int, k: int, s: float) -> dict:
     """``ratio1``, ``bn`` and ``growth`` of :meth:`SpacingPlan.conditions` at n."""
-    return {key: v for key, v in SpacingPlan.build(f, k, s).conditions(n).items() if key != "k1"}
+    return {key: v for key, v in SpacingPlan.build(f, n, k, s).conditions().items() if key != "k1"}

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving plevt.cli.main with in-process argv lists."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -882,6 +883,14 @@ def test_numpy_is_the_only_runtime_dependency():
     assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
+@pytest.fixture
+def expo_csv(tmp_path):
+    """The exponential quantiles ``log(n / (i + 1/2))`` of HILL_PINNED, n = 200."""
+    p = tmp_path / "expo.csv"
+    p.write_text("".join(f"{math.log(200 / (i + 0.5))!r}\n" for i in range(200)))
+    return str(p)
+
+
 HILL_PINNED = """\
 k,hill,ci_low,ci_high
 5,1.0276582872996218,0.12689263447117893,1.9284239401280647
@@ -897,13 +906,11 @@ k,hill,ci_low,ci_high
 """
 
 
-def test_hill_k_grid_output_is_pinned(tmp_path, capsys):
+def test_hill_k_grid_output_is_pinned(expo_csv, capsys):
     # exponential quantiles log(n / (i + 1/2)); every byte is pinned, and
     # every bound lies within 4 ulp of h -/+ ndtri(0.975) h / sqrt(k), in
     # ulp of h, since the low bound cancels
-    p = tmp_path / "expo.csv"
-    p.write_text("".join(f"{math.log(200 / (i + 0.5))!r}\n" for i in range(200)))
-    code, out, _ = run(capsys, "hill", "-i", str(p), "--k-grid", "5:50:5")
+    code, out, _ = run(capsys, "hill", "-i", expo_csv, "--k-grid", "5:50:5")
     assert code == 0 and out == HILL_PINNED
     z = float(ndtri(0.975))
     for row in out.splitlines()[1:]:
@@ -911,3 +918,51 @@ def test_hill_k_grid_output_is_pinned(tmp_path, capsys):
         half = z * h / math.sqrt(k)
         assert abs(low - (h - half)) <= 4 * math.ulp(h)
         assert abs(high - (h + half)) <= 4 * math.ulp(h)
+
+
+DHILL_PINNED = {
+    ("identity", "1", None): (
+        '{"a_n": 5.0, "b_n": 0.4472135954999581, '
+        '"conditions": {"bn": 0.4472135954999581, "growth": 2.2360679774997907, '
+        '"k1": 0.6310874365498043, "ratio1": 0.18873916581775485}, '
+        '"dh_estimate": 1.0276582872996218, "hill": 1.0276582872996218, "k": 5, '
+        '"n": 200, "s": 1.0, "s_n": 2.236067977499789, "t_n": 5.138291436498109, '
+        '"weight": "identity"}\n'
+    ),
+    ("pow:0.5", "2", "20"): (
+        '{"a_n": 4.341364142887198, "b_n": 0.20405037378575935, '
+        '"conditions": {"bn": 0.20405037378575935, "growth": 0.8858569760962255, '
+        '"k1": 1.7849848236240067, "ratio1": 0.0730490029453039}, '
+        '"dh_estimate": 0.7434521731263013, "hill": 1.0074680845640578, "k": 20, '
+        '"n": 200, "s": 2.0, "s_n": 4.900750640378341, "t_n": 2.3995637109749706, '
+        '"weight": "pow:0.5"}\n'
+    ),
+    ("log1p", "3", "9"): (
+        '{"a_n": 5.662925145805988, "b_n": 0.03737169365897888, '
+        '"conditions": {"bn": 0.03737169365897888, "growth": 0.30532202928651614, '
+        '"k1": 0.9807174737235556, "ratio1": 0.01295341117857665}, '
+        '"dh_estimate": 0.5930218165948319, "hill": 1.0160730788428767, "k": 9, '
+        '"n": 200, "s": 3.0, "s_n": 18.547384736827695, "t_n": 1.1810079840128531, '
+        '"weight": "log1p"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("f, s, k", sorted(DHILL_PINNED, key=str), ids=str)
+def test_dhill_output_is_pinned(expo_csv, capsys, f, s, k):
+    """Every byte of the dhill JSON on HILL_PINNED's file, recorded on
+    numpy 2.4, x86-64 with AVX-512; the last bits depend on the platform's
+    vector math, so another platform may need the figures re-recorded."""
+    flags = ["--f", f, "--s", s] + ([] if k is None else ["--k", k])
+    code, out, err = run(capsys, "dhill", "-i", expo_csv, *flags)
+    assert (code, out, err) == (0, DHILL_PINNED[f, s, k], "")
+
+
+def test_verify_all_output_is_pinned(capsys):
+    """SHA-256 of ``verify --all --seed 7 --stable-json``, which misses on
+    correct code (exit 1); recorded on numpy 2.4, x86-64 with AVX-512, with
+    the same platform caveat as ``test_report_bits_pinned``."""
+    code, out, _ = run(capsys, "verify", "--all", "--seed", "7", "--stable-json")
+    assert code == 1
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e5f085b5683d345358ab352e093f0d69a9378cef794887cb287fe7b4b1afa213"

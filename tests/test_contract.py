@@ -105,7 +105,8 @@ OBJECTS = {
     "WeightFunction": [WeightFunction.identity(), WeightFunction.log1p(),
                        WeightFunction.power(-400.0), WeightFunction.power(160.0),
                        WeightFunction.table([1.0, 2.0, 3.0])],
-    "TailStatistics": [TS, plevt.tail.SpacingPlan.build(WeightFunction.identity(), 5, 1.0).rows(
+    "TailStatistics": [TS, plevt.tail.SpacingPlan.build(
+        WeightFunction.identity(), 1000, 5, 1.0).rows(
         plevt.sampling.top_order_statistics_rows(1000, 5, P, SeedSpec(4), 3))],
     "Experiment": [QUICK, Experiment(kind="record_clt", n=5, reps=100, rerun_on_fail=False)],
     "experiments": [[QUICK], []],
@@ -299,6 +300,11 @@ EDGES = {
     "standardize_dh at a string gamma": lambda: plevt.standardize_dh(TS, "1"),
     "moment past the double range": lambda: plevt.moment(1000, P),
     "standardized_record of a string": lambda: plevt.standardized_record("1", 5, P),
+    "check_dh_conditions at k = n": lambda: plevt.check_dh_conditions(
+        WeightFunction.identity(), 10, 10, 2.0),
+    # 10**12 weights would ask for 7.3 TiB, which fails at once without the check
+    "check_dh_conditions at k past the sample": lambda: plevt.check_dh_conditions(
+        WeightFunction.identity(), 10, 10**12, 2.0),
 }
 
 

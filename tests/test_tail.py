@@ -200,7 +200,7 @@ def test_overflowing_normalizers_are_refused():
         with pytest.raises(DomainError):
             check_dh_conditions(f, 1000, 20, s)
         with pytest.raises(DomainError):
-            SpacingPlan.build(f, 20, s).rows(top)
+            SpacingPlan.build(f, 1000, 20, s).rows(top)
     diag = check_dh_conditions(WeightFunction.identity(), 1000, 20, 85.0)
     assert all(math.isfinite(v) and v > 0.0 for v in diag.values())
 
@@ -222,7 +222,7 @@ def test_overflowing_spacing_sum_is_refused():
         dh_statistic(s, WeightFunction.identity(), 20, 70.0)
     top = np.stack([np.arange(1.0, 101.0), np.arange(1.0, 101.0) * 1e5])
     with pytest.raises(DomainError):
-        SpacingPlan.build(WeightFunction.identity(), 20, 70.0).rows(top)
+        SpacingPlan.build(WeightFunction.identity(), 100, 20, 70.0).rows(top)
 
 
 def test_overflowing_estimate_ratio_is_refused():
@@ -233,14 +233,21 @@ def test_overflowing_estimate_ratio_is_refused():
         dh_statistic(s, f, 20, 2.0)
 
 
-def test_dh_compares_k_with_n_before_building_weights(monkeypatch):
-    # a k past the sample is refused before f(1..k) is allocated
-    def weights(self, k):
-        raise AssertionError(f"built {k} weights before k was compared with n")
-
-    monkeypatch.setattr(WeightFunction, "weights", weights)
-    with pytest.raises(DomainError, match=r"k must lie in \[1, n-1\]"):
-        dh_statistic(_sorted(np.arange(1.0, 11.0)), WeightFunction.identity(), 10, 1.0)
+def test_dh_compares_k_with_n_before_building_weights():
+    # a k past the sample is refused before f(1..k) is evaluated, by every
+    # caller of the plan; at k = 10**12 f(1..k) would ask for 7.3 TiB
+    sizes = []
+    f = WeightFunction("counted", lambda j: sizes.append(j.size) or j)
+    sample = _sorted(np.arange(1.0, 11.0))
+    for k in (10, 10**12):
+        for call in (lambda: dh_statistic(sample, f, k, 1.0),
+                     lambda: check_dh_conditions(f, 10, k, 2.0),
+                     lambda: SpacingPlan.build(f, 10, k, 2.0)):
+            with pytest.raises(DomainError, match=r"k must lie in \[1, n-1\] = \[1, 9\]"):
+                call()
+    assert sizes == []
+    check_dh_conditions(f, 10, 9, 2.0)
+    assert sizes == [9]  # the counter sees a plan that is built
 
 
 def test_dh_degenerate_sample():
@@ -271,7 +278,7 @@ def test_row_statistics_match_one_sample_loop(f, s):
     # sample must reproduce them bit for bit
     k = 20
     tops = top_order_statistics_rows(10_000, k, Params(1.0, 2.0), SeedSpec(9), 1000)
-    ts = SpacingPlan.build(f, k, s).rows(tops)
+    ts = SpacingPlan.build(f, 10_000, k, s).rows(tops)
     z_a, z_b = standardize_dh(ts, 0.7)
     j = np.arange(1.0, k + 1.0)
     for r, row in enumerate(tops):
@@ -289,7 +296,7 @@ def test_row_statistics_match_one_sample_loop(f, s):
 def test_row_statistics_refuse_a_degenerate_row():
     tops = np.array([[0.0, 1.0, 2.0, 4.0], [1.0, 2.5, 2.5, 2.5]])
     with pytest.raises(DegenerateSampleError):
-        SpacingPlan.build(WeightFunction.identity(), 2, 1.0).rows(tops)
+        SpacingPlan.build(WeightFunction.identity(), 4, 2, 1.0).rows(tops)
 
 
 def test_standardize_dh_linearization():
@@ -333,7 +340,7 @@ def test_power_s_refuses_non_reals(value):
     sample = _sorted(np.arange(1.0, 31.0))
     message = f"power s must be a real number, got {re.escape(repr(value))}"
     for call in (lambda: dh_statistic(sample, WeightFunction.identity(), 5, value),
-                 lambda: SpacingPlan.build(WeightFunction.log1p(), 5, value)):
+                 lambda: SpacingPlan.build(WeightFunction.log1p(), 30, 5, value)):
         with pytest.raises(DomainError, match=message):
             call()
     assert dh_statistic(sample, WeightFunction.identity(), 5, np.int64(2)).s == 2.0
