@@ -89,6 +89,27 @@ def mixture_weights(p: Params) -> MixtureWeights:
     return MixtureWeights(exponential=(p.beta - 1.0) / p.beta, gamma2=1.0 / p.beta)
 
 
+#: Values per block of the array kernels: a block's temporaries stay in
+#: cache, where whole-input ones would each be a fresh array to page in.
+_BLOCK = 2**14
+
+
+def _blockwise(fn, x):
+    """``fn(x)`` for an elementwise ``fn``, evaluated block by block.
+
+    An ``x`` of at most ``_BLOCK`` values goes to ``fn`` whole, so a 0-d x
+    gets fn's scalar; a larger C-order x is split into blocks of its
+    flattened values, and their results fill one output of x's shape.
+    """
+    if x.size <= _BLOCK:
+        return fn(x)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        out[start:start + _BLOCK] = fn(flat[start:start + _BLOCK])
+    return out.reshape(x.shape)
+
+
 def _finish(arr, out):
     """Return ``out`` (a float for a 0-d x) with NaN x refused.
 
@@ -108,6 +129,18 @@ def _finish(arr, out):
     return float(out) if arr.ndim == 0 else out
 
 
+def _pdf_block(x, p: Params):
+    tx = p.theta * x
+    out = p.theta * (p.beta - 1.0 + tx) * np.exp(-tx) / p.beta
+    return _finish(x, np.where(x < 0.0, 0.0, out))
+
+
+def _survival_block(x, p: Params):
+    tx = p.theta * x
+    out = (p.beta + tx) * np.exp(-tx) / p.beta
+    return _finish(x, np.where(x < 0.0, 1.0, out))
+
+
 # NaN from inf*exp(-inf) goes to _finish; a decorator adds 1.3 us a call, a with 2.0 (numpy 2.4)
 @np.errstate(over="ignore", invalid="ignore")
 def pdf(x, p: Params):
@@ -115,10 +148,7 @@ def pdf(x, p: Params):
 
     Tends to 0 as x -> +inf; NaN in x raises DomainError.
     """
-    arr = check_real_array(x, "x")
-    tx = p.theta * arr
-    out = p.theta * (p.beta - 1.0 + tx) * np.exp(-tx) / p.beta
-    return _finish(arr, np.where(arr < 0.0, 0.0, out))
+    return _blockwise(lambda b: _pdf_block(b, p), check_real_array(x, "x"))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for pdf
@@ -127,15 +157,13 @@ def survival(x, p: Params):
 
     Tends to 0 as x -> +inf; NaN in x raises DomainError.
     """
-    arr = check_real_array(x, "x")
-    tx = p.theta * arr
-    out = (p.beta + tx) * np.exp(-tx) / p.beta
-    return _finish(arr, np.where(arr < 0.0, 1.0, out))
+    return _blockwise(lambda b: _survival_block(b, p), check_real_array(x, "x"))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for pdf
 def cdf(x, p: Params):
     """Distribution function ``1 - survival(x)``; 1 at x = +inf."""
-    return 1.0 - survival(x, p)
+    return _blockwise(lambda b: 1.0 - _survival_block(b, p), check_real_array(x, "x"))
 
 
 def moment(n: int, p: Params) -> float:

@@ -10,8 +10,9 @@ equivalently ``y = L + log1p(y/beta)``, which is solved by a bracketed
 Newton iteration on the log of the survival function.  The iteration has
 two implementations: a scalar loop for the one-value entry points and a
 vectorized numpy one for arrays, because a numpy solve on a single value
-costs 30 to 40 times more than the scalar loop.  Expanding the fixed point
-gives the two-term asymptotic
+costs about 26 times the scalar loop (78 us against 3 us, numpy 2.4).
+The array solver steps only the values that have not settled, in blocks
+of 2**14.  Expanding the fixed point gives the two-term asymptotic
 
     Q(u) = (L + log(L) - log(beta)) / theta + O(log(L)/L),
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Params
+from .distribution import Params, _blockwise
 from .errors import DomainError, check_real, check_real_array
 
 __all__ = [
@@ -42,8 +43,6 @@ _EPS = float(np.finfo(np.float64).eps)
 #: Residual tolerance and step cap of both solvers (see quantile_exact).
 _TOL = 1e-13
 _MAXITER = 200
-#: Elements per block of the array solver: its temporaries stay in cache.
-_BLOCK = 2**14
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,30 +85,44 @@ def _solve_scaled(L: float, beta: float):
 
 
 def _solve_block(L, beta):
-    """The array Newton loop of :func:`_solve_scaled_array` on one 1-d block."""
+    """The array Newton loop of :func:`_solve_scaled_array` on one 1-d block.
+
+    A value is written to ``out`` and leaves the working arrays (``at``
+    holds each one's place in ``out``) once it sits at a fixed point of the
+    step: its residual is within tolerance, or its step leaves y unchanged.
+    """
     y = L + np.log1p(L / beta)  # first fixed-point iterate; lands left of root
     lo = y.copy()
     hi = np.full_like(y, np.inf)
+    out = np.empty_like(y)
+    at = np.arange(y.size)
     for _ in range(_MAXITER):
         h = np.log1p(y / beta) - y + L
+        noise = 8.0 * _EPS * np.maximum(1.0, np.abs(L) + y)
+        active = np.abs(h) > np.maximum(_TOL, noise)
+        if not active.all():  # written now; those still active are rewritten later
+            out[at] = y
+            keep = np.flatnonzero(active)
+            at, y, L, lo, hi, h = (a.take(keep) for a in (at, y, L, lo, hi, h))
+        if not at.size:
+            break
         pos = h > 0.0
         lo = np.where(pos, y, lo)
         hi = np.where(pos, hi, y)
-        noise = 8.0 * _EPS * np.maximum(1.0, np.abs(L) + y)
-        active = np.abs(h) > np.maximum(_TOL, noise)
-        if not active.any():
-            break
         hp = 1.0 / (beta + y) - 1.0
-        step = h / hp
-        cand = y - step
+        cand = y - h / hp
         inside = (cand > lo) & (cand < hi)
-        mid = np.where(np.isinf(hi), y + np.maximum(1.0, y), 0.5 * (lo + hi))
-        cand = np.where(inside, cand, mid)
-        newy = np.where(active, cand, y)
-        if np.array_equal(newy, y):
-            break
-        y = newy
-    return y
+        if not inside.all():
+            mid = np.where(np.isinf(hi), y + np.maximum(1.0, y), 0.5 * (lo + hi))
+            cand = np.where(inside, cand, mid)
+        moved = cand != y
+        if not moved.all():
+            out[at] = y
+            keep = np.flatnonzero(moved)
+            at, cand, L, lo, hi = (a.take(keep) for a in (at, cand, L, lo, hi))
+        y = cand
+    out[at] = y
+    return out
 
 
 def _solve_scaled_array(log_inv_u, beta):
@@ -122,18 +135,16 @@ def _solve_scaled_array(log_inv_u, beta):
     then converges monotonically from the right; a bisection bracket is
     kept as a safeguard.
 
-    The loop runs over blocks of ``_BLOCK`` elements of the flattened
-    input, so that the fifteen or so temporaries of each step stay in
-    cache rather than being fresh arrays the size of the input.  The bits
-    do not depend on the block size: every step is elementwise, and the
-    only coupling, the stop, fires once every element of the block sits
-    at a fixed point, which further steps would not move.
+    The loop runs over blocks of 2**14 values of the flattened input,
+    so that the temporaries of each step stay in cache rather than being
+    fresh arrays the size of the input, and steps only the values that
+    have not settled.  A value settles once its residual is within
+    tolerance or its step leaves it unchanged; its state depends on its
+    own history only, and a further step would reproduce it.  So the
+    bits depend neither on the block size nor on a value's neighbours.
     """
-    L = np.asarray(log_inv_u, dtype=np.float64)
-    flat = L.ravel()
-    y = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        y[start:start + _BLOCK] = _solve_block(flat[start:start + _BLOCK], beta)
+    L = np.asarray(log_inv_u, dtype=np.float64, order="C")
+    y = _blockwise(lambda block: _solve_block(block, beta), L.reshape(-1))
     return float(y[0]) if L.ndim == 0 else y.reshape(L.shape)
 
 

@@ -1,5 +1,6 @@
 """Distribution core: density, survival, moments, fitting."""
 
+import hashlib
 import math
 import re
 
@@ -154,6 +155,58 @@ def test_lindley_reduction():
         for x in (0.0, 0.4, 2.5, 9.0):
             lindley = theta**2 * (1.0 + x) * math.exp(-theta * x) / (1.0 + theta)
             assert pdf(x, p) == pytest.approx(lindley, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the densities run in blocks over one output array: same bits as one pass
+
+DENSITY_PARAMS = [Params(0.3, 1.0 + 1e-7), Params(1.0, 2.0), Params(7.0, 1e8)]
+
+
+def _density_points():
+    # 1e5 points over several blocks: negatives, +-0, subnormals, +-inf,
+    # 1e308 (7 * 1e308 overflows) and a spread from 1e-320 to 1e308
+    rng = np.random.default_rng(24)
+    x = rng.uniform(-5.0, 100.0, 100_000)
+    x[::7] = 10.0 ** rng.uniform(-320.0, 308.0, x[::7].size)
+    x[:9] = [-np.inf, -1e308, -5.0, -0.0, 0.0, 5e-324, 1e300, 1e308, np.inf]
+    return x
+
+
+@pytest.mark.parametrize("fn, digest", [
+    (pdf, "57697fe36cab5648dac28bbb45458e101e7e48b7caf2535e2efc4b557c1e17fb"),
+    (survival, "2f0ba820365c88fe92afc80d853412b3d9452815d68ce2853eba6c30ca399ca1"),
+    (cdf, "ec264ad0cd93005ded7e03d98eeb2512d7225b134f9c4cef53d84a2b64fe9b31"),
+], ids=["pdf", "survival", "cdf"])
+def test_density_bits_pinned(fn, digest):
+    # digests recorded with the whole-array expressions, before the blocks
+    x = _density_points()
+    before = x.copy()
+    h = hashlib.sha256()
+    for p in DENSITY_PARAMS:
+        flat = fn(x, p)
+        grid = fn(x[:99_000].reshape(330, 300), p)
+        assert grid.shape == (330, 300)
+        backwards = fn(x[::-1], p)
+        np.testing.assert_array_equal(backwards, flat[::-1])
+        for out in (flat, grid, backwards):
+            h.update(np.ascontiguousarray(out).tobytes())
+    assert h.hexdigest() == digest
+    assert x.tobytes() == before.tobytes()  # the caller's array is read, not written
+
+
+@pytest.mark.parametrize("fn", [pdf, survival, cdf])
+def test_density_scalar_and_nan_contract(fn):
+    p = Params(1.0, 2.0)
+    for x in (1.5, np.float64(1.5), np.array(1.5), np.inf, -2.0):
+        assert type(fn(x, p)) is float
+    assert fn(1.5, p) == fn(np.array([1.5]), p)[0]
+    x = _density_points()
+    x[70_000] = math.nan  # past the first blocks, which hold +inf and overflow
+    before = x.copy()
+    with pytest.raises(DomainError, match="NaN"):
+        fn(x, p)
+    assert x.tobytes() == before.tobytes()
 
 
 def test_mixture_weights_sum_to_one():

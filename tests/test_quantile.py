@@ -22,7 +22,8 @@ from plevt import (
 )
 import plevt.distribution
 import plevt.quantile
-from plevt.quantile import _BLOCK, _quantiles_at_log_tails, _solve_scaled_array
+from plevt.distribution import _BLOCK
+from plevt.quantile import _quantiles_at_log_tails, _solve_scaled, _solve_scaled_array
 from plevt.sampling import top_order_statistics_rows
 
 from oracles import (
@@ -333,6 +334,33 @@ def test_blocked_solve_does_not_depend_on_position(size):
     assert _sha256(quantile_values(u[::3], p)) == _sha256(got[::3])
     for i in (0, size - 1)[:size]:  # a 0-d input takes the same path as one element
         assert quantile_values(u[i], p) == got[i]
+
+
+@pytest.mark.parametrize("beta, steps", [
+    (1.0 + 1e-7, {1, 2, 3, 4}), (2.0, {1, 2, 3, 4}), (1e8, {1}),
+], ids=["beta=1+1e-7", "beta=2", "beta=1e8"])
+def test_each_quantile_is_independent_of_its_neighbours(beta, steps):
+    # a settled value leaves the solve while its neighbours step on, so its
+    # bits must be those of the same value solved alone.  Subnormal L settle
+    # at the first residual check and the positive grid takes from 1 to 14
+    # Newton steps (by beta); no L > 0 was seen to reach the bracket
+    # fallback or a step that leaves y unchanged, so L <= 0, which the
+    # public entry points refuse, stand in for those
+    rng = np.random.default_rng(5)
+    distinct = np.concatenate([
+        [5e-324, 1e-310, 1e-300],
+        np.logspace(-12.0, 300.0, 60),
+        rng.uniform(0.01, 800.0, 30),
+        -np.logspace(-12.0, 8.0, 12),
+        [0.0],
+    ])
+    L = rng.permutation(np.resize(distinct, _BLOCK + 500))  # each value in both blocks
+    with np.errstate(all="ignore"):  # L <= 0 meets log1p(-1) and NaN
+        alone = {v: _solve_scaled_array(v, beta) for v in distinct.tolist()}
+        got = _solve_scaled_array(L, beta)
+    assert _sha256(got) == _sha256(np.array([alone[v] for v in L.tolist()]))
+    # the scalar loop's residual checks: 1 means settled at the first one
+    assert {_solve_scaled(v, beta)[1] for v in distinct if v > 0.0} >= steps
 
 
 def _peak_bytes(call):
