@@ -110,7 +110,7 @@ def _resolve_seed(args: argparse.Namespace) -> SeedSpec:
             file=sys.stderr,
         )
         seed = DEFAULT_MASTER_SEED
-    return SeedSpec(seed, getattr(args, "stream", 0) or 0)
+    return SeedSpec(seed, args.stream)
 
 
 def _read_input_values(path: str | None) -> np.ndarray:
@@ -296,7 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--all runs the standard suite at its defaults and takes no "
                 f"{', '.join(given)} (as a flag or a PLEVT_* variable)"
             )
-        results = run_suite(standard_suite(p, seed), workers=args.workers)
+        results = run_suite(standard_suite(p, seed))
         text = suite_to_json(results, stable=args.stable_json)
     elif args.kind is None:
         raise ParameterError("verify requires --kind (or --all)")
@@ -318,7 +318,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             thresholds=thresholds,
             rerun_on_fail=not args.no_rerun,
         )
-        report = run_experiment(experiment, workers=args.workers)
+        report = run_experiment(experiment)
         results = [(experiment, report)]
         text = report_to_json(report, stable=args.stable_json)
     _write_text(args.output, text + "\n")
@@ -421,10 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=float, default=None, help="spacing power (dh_clt)")
     sub.add_argument("--reps", type=int, default=None, help="replications")
     _add_seed(sub)
-    sub.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted for compatibility; replications run serially",
-    )
+    sub.add_argument("--workers", type=int, default=1, help="ignored: replications run serially")
     sub.add_argument("--ks", type=float, default=None, help="override KS threshold")
     sub.add_argument("--mean-window", type=float, default=None, help="override mean window")
     sub.add_argument("--var-window", type=float, default=None, help="override variance window")

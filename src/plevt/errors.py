@@ -1,4 +1,4 @@
-"""Exception types, and the integer, real and array checks shared across the package."""
+"""Exception types, and the integer, real, bool and array checks shared across the package."""
 
 import math
 import sys
@@ -84,6 +84,14 @@ def check_real(value, name: str, error=DomainError) -> float:
             raise error(f"{name} must be a real number, got {value!r}")
         value = float(value)
     return value
+
+
+def check_bool(value, name: str, error=DomainError) -> bool:
+    """``value`` as a bool; anything but a ``bool`` or ``np.bool_`` (a string,
+    ``None``, 0 or 1, NaN) raises ``error``, since its truth value is no flag."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def check_real_array(values, name: str) -> np.ndarray:

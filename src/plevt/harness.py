@@ -21,10 +21,8 @@ Replication r of an experiment draws from the Philox stream
 (:meth:`plevt.sampling.SeedSpec.rngs`, which resets one Philox generator
 per attempt to each replication's stream), so suites are reproducible one
 replication at a time.  An attempt draws every replication in one loop,
-then solves, reduces and standardizes them as arrays.  A thread pool
-measured slower than one thread, so the ``workers`` argument of
-:func:`run_experiment` and :func:`run_suite` is accepted for compatibility
-and changes nothing.
+then solves, reduces and standardizes them as arrays, in one thread: a
+thread pool measured slower than one thread on every replicated kind.
 
 Each kind is one entry of the ``_KINDS`` table: runner, default thresholds,
 n and reps, the optional fields it takes (k for ``hill_clt``; k, weight and
@@ -66,7 +64,7 @@ import numpy as np
 
 from . import gof
 from .distribution import Params, cdf
-from .errors import ExperimentRefusedError, ParameterError, check_int, check_real
+from .errors import ExperimentRefusedError, ParameterError, check_bool, check_int, check_real
 from .quantile import _quantiles_at_log_tails, quantile_exact, quantile_tail_expansion
 from .records import record_log_tails, standardized_record
 from .sampling import (
@@ -154,7 +152,7 @@ class Experiment:
     (``sampler_gof``, ``quantile_error_order``) takes only its default
     thresholds.  ``seed.stream_id`` is the base stream index, replication
     ``r`` uses stream ``stream_id + r``, and every stream the kind uses must
-    lie below 2**64.
+    lie below 2**64.  ``rerun_on_fail`` must be a bool.
     """
 
     kind: str
@@ -176,6 +174,8 @@ class Experiment:
         spec = _KINDS[self.kind]
         set_field = object.__setattr__
         count = partial(check_int, error=ParameterError)
+        rerun = check_bool(self.rerun_on_fail, "rerun_on_fail", ParameterError)
+        set_field(self, "rerun_on_fail", rerun)
         if self.thresholds is None:
             set_field(self, "thresholds", spec.thresholds)
         elif spec.reps is None and self.thresholds != spec.thresholds:
@@ -244,9 +244,10 @@ class McReport:
 
 def report_to_json_dict(report: McReport, *, stable: bool = False) -> dict:
     """Strict JSON dict of a report; ``stable`` zeroes the wall-clock field
-    so equal-seed runs compare byte-identical."""
+    so equal-seed runs compare byte-identical.  A ``stable`` that is not a
+    bool raises DomainError."""
     d = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "extras"}
-    if stable:
+    if check_bool(stable, "stable"):
         d["runtime_ms"] = 0
     return d
 
@@ -476,13 +477,11 @@ REPLICATED_KINDS = frozenset(k for k, spec in _KINDS.items() if spec.reps is not
 STOCHASTIC_KINDS = frozenset(k for k, spec in _KINDS.items() if spec.n is not None)
 
 
-def run_experiment(e: Experiment, workers: int = 1) -> McReport:
+def run_experiment(e: Experiment) -> McReport:
     """Run one experiment, including the single automatic re-run on a miss.
 
     Raises :class:`ExperimentRefusedError` when the configuration violates
     the growth conditions of the limit theorem (no sampling happens then).
-    ``workers`` is accepted for compatibility and ignored: replications run
-    serially (see the module docstring).
     """
     runner = _KINDS[e.kind].run
     t0 = time.perf_counter()
@@ -503,11 +502,13 @@ def run_experiment(e: Experiment, workers: int = 1) -> McReport:
     return replace(report, runtime_ms=runtime_ms)
 
 
-def run_suite(
-    experiments, workers: int = 1
-) -> list[tuple[Experiment, McReport]]:
-    """Run experiments in order; returns (experiment, report) pairs."""
-    return [(e, run_experiment(e, workers=workers)) for e in experiments]
+def run_suite(experiments, workers: int = 1) -> list[tuple[Experiment, McReport]]:
+    """Run experiments in order; returns (experiment, report) pairs.
+
+    ``workers`` is ignored: replications run serially.  It is kept only
+    because the benchmark passes it; ROADMAP item 11 deletes it once item 1
+    has re-based the benchmark."""
+    return [(e, run_experiment(e)) for e in experiments]
 
 
 def standard_suite(

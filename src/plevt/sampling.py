@@ -61,13 +61,14 @@ class SeedSpec:
         - 1`` in turn: replication r draws from stream ``stream_id + r``,
         and draws what ``SeedSpec(master_seed, stream_id + r).rng()`` draws.
 
-        One call builds one Philox generator and resets it to each stream,
-        so every step yields the same object: a yielded generator is valid
-        until the next one is requested.  Separate calls share nothing.  A
-        range past the last stream id is refused here, before anything is
-        drawn."""
+        One call builds one generator, the first stream's :meth:`rng`, and
+        restores its starting state with the key's stream word changed for
+        each stream, so every step yields the same object: a yielded
+        generator is valid until the next one is requested.  Separate calls
+        share nothing.  A range past the last stream id is refused here,
+        before anything is drawn."""
         stop = _stream_stop(self.stream_id, check_int(reps, "reps", 0))
-        return _reset_streams(self.master_seed, self.stream_id, stop)
+        return _reset_streams(self, stop)
 
 
 def _stream_stop(first: int, count: int, error=DomainError) -> int:
@@ -78,24 +79,14 @@ def _stream_stop(first: int, count: int, error=DomainError) -> int:
     return first + count
 
 
-def _reset_streams(master_seed: int, first: int, stop: int) -> Iterator[np.random.Generator]:
-    # the state a fresh Philox(key=master_seed | (stream << 64)) starts in:
-    # counter 0, empty buffer, no spare 32-bit half.  Setting it copies the
-    # arrays, so only the key's stream word changes between streams.
-    key = np.array([master_seed, 0], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bits = np.random.Philox(key=master_seed)
-    rng = np.random.Generator(bits)
-    for stream in range(first, stop):
+def _reset_streams(seed: SeedSpec, stop: int) -> Iterator[np.random.Generator]:
+    rng = seed.rng()
+    bits = rng.bit_generator
+    state = bits.state  # counter 0, empty buffer; key [master_seed, stream_id]
+    key = state["state"]["key"]
+    for stream in range(seed.stream_id, stop):
         key[1] = stream
-        bits.state = state
+        bits.state = state  # copies the arrays, so state stays the fresh one
         yield rng
 
 

@@ -62,7 +62,6 @@ from plevt.harness import (
     report_to_json,
     run_experiment,
     run_suite,
-    suite_to_json,
 )
 from plevt.sampling import SeedSpec, SortedSample
 from plevt.tail import WeightFunction, dh_statistic, hill
@@ -408,7 +407,7 @@ def test_criterion_09_oracle_equivalence(capfd):
 
 def _mini_battery():
     """The full experiment battery at desk scale (same code paths as the
-    default suite: every kind, threading, stream splitting, reruns)."""
+    default suite: every kind, stream splitting, reruns)."""
     return [
         Experiment(kind="quantile_error_order", seed=SEED),
         Experiment(kind="sampler_gof", n=5000, seed=SEED),
@@ -420,20 +419,19 @@ def _mini_battery():
     ]
 
 
+def _stable(results):
+    return [report_to_json(r, stable=True) for _, r in results]
+
+
 def test_criterion_10_determinism(capfd):
-    first = suite_to_json(run_suite(_mini_battery(), workers=1), stable=True)
-    second = suite_to_json(run_suite(_mini_battery(), workers=1), stable=True)
-    parallel = suite_to_json(run_suite(_mini_battery(), workers=2), stable=True)
-    single = report_to_json(
-        run_experiment(Experiment(kind="hill_clt", seed=SEED, rerun_on_fail=False)),
-        stable=True)
-    single2 = report_to_json(
-        run_experiment(Experiment(kind="hill_clt", seed=SEED, rerun_on_fail=False),
-                       workers=4),
-        stable=True)
+    first = _stable(run_suite(_mini_battery()))
+    second = _stable(run_suite(_mini_battery()))
+    # an experiment's reports must not depend on what ran before it
+    reversed_order = _stable(run_suite(_mini_battery()[::-1]))[::-1]
+    hill = Experiment(kind="hill_clt", seed=SEED)  # its defaults: n = 1e5, 3000 reps, rerun
+    single, single2 = (report_to_json(run_experiment(hill), stable=True) for _ in range(2))
     _verdict(capfd, 10, "determinism", [
-        ("repeat", first == second, "byte-identical suite JSON"),
-        ("parallel", first == parallel, "workers=2 byte-identical"),
-        ("full-scale", single == single2,
-         "hill n=1e5 serial == 4 workers, byte-identical"),
+        ("repeat", first == second, "byte-identical suite reports"),
+        ("order", first == reversed_order, "suite run in reverse, byte-identical"),
+        ("full-scale", single == single2, "default hill_clt twice, byte-identical"),
     ])

@@ -603,12 +603,16 @@ def test_verify_stable_json_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_verify_workers_match_serial(capsys):
+def test_verify_workers_match_serial(capsys, monkeypatch):
+    # --workers is ignored, kept so that scripts passing it still exit 0;
+    # neither the flag nor its PLEVT_WORKERS variable changes a byte
     base = ["verify", "--kind", "hill_clt", "--n", "4000", "--k", "5",
-            "--reps", "100", "--seed", "3", "--stable-json"]
-    _, serial, _ = run(capsys, *base, "--workers", "1")
-    _, threaded, _ = run(capsys, *base, "--workers", "4")
-    assert serial == threaded
+            "--reps", "100", "--seed", "7", "--stable-json"]
+    serial = run(capsys, *base)
+    assert serial[0] == 0
+    assert run(capsys, *base, "--workers", "4") == serial
+    monkeypatch.setenv("PLEVT_WORKERS", "4")
+    assert run(capsys, *base) == serial
 
 
 def test_verify_failed_threshold_exits_one(capsys):
@@ -655,7 +659,7 @@ def test_verify_refuses_streams_past_2_64_before_running(capsys, monkeypatch):
     # 2**64, and --all refuses before its first experiment runs
     runs = []
     for module in (plevt.cli, plevt.harness):
-        monkeypatch.setattr(module, "run_experiment", lambda e, workers=1: runs.append(e))
+        monkeypatch.setattr(module, "run_experiment", lambda e: runs.append(e))
     for argv in (["--kind", "max_gumbel", "--reps", "100", "--stream", str(2**64 - 16)],
                  ["--kind", "sampler_gof", "--stream", str(2**64 - 1)],
                  ["--all", "--stream", str(2**64 - 1)],

@@ -10,11 +10,16 @@ Two tests read the table.  One sweeps every adversarial value of a kind
 (strings, bools, ``None``, signed zeros, NaN, the infinities, subnormals,
 1e308, 0-d, 2-d and empty arrays) through each parameter in turn, the
 others held at a valid value; the other lets hypothesis draw all the
-parameters at once.  Object kinds (``Params``, ``SeedSpec``,
-``SortedSample``, ``WeightFunction``, ...) take valid instances only.
-Counts that size an allocation are capped at 1e4, so that no draw asks for
-gigabytes.  Result records, whose constructors check nothing because the
-library fills them from checked values, are listed in ``RECORDS`` instead.
+parameters at once.  A flag (``bool``) must be a ``bool`` or ``np.bool_``:
+a string, ``None``, 0, 1 or NaN is refused, not read for its truth value.
+A kind ending in ``?`` also takes ``None``, which the sweep holds while it
+varies the other parameters, so that an ``Experiment`` is built with its
+kind defaults and each field is swept on a call that can succeed.  Object
+kinds (``Params``, ``SeedSpec``, ``SortedSample``, ``WeightFunction``, ...)
+take valid instances only.  Counts that size an allocation are capped at
+1e4, so that no draw asks for gigabytes.  Result records, whose
+constructors check nothing because the library fills them from checked
+values, are listed in ``RECORDS`` instead.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ ADVERSARIAL = {
     "size": ODD + [0, -1, 1, 2, 10**4, np.int64(7), 1.0, 3.0],
     "real": ODD + [0, 1, -3, 10**6, np.float64(2.5), np.float32(0.5), np.int32(2)],
     "tail mass": ODD + [0.5, 1.0, 1, 2, np.float64(0.25), np.float32(0.5)],
-    # a real, or None where None turns a check off
-    "window": ODD + [0, 1, 0.25],
     # 1-based record positions: integers only, a float is refused, not truncated
     "record indices": ODD + [[1, 2, 3], [0, 1, 2], [3, 2, 1], [1, 2, 2], [1.0, 2.0, 3.0],
                              [1.5, 2.7, 3.1], ["1", "2", "3"], np.array([True, True, True]),
@@ -62,11 +65,13 @@ ADVERSARIAL = {
     "real array": ODD + [[math.nan], [1.0, math.inf], [1e308, -1e308], [-1e308, 1e308],
                          [-0.0, 0.0], [5e-324, 1e-300], [0.1, 0.2, 0.3], [3, 1, 2],
                          np.array([1, 2, 3]), np.array([0.5, 0.75], np.float32)],
+    "bool": NON_NUMBERS + ["no", "False", 0, 1, 0.0, math.nan, np.int64(1), np.array(True)],
 }
 
 #: The value a parameter of each kind holds while another one is swept.
-VALID = {"count": 5, "size": 3, "real": 2.0, "tail mass": 0.25, "window": 0.5,
-         "record indices": np.array([1, 2, 3]), "real array": np.array([0.5, 1.0, 2.0])}
+VALID = {"count": 5, "size": 3, "real": 2.0, "tail mass": 0.25,
+         "record indices": np.array([1, 2, 3]), "real array": np.array([0.5, 1.0, 2.0]),
+         "bool": False}
 
 any_float = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 float_lists = st.lists(any_float, max_size=12)
@@ -83,12 +88,12 @@ DRAWN = {
     "size": _counts(-3, 10**4),
     "real": st.one_of(any_float, st.integers(-10**6, 10**6), st.sampled_from(ODD)),
     "tail mass": st.one_of(st.floats(0.0, 1.0), st.sampled_from(ODD)),
-    "window": st.one_of(any_float, st.sampled_from(ODD)),
     "record indices": st.one_of(st.lists(st.integers(-2, 2**63 - 1), max_size=4),
                                 st.sampled_from(ADVERSARIAL["record indices"])),
     "real array": st.one_of(float_lists, float_lists.map(sorted).map(np.array),
                             st.lists(st.floats(0.0, 1.0), max_size=12).map(np.array),
                             st.sampled_from(ADVERSARIAL["real array"])),
+    "bool": st.sampled_from(ADVERSARIAL["bool"]),
 }
 
 P = Params(1.0, 2.0)
@@ -109,14 +114,17 @@ OBJECTS = {
         WeightFunction.identity(), 1000, 5, 1.0).rows(
         plevt.sampling.top_order_statistics_rows(1000, 5, P, SeedSpec(4), 3))],
     "Experiment": [QUICK, Experiment(kind="record_clt", n=5, reps=100, rerun_on_fail=False)],
+    "Thresholds": [plevt.Thresholds(), plevt.Thresholds(ks=0.1, mean_window=0.2)],
     "experiments": [[QUICK], []],
+    # the values the benchmark passes to run_suite's ignored workers keyword,
+    # which ROADMAP item 11 deletes
+    "worker count": [1, 2],
     "McReport": [plevt.run_experiment(QUICK)],
     "kind name": list(plevt.harness.KINDS) + ["", "nope", "MAX_GUMBEL"],
     "weight spec": ["identity", "log1p", "pow:2", "pow:nan", "pow:x", "bogus", " identity "],
     "label": ["w"],
     "weights": [lambda j: j, np.sqrt],
     "text file": [io.StringIO],  # a fresh one per call
-    "bool": [False, True],
     "csv path": [],  # filled by the fixture below
 }
 
@@ -149,7 +157,7 @@ CONTRACT = {
     # tail estimation
     "WeightFunction": {"label": "label", "f": "weights"},
     "WeightFunction.power": {"a": "real"},
-    "WeightFunction.table": {"values": "real array"},
+    "WeightFunction.table": {"values": "real array", "label": "label"},
     "WeightFunction.from_spec": {"spec": "weight spec"},
     "WeightFunction.weights": {"self": "WeightFunction", "k": "size"},
     "hill": {"sample": "SortedSample", "k": "size"},
@@ -164,15 +172,16 @@ CONTRACT = {
     "simulate_record": {"n": "count", "p": "Params", "seed": "SeedSpec"},
     "standardized_record": {"x_n": "real array", "n": "count", "p": "Params"},
     # harness
-    "Experiment": {"kind": "kind name", "params": "Params", "n": "size", "k": "size",
-                   "s": "real", "reps": "size", "seed": "SeedSpec"},
+    "Experiment": {"kind": "kind name", "params": "Params", "n": "size?", "k": "size?",
+                   "weight": "WeightFunction?", "s": "real?", "reps": "size?", "seed": "SeedSpec",
+                   "thresholds": "Thresholds?", "rerun_on_fail": "bool"},
     "default_thresholds": {"kind": "kind name"},
     "derived_rerun_seed": {"seed": "SeedSpec"},
     "run_experiment": {"e": "Experiment"},
-    "run_suite": {"experiments": "experiments"},
+    "run_suite": {"experiments": "experiments", "workers": "worker count"},
     "standard_suite": {"params": "Params", "seed": "SeedSpec"},
     "report_to_json": {"report": "McReport", "stable": "bool"},
-    "Thresholds": {"ks": "window", "mean_window": "window", "var_window": "window"},
+    "Thresholds": {"ks": "real?", "mean_window": "real?", "var_window": "real?"},
     # not exported by the package, but public in its module
     "gof.ks_two_sample": {"x": "real array", "y": "real array"},
 }
@@ -212,15 +221,19 @@ def assert_finite(value, where: str) -> None:
 
 def not_of_kind(kind: str, value) -> bool:
     """True for a value that a parameter of ``kind`` must refuse, not coerce:
-    a count that is not an integer, record indices whose dtype is not
-    integer, or a real or an array of reals whose dtype is not integer or
-    floating (strings, bools, None, complex)."""
+    a count that is not an integer, a flag that is not a bool, record indices
+    whose dtype is not integer, or a real or an array of reals whose dtype is
+    not integer or floating (strings, bools, None, complex)."""
+    if kind.endswith("?"):
+        return value is not None and not_of_kind(kind[:-1], value)
     if kind in ("count", "size"):
         return not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+    if kind == "bool":
+        return not isinstance(value, (bool, np.bool_))
     if kind == "record indices":
         return np.asarray(value).dtype.kind not in "iu"
     if kind in ADVERSARIAL:
-        return np.asarray(value).dtype.kind not in "iuf" and not (kind == "window" and value is None)
+        return np.asarray(value).dtype.kind not in "iuf"
     return False
 
 
@@ -248,21 +261,34 @@ def csv_path(tmp_path_factory):
 
 
 def _valid(kind: str):
+    if kind.endswith("?"):
+        return None
     return VALID[kind] if kind in VALID else OBJECTS[kind][0]
+
+
+def _swept(kind: str) -> list:
+    base = kind.removesuffix("?")
+    values = ADVERSARIAL.get(base, OBJECTS.get(base))
+    return [None, *values] if kind != base else values
+
+
+def _drawn(kind: str):
+    base = kind.removesuffix("?")
+    strategy = DRAWN[base] if base in DRAWN else st.sampled_from(OBJECTS[base])
+    return st.one_of(st.none(), strategy) if kind != base else strategy
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_every_adversarial_value(name):
     params = CONTRACT[name]
     for param, kind in params.items():
-        for value in ADVERSARIAL.get(kind, OBJECTS.get(kind)):
+        for value in _swept(kind):
             check_call(name, {p: value if p == param else _valid(k) for p, k in params.items()})
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_drawn_values(name):
-    strategies = {p: DRAWN[k] if k in DRAWN else st.sampled_from(OBJECTS[k])
-                  for p, k in CONTRACT[name].items()}
+    strategies = {p: _drawn(k) for p, k in CONTRACT[name].items()}
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(st.fixed_dictionaries(strategies))

@@ -1,15 +1,17 @@
 """The export lists: every name in an ``__all__`` resolves, none is listed
 twice, star imports of the package and its modules succeed, every
-public callable has an entry in the edge-input contract table, and every
-name a module imports is used there or exported."""
+public callable has an entry in the edge-input contract table that gives
+each of its parameters a kind, and every name a module imports is used
+there or exported."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
-from test_contract import CONTRACT, RECORDS
+from test_contract import CONTRACT, RECORDS, resolve
 
 import plevt
 
@@ -47,6 +49,12 @@ def test_every_public_callable_has_a_contract_entry():
               and not (isinstance(obj, type) and issubclass(obj, BaseException))}
     assert public - set(CONTRACT) - RECORDS == set()
     assert RECORDS <= public
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_every_parameter_has_a_contract_kind(name):
+    # a parameter left out of its row is never swept, only held at its default
+    assert set(inspect.signature(resolve(name)).parameters) - set(CONTRACT[name]) == set()
 
 
 def unused_imports(source: str) -> list[str]:

@@ -32,7 +32,7 @@ from plevt.harness import (
 )
 from plevt.quantile import quantile_from_log_tail
 from plevt.records import record_log_tails, standardized_record
-from plevt.sampling import SeedSpec
+from plevt.sampling import SeedSpec, top_order_statistics_rows
 from plevt.tail import WeightFunction
 
 
@@ -225,12 +225,16 @@ def test_same_seed_same_stable_report():
     assert report_to_json(a, stable=True) == report_to_json(b, stable=True)
 
 
-def test_worker_count_does_not_change_results():
-    e = Experiment(kind="hill_clt", n=5000, k=5, reps=200, seed=SeedSpec(11))
-    serial = run_experiment(e, workers=1)
-    threaded = run_experiment(e, workers=3)
-    assert report_to_json(serial, stable=True) == report_to_json(threaded, stable=True)
-    assert serial.empirical_mean == threaded.empirical_mean  # bitwise
+def test_first_replications_do_not_depend_on_reps():
+    # replication i draws only from stream stream_id + i, so the first r
+    # replications of a longer run are the replications of a run of r; a
+    # sampler that drew a block of one stream for all rows would fail here
+    p, seed = Params(1.0, 2.0), SeedSpec(11, 3)
+    rows = top_order_statistics_rows(5000, 5, p, seed, 200)
+    tails = record_log_tails(100, seed, 200)
+    for r in (1, 37, 100):
+        np.testing.assert_array_equal(rows[:r], top_order_statistics_rows(5000, 5, p, seed, r))
+        np.testing.assert_array_equal(tails[:r], record_log_tails(100, seed, r))
 
 
 _PINNED = {
