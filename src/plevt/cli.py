@@ -11,14 +11,14 @@ records  extract records from a CSV stream, or simulate the n-th record
 verify   run one Monte Carlo experiment, or the whole battery (--all)
 
 Exit codes: 0 success (verify: passed), 1 verify tolerance failure,
-2 usage, 3 output I/O failure, 4 input parse failure, 5 mathematical
-precondition refused (infeasible fit, degenerate spacings, condition-check
-refusal).
+2 usage (a size whose arrays the machine cannot allocate included), 3 output
+I/O failure, 4 input parse failure, 5 mathematical precondition refused
+(infeasible fit, degenerate spacings, condition-check refusal).
 
 Every flag can also come from the environment as ``PLEVT_<DEST>`` (dest in
-upper case, e.g. ``PLEVT_SEED=42``, ``PLEVT_THETA=2.5``); an explicit flag
-wins over the environment. Commands are deterministic given the full flag
-set, seed included.
+upper case, e.g. ``PLEVT_SEED=42``, ``PLEVT_THETA=2.5``; an on/off flag takes
+1/true/yes/on or 0/false/no/off); an explicit flag wins over the environment.
+Commands are deterministic given the full flag set, seed included.
 """
 
 from __future__ import annotations
@@ -78,6 +78,11 @@ EXIT_REFUSED = 5
 _ENV_PREFIX = "PLEVT_"
 DEFAULT_MASTER_SEED = 7
 
+#: PLEVT_<DEST> values of an on/off flag, stripped and lower-cased.  An empty
+#: value leaves the flag off, as an unset variable does; any other is refused.
+_ENV_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False, "": False}
+
 
 def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
     """Fill flag defaults from PLEVT_<DEST> environment variables."""
@@ -91,12 +96,12 @@ def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
         conv = action.type or str
         try:
             if isinstance(action, argparse._StoreTrueAction):
-                action.default = raw.strip().lower() in ("1", "true", "yes", "on")
+                action.default = _ENV_SWITCH[raw.strip().lower()]
             elif action.nargs in ("+", "*"):
                 action.default = [conv(tok) for tok in raw.split(",")]
             else:
                 action.default = conv(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             parser.error(f"invalid value in {env_name}: {raw!r}")
         action.required = False
 
@@ -461,6 +466,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_IO
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

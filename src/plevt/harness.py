@@ -18,11 +18,11 @@ compares the empirical law against its limiting reference:
 
 Replication r of an experiment draws from the Philox stream
 ``seed.stream_id + r`` under the experiment's master seed
-(:meth:`plevt.sampling.SeedSpec.rngs`, which resets one Philox generator
-per attempt to each replication's stream), so suites are reproducible one
-replication at a time.  An attempt draws every replication in one loop,
-then solves, reduces and standardizes them as arrays, in one thread: a
-thread pool measured slower than one thread on every replicated kind.
+(:meth:`plevt.sampling.SeedSpec.rngs`), whatever block of ``_REP_BLOCK``
+replications holds it, so suites are reproducible one replication at a
+time.  One loop runs each runner's block function (draw, solve, reduce,
+standardize) and writes its arrays into outputs of all the replications,
+in one thread: a thread pool measured slower on every replicated kind.
 
 Each kind is one entry of the ``_KINDS`` table: runner, default thresholds,
 n and reps, the optional fields it takes (k for ``hill_clt``; k, weight and
@@ -70,6 +70,7 @@ from .records import record_log_tails, standardized_record
 from .sampling import (
     _U64,
     SeedSpec,
+    _block_seed,
     _stream_stop,
     _top_count,
     sample_inverse_cdf,
@@ -134,6 +135,7 @@ class Thresholds:
 
 
 _MIN_REPS = 100
+_REP_BLOCK = 2**14  # replications per block of an attempt
 
 
 def default_thresholds(kind: str) -> Thresholds:
@@ -320,11 +322,27 @@ def _replicated_report(
     )
 
 
+def _replicate(e: Experiment, block) -> list[np.ndarray]:
+    """Each array ``block(seed, count)`` returns for blocks of ``_REP_BLOCK``
+    replications, written into one output of ``e.reps`` values."""
+    outs = []
+    for first in range(0, e.reps, _REP_BLOCK):
+        got = block(_block_seed(e.seed, first), min(_REP_BLOCK, e.reps - first))
+        outs = outs or [np.empty(e.reps) for _ in got]
+        for out, a in zip(outs, got):
+            out[first:first + a.size] = a
+    return outs
+
+
 def _run_max_gumbel(e: Experiment) -> McReport:
     p = e.params
     q_n = quantile_exact(1.0 / e.n, p).value
-    maxima = top_order_statistics_rows(e.n, 0, p, e.seed, e.reps)[:, 0]
-    return _replicated_report(e, p.theta * (maxima - q_n), "gumbel", {"centering": q_n})
+
+    def block(seed, count):
+        return (p.theta * (top_order_statistics_rows(e.n, 0, p, seed, count)[:, 0] - q_n),)
+
+    (z,) = _replicate(e, block)
+    return _replicated_report(e, z, "gumbel", {"centering": q_n})
 
 
 def _run_spacings_clt(e: Experiment) -> McReport:
@@ -344,28 +362,34 @@ def _run_spacings_clt(e: Experiment) -> McReport:
                 diagnostics=diag,
             )
 
-    tops = top_order_statistics_rows(e.n, k, p, e.seed, e.reps)
-    ts = plan.rows(tops)
-    z_a, _ = standardize_dh(ts, gamma)
+    def block(seed, count):
+        ts = plan.rows(top_order_statistics_rows(e.n, k, p, seed, count))
+        z_a, _ = standardize_dh(ts, gamma)
+        return z_a / gamma**s, ts.hill
 
+    z, hill = _replicate(e, block)
     extras = {
         "k": k,
         "s": s,
         "weight": weight.label,
-        "mean_hill": float(np.mean(np.sort(ts.hill))),
+        "mean_hill": float(np.mean(np.sort(hill))),
         **diag,
     }
-    return _replicated_report(e, z_a / gamma**s, "std_normal", extras)
+    return _replicated_report(e, z, "std_normal", extras)
 
 
 def _run_record_clt(e: Experiment) -> McReport:
     p = e.params
     n = e.n
-    g = record_log_tails(n, e.seed, e.reps)
-    x = _quantiles_at_log_tails(g, p)
-    _, ctrl_mean, ctrl_var, ctrl_ks = _summary((g - n) / math.sqrt(n))
+
+    def block(seed, count):
+        g = record_log_tails(n, seed, count)
+        return standardized_record(_quantiles_at_log_tails(g, p), n, p), (g - n) / math.sqrt(n)
+
+    z, control = _replicate(e, block)
+    _, ctrl_mean, ctrl_var, ctrl_ks = _summary(control)
     control = {"control_mean": ctrl_mean, "control_var": ctrl_var, "control_ks": ctrl_ks}
-    return _replicated_report(e, standardized_record(x, n, p), "std_normal", control)
+    return _replicated_report(e, z, "std_normal", control)
 
 
 def _run_sampler_gof(e: Experiment) -> McReport:

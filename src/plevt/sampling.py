@@ -79,6 +79,11 @@ def _stream_stop(first: int, count: int, error=DomainError) -> int:
     return first + count
 
 
+def _block_seed(seed: SeedSpec, first: int) -> SeedSpec:
+    """The seed whose :meth:`SeedSpec.rngs` starts at replication ``first`` of ``seed``'s."""
+    return SeedSpec(seed.master_seed, seed.stream_id + first)
+
+
 def _reset_streams(seed: SeedSpec, stop: int) -> Iterator[np.random.Generator]:
     rng = seed.rng()
     bits = rng.bit_generator
@@ -158,7 +163,8 @@ def top_order_statistics_rows(n: int, k: int, p: Params, seed: SeedSpec, reps: i
     so ``X_{n-j+1,n} = Q(Gamma_j / Gamma_{n+1})``.  Row r draws only
     ``E_1..E_{k+1}`` (by inverse transform) and ``Gamma_{n+1} -
     Gamma_{k+1}`` as one ``standard_gamma(n-k)`` on stream ``stream_id + r``;
-    the transforms and the quantile solve then run once on the whole array.
+    the transforms and the quantile solve then run once on the whole array,
+    which the harness keeps to one block of an attempt's replications.
     """
     n = check_int(n, "sample size", 1)
     k = check_int(k, "k")

@@ -654,6 +654,23 @@ def test_verify_dh_clt_overflow_is_usage_error(capsys):
         assert err.startswith("error:") and "Traceback" not in err, extra
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "-n", str(10**15)],
+    ["verify", "--kind", "max_gumbel", "--reps", str(10**15)],
+    ["verify", "--kind", "hill_clt", "--reps", str(10**15)],
+    ["verify", "--kind", "dh_clt", "--k", "20", "--s", "2", "--reps", str(10**15)],
+    ["verify", "--kind", "record_clt", "--reps", str(10**15)],
+], ids=["sample", "max_gumbel", "hill_clt", "dh_clt", "record_clt"])
+def test_unallocatable_size_is_usage_error(capsys, tmp_path, argv):
+    # 10**15 doubles, 8 PB, pass the 128 TiB user address space, so the
+    # allocation fails under any overcommit setting; a replicated kind fails
+    # at its first block, where its outputs for every replication are allocated
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--seed", "7", "-o", str(out))
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
+
+
 def test_verify_refuses_streams_past_2_64_before_running(capsys, monkeypatch):
     # the refusal names the --stream as given, not the first stream id past
     # 2**64, and --all refuses before its first experiment runs
@@ -802,16 +819,24 @@ def test_env_store_true_and_list_flags(capsys, monkeypatch):
     plain = run(capsys, "sample", "-n", "20", "--seed", "3")
     flagged = run(capsys, "sample", "-n", "20", "--seed", "3", "--sorted")
     assert flagged[0] == 0 and flagged != plain
-    monkeypatch.setenv("PLEVT_SORTED", "1")
-    assert run(capsys, "sample", "-n", "20", "--seed", "3") == flagged
+    for on, off in [("1", "0"), (" On ", "OFF"), ("yes", "no"), ("TRUE", "false"), ("on", "")]:
+        monkeypatch.setenv("PLEVT_SORTED", on)
+        assert run(capsys, "sample", "-n", "20", "--seed", "3") == flagged
+        monkeypatch.setenv("PLEVT_SORTED", off)  # an empty value leaves the flag off
+        assert run(capsys, "sample", "-n", "20", "--seed", "3") == plain
     listed = run(capsys, "eval", "--fn", "pdf", "--x", "0.5", "1.0")
     assert listed[0] == 0 and len(listed[1].splitlines()) == 2
     monkeypatch.setenv("PLEVT_X", "0.5,1.0")
     assert run(capsys, "eval", "--fn", "pdf") == listed
 
 
-def test_env_bad_value_is_usage_error(monkeypatch):
-    monkeypatch.setenv("PLEVT_N", "many")
+@pytest.mark.parametrize("name, value", [
+    ("PLEVT_N", "many"),
+    ("PLEVT_SORTED", "ture"),  # an on/off flag takes 1/true/yes/on or 0/false/no/off only
+    ("PLEVT_SORTED", "2"),
+])
+def test_env_bad_value_is_usage_error(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--seed", "1"])
     assert exc.value.code == 2

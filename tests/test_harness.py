@@ -1,5 +1,6 @@
 """Monte Carlo harness: experiment validation, determinism, reruns, refusals."""
 
+import functools
 import hashlib
 import io
 import json
@@ -34,6 +35,8 @@ from plevt.quantile import quantile_from_log_tail
 from plevt.records import record_log_tails, standardized_record
 from plevt.sampling import SeedSpec, top_order_statistics_rows
 from plevt.tail import WeightFunction
+
+from test_quantile import _peak_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,66 @@ def test_report_bits_pinned(kind):
         assert zs.dtype == np.float64 and zs.shape == (extra["reps"],)
         digest = hashlib.sha256(zs.view(np.uint64).tobytes()).hexdigest()
         assert digest == _PINNED_REPLICATIONS[kind]
+
+
+# The same digest at reps = 2**14 + 5, two blocks of the attempt loop (the
+# standard suite's k = 20, s = 2 for dh_clt), recorded while an attempt still
+# drew, solved and reduced all its replications as one array
+_MULTI_BLOCK_REPS = 2**14 + 5
+_PINNED_MULTI_BLOCK = {
+    "dh_clt": "eaa096c7e5094885e25fefd199cb4f59dc87b96fb7cfdc8bead1130e7496e1ed",
+    "hill_clt": "b53ebf0dee7abdc35732f88b6a92e7d493e478cf5aa3d03c18090e45c3fed243",
+    "max_gumbel": "3d9cbbb0379361186d2568c3f23e52eb7e1961ac8822e750281a9ff345ddc655",
+    "record_clt": "cf86d3219c37a8ac578d16294efef063ac16b84596d181e33e51e7f4affaf81d",
+}
+_SUITE_FIELDS = {"dh_clt": dict(k=20, weight=WeightFunction.identity(), s=2.0)}
+
+
+def _attempt(kind, reps):
+    """Stable JSON, replication digest and the other extras of one seed-7 attempt."""
+    e = Experiment(kind=kind, reps=reps, seed=SeedSpec(7), rerun_on_fail=False,
+                   **_SUITE_FIELDS.get(kind, {}))
+    r = run_experiment(e)
+    digest = hashlib.sha256(r.extras.pop("replications").view(np.uint64).tobytes()).hexdigest()
+    return report_to_json(r, stable=True), digest, r.extras
+
+
+_default_attempt = functools.cache(_attempt)  # called only at the default block size
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_MULTI_BLOCK))
+def test_multi_block_replications_pinned(kind):
+    assert _default_attempt(kind, _MULTI_BLOCK_REPS)[1] == _PINNED_MULTI_BLOCK[kind]
+
+
+@pytest.mark.parametrize("block", [1, 1000, 2**14 + 1])
+@pytest.mark.parametrize("kind", sorted(_PINNED_MULTI_BLOCK))
+def test_block_size_keeps_the_bits(monkeypatch, kind, block):
+    # replication r draws from stream stream_id + r and is reduced alone,
+    # whichever block holds it; blocks of 1 cost about 0.3 ms each
+    reps = 300 if block == 1 else _MULTI_BLOCK_REPS
+    default = _default_attempt(kind, reps)
+    monkeypatch.setattr(plevt.harness, "_REP_BLOCK", block)
+    assert _attempt(kind, reps) == default
+
+
+@pytest.mark.parametrize("kind", ["hill_clt", "dh_clt"])
+def test_attempt_memory_is_bounded_per_block(monkeypatch, kind):
+    # attempts of 4 and 16 blocks: the peak grows with the outputs and the
+    # report, not with a block's draws, solve and reduction.  Whole-attempt
+    # arrays grew by 336 (hill_clt) and 914 (dh_clt) bytes per replication
+    # here; blocked, by 16.  Blocks of 2**10, not 2**14, keep the traced
+    # draw loop (about 45 us a replication) short
+    monkeypatch.setattr(plevt.harness, "_REP_BLOCK", 2**10)
+
+    def peak(reps):
+        e = Experiment(kind=kind, reps=reps, seed=SeedSpec(7), rerun_on_fail=False,
+                       **_SUITE_FIELDS.get(kind, {}))
+        return _peak_bytes(lambda: run_experiment(e))
+
+    peak(100)  # allocations made once per process are not growth
+    small, large = peak(2**12), peak(2**14)
+    assert (large - small) / (2**14 - 2**12) <= 128
 
 
 def test_record_clt_array_solve_keeps_the_law():
