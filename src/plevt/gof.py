@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .distribution import _blockwise
 from .errors import DomainError, check_real_array, check_sample
 
 __all__ = [
@@ -23,9 +24,13 @@ def std_normal_cdf(x):
     relative for x >= -16 (at most 4.4e-15 on [-10, 8.5]).  Further down
     Phi's relative condition number grows like x**2, and the two agree to
     ``1e-14 + eps*x**2``.  Below about -37.5 the value is subnormal, where
-    ndtr returns 0.
+    ndtr returns 0.  The values go through ``math.erfc`` one block at a
+    time, so the Python floats of only one block are alive at once.
     """
-    arr = check_real_array(x, "x")
+    return _blockwise(_std_normal_cdf_block, check_real_array(x, "x"))
+
+
+def _std_normal_cdf_block(arr):
     erfc = map(math.erfc, (arr * -math.sqrt(0.5)).ravel().tolist())  # scaled as ndtr scales
     return 0.5 * np.fromiter(erfc, np.float64, arr.size).reshape(arr.shape)
 

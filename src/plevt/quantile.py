@@ -10,7 +10,7 @@ equivalently ``y = L + log1p(y/beta)``, which is solved by a bracketed
 Newton iteration on the log of the survival function.  The iteration has
 two implementations: a scalar loop for the one-value entry points and a
 vectorized numpy one for arrays, because a numpy solve on a single value
-costs about 26 times the scalar loop (78 us against 3 us, numpy 2.4).
+costs about 33 times the scalar call (80 us against 2.4 us, numpy 2.4).
 The array solver steps only the values that have not settled, in blocks
 of 2**14.  Expanding the fixed point gives the two-term asymptotic
 
@@ -61,23 +61,31 @@ def _check_tail_mass(u: float) -> float:
 
 
 def _solve_scaled(L: float, beta: float):
-    """Newton with a bisection bracket on h(y) = log1p(y/beta) - y + L."""
-    y = L + math.log1p(L / beta)
+    """Newton with a bisection bracket on h(y) = log1p(y/beta) - y + L.
+
+    Called once per value, so the loop invariants are hoisted and ``max(a,
+    b)`` is spelled ``b if b > a else a``, which gives max's result, a NaN
+    ``b`` included.
+    """
+    log1p = math.log1p
+    y = L + log1p(L / beta)
     lo, hi = 0.0, math.inf
+    eps8, abs_l = 8.0 * _EPS, abs(L)
     iterations = 0
     for iterations in range(1, _MAXITER + 1):
-        h = math.log1p(y / beta) - y + L
+        h = log1p(y / beta) - y + L
         if h > 0.0:
             lo = y
         else:
             hi = y
-        noise = 8.0 * _EPS * max(1.0, abs(L) + y)
-        if abs(h) <= max(_TOL, noise):
+        scale = abs_l + y
+        noise = eps8 * (scale if scale > 1.0 else 1.0)
+        if abs(h) <= (noise if noise > _TOL else _TOL):
             break
         hp = 1.0 / (beta + y) - 1.0
         cand = y - h / hp
         if not (lo < cand < hi):
-            cand = y + max(1.0, y) if math.isinf(hi) else 0.5 * (lo + hi)
+            cand = y + (y if y > 1.0 else 1.0) if math.isinf(hi) else 0.5 * (lo + hi)
         if cand == y:
             break
         y = cand

@@ -21,7 +21,7 @@ import numpy as np
 from .distribution import Params
 from .errors import DomainError, check_int, check_int_array, check_real_array, check_sample
 from .quantile import quantile_from_log_tail
-from .sampling import SeedSpec
+from .sampling import SeedSpec, _thread_rng
 
 __all__ = [
     "RecordSequence",
@@ -62,12 +62,15 @@ def extract_records(stream) -> RecordSequence:
 def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:
     """Draw the n-th record directly via the exponential-sum representation.
 
-    G_n is one ``standard_gamma(n)`` draw on the seed's stream; the record
-    is the quantile at log tail mass G_n, by the log-tail root solve at
-    every depth, also where exp(-G_n) underflows.
+    G_n is one ``standard_gamma(n)`` draw on the seed's stream, the draw
+    ``seed.rng().standard_gamma(n)`` makes; it comes from the calling
+    thread's own generator, reset to the start of that stream, so a call
+    builds no generator and calls in different threads share none.  The
+    record is the quantile at log tail mass G_n, by the log-tail root solve
+    at every depth, also where exp(-G_n) underflows.
     """
     n = check_int(n, "record index", 1)
-    return quantile_from_log_tail(seed.rng().standard_gamma(n), p).value
+    return quantile_from_log_tail(_thread_rng(seed).standard_gamma(n), p).value
 
 
 def record_log_tails(n: int, seed: SeedSpec, reps: int) -> np.ndarray:

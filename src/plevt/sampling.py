@@ -10,6 +10,7 @@ transform ``-log1p(-U)`` with U in [0, 1), which never evaluates log(0).
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -87,12 +88,44 @@ def _block_seed(seed: SeedSpec, first: int) -> SeedSpec:
 def _reset_streams(seed: SeedSpec, stop: int) -> Iterator[np.random.Generator]:
     rng = seed.rng()
     bits = rng.bit_generator
-    state = bits.state  # counter 0, empty buffer; key [master_seed, stream_id]
-    key = state["state"]["key"]
+    fresh = bits.state
     for stream in range(seed.stream_id, stop):
-        key[1] = stream
-        bits.state = state  # copies the arrays, so state stays the fresh one
+        _restart(bits, fresh, seed.master_seed, stream)
         yield rng
+
+
+def _restart(bits: np.random.Philox, fresh: dict, master_seed: int, stream_id: int) -> None:
+    """Put ``bits`` at the start of stream (master_seed, stream_id).
+
+    ``fresh`` is a state that ``bits.state`` returned at a stream's start:
+    counter 0 and an empty buffer.  A Philox state is its key and counter,
+    so that state with the key words replaced is the one
+    ``SeedSpec(master_seed, stream_id).rng()`` starts from.  Setting the
+    state copies the arrays, so ``fresh`` keeps its counter at 0.
+    """
+    key = fresh["state"]["key"]
+    key[0] = master_seed
+    key[1] = stream_id
+    bits.state = fresh
+
+
+_local = threading.local()
+
+
+def _thread_rng(seed: SeedSpec) -> np.random.Generator:
+    """The calling thread's own generator, at the start of ``seed``'s stream.
+
+    It draws what ``seed.rng()`` draws, without building a Philox per call.
+    The next call in the same thread resets it, so it must not leave plevt;
+    :meth:`SeedSpec.rngs` builds its own and never shares this one.
+    """
+    cached = getattr(_local, "rng", None)
+    if cached is None:
+        rng = seed.rng()
+        _local.rng = cached = rng, rng.bit_generator.state
+    rng, fresh = cached
+    _restart(rng.bit_generator, fresh, seed.master_seed, seed.stream_id)
+    return rng
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,35 @@ def test_blocked_solve_bits_pinned():
     assert _sha256(got) == "ce3978e9ba10e4418c117afe2cca2af32e300b519b7ddacb5c78896899a1b80d"
 
 
+SCALAR_U = np.concatenate([[5e-324], np.logspace(-320.0, np.log10(0.999), 1500),
+                           [0.5, 1.0 - 2.0**-53]]).tolist()
+SCALAR_L = np.concatenate([[5e-324, 1e-310], np.logspace(-300.0, 300.0, 1500)]).tolist()
+
+
+def _scalar_solve_digest(fn, grid, beta):
+    h = hashlib.sha256()
+    for theta in (0.3, 1.0, 7.0):
+        results = [fn(v, Params(theta, beta)) for v in grid]
+        h.update(np.array([r.value for r in results]).tobytes())
+        h.update(np.array([r.iterations for r in results], dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("beta, exact, log_tail", [
+    (1.0 + 1e-7, "786c3d42bb25aa39840086d9f6c94e868a4f2faf09ac6fec7732be5db2d5a1d5",
+     "8f4ff0f5eeab52b70eb234d155c1a72378074c18bb564df9eb8a7d084e40472f"),
+    (2.0, "ad0b19eeca61271f5d1063ae914bd2246358f3eb0666b1bdb58c3ce819d1f604",
+     "017f6a496cf2cd1c448ba289250dbc2dbd428e2ce3227ea11f5332d9b4fc57e7"),
+    (1e8, "13814d76597038b247c5c592b7c23e55cf67266f688deb0ebf1950c502f503fd",
+     "37708a07a3dfc712c69b1279f49a0b5e99dd0745a30dea541b2ef7c2068f7bcb"),
+], ids=["beta=1+1e-7", "beta=2", "beta=1e8"])
+def test_scalar_solve_bits_pinned(beta, exact, log_tail):
+    # (value, iterations) of the scalar loop at theta 0.3, 1 and 7, recorded
+    # before its loop invariants were hoisted; the L grid takes 1 to 15 steps
+    assert _scalar_solve_digest(quantile_exact, SCALAR_U, beta) == exact
+    assert _scalar_solve_digest(quantile_from_log_tail, SCALAR_L, beta) == log_tail
+
+
 @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 0])
 def test_blocked_solve_does_not_depend_on_position(size):
     # reversing the input moves every value to another block and other

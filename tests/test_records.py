@@ -1,6 +1,8 @@
 """Record extraction and the gamma-sum record simulator."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from plevt import (
 )
 from plevt.gof import ks_two_sample
 from plevt.records import record_log_tails
+from plevt.sampling import _thread_rng
 
 from oracles import records_naive
 
@@ -103,11 +106,42 @@ def test_simulate_record_deterministic():
 
 def test_simulate_record_equals_manual_gamma_draw():
     # the simulator is exactly quantile(e^{-G_n}) with G_n ~ Gamma(n) drawn
-    # as one standard_gamma(n) on its own stream
-    seed = SeedSpec(321)
-    n = 80
-    g = float(seed.rng().standard_gamma(n))
-    assert simulate_record(n, P, seed) == quantile_from_log_tail(g, P).value
+    # as one standard_gamma(n) on its own stream.  The calls run through one
+    # thread's generator in turn, so a reset that left a word of the
+    # previous key, or part of its counter, shows here
+    for stream in [*range(300), 2**63, 2**64 - 1]:
+        for master in (0, 1, 7, 321, 2**63, 2**64 - 1):
+            seed = SeedSpec(master, stream)
+            for n in (1, 2, 50, 80, 400, 10**6):
+                g = seed.rng().standard_gamma(n)
+                assert simulate_record(n, P, seed) == quantile_from_log_tail(g, P).value
+
+
+def test_two_threads_each_own_a_generator():
+    seeds = [SeedSpec(master, stream) for master in (3, 2**64 - 1) for stream in range(150)]
+    serial = [simulate_record(400, P, seed) for seed in seeds]
+    barrier = threading.Barrier(2)
+    owners, got = {}, {}
+
+    def run(name):
+        barrier.wait()  # both threads draw at once
+        owners[name] = _thread_rng(SeedSpec(1))
+        got[name] = [simulate_record(400, P, seed) for seed in seeds]
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between calls, not between runs
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    main = _thread_rng(SeedSpec(1))
+    assert owners[0] is not owners[1] and main not in (owners[0], owners[1])
+    assert got == {0: serial, 1: serial}
 
 
 def test_simulate_record_rejects_bad_n():

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from plevt import (
     SortedSample,
     cdf,
     mixture_values,
+    quantile_from_log_tail,
     read_values_csv,
     sample_inverse_cdf,
     sample_mixture,
+    simulate_record,
     spacings,
     write_values_csv,
 )
@@ -133,6 +136,43 @@ def test_replicated_draws_build_one_philox(monkeypatch):
     assert len(built) == 1
     np.testing.assert_array_equal(record_log_tails(400, SeedSpec(5), 50), expected_tails)
     assert len(built) == 2
+
+
+def test_simulate_record_builds_no_philox_after_a_threads_first_call(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    def run():
+        simulate_record(400, P, SeedSpec(5))
+        counts.append(len(built))
+        for stream in range(1000):
+            simulate_record(400, P, SeedSpec(5, stream))
+        counts.append(len(built))
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    counts = []
+    thread = threading.Thread(target=run)  # a new thread has no generator yet
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive() and counts == [1, 1]
+
+
+def test_simulate_record_inside_an_rngs_loop_leaves_the_yielded_generator():
+    # rngs owns its generator, so a record drawn between two draws of a
+    # yielded one moves neither stream
+    got = []
+    for r, rng in enumerate(SeedSpec(9).rngs(3)):
+        first = rng.random(3)
+        record = simulate_record(400, P, SeedSpec(9, r))
+        got.append((first.tolist(), record, rng.standard_gamma(400)))
+    for r in range(3):
+        ref = SeedSpec(9, r).rng()
+        record = quantile_from_log_tail(SeedSpec(9, r).rng().standard_gamma(400), P).value
+        assert got[r] == (ref.random(3).tolist(), record, ref.standard_gamma(400))
 
 
 def test_rngs_refuse_a_range_past_2_64_on_the_call():
