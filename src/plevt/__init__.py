@@ -7,11 +7,9 @@ deterministic Monte Carlo harness checking each limit theorem.
 
 from .distribution import (
     FitResult,
-    MixtureWeights,
     Params,
     cdf,
     fit_method_of_moments,
-    mixture_weights,
     moment,
     moment_radius_sequence,
     pdf,
@@ -67,7 +65,6 @@ from .tail import (
     TailStatistics,
     WeightFunction,
     check_dh_conditions,
-    check_k1,
     default_k,
     dh_statistic,
     hill,
@@ -80,8 +77,6 @@ __all__ = [
     "__version__",
     # distribution
     "Params",
-    "MixtureWeights",
-    "mixture_weights",
     "pdf",
     "survival",
     "cdf",
@@ -112,7 +107,6 @@ __all__ = [
     "hill",
     "dh_statistic",
     "standardize_dh",
-    "check_k1",
     "check_dh_conditions",
     "default_k",
     # records

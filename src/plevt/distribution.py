@@ -35,9 +35,7 @@ from .errors import (
 
 __all__ = [
     "Params",
-    "MixtureWeights",
     "FitResult",
-    "mixture_weights",
     "pdf",
     "survival",
     "cdf",
@@ -69,24 +67,6 @@ class Params:
     def gamma(self) -> float:
         """Extreme value index of the law, ``1/theta``."""
         return 1.0 / self.theta
-
-    @property
-    def is_lindley(self) -> bool:
-        """True when ``beta == 1 + theta`` (the classical Lindley case)."""
-        return self.beta == 1.0 + self.theta
-
-
-@dataclass(frozen=True, slots=True)
-class MixtureWeights:
-    """Weights of the Exp(theta) and Gamma(2, theta) mixture components."""
-
-    exponential: float
-    gamma2: float
-
-
-def mixture_weights(p: Params) -> MixtureWeights:
-    """Mixture decomposition weights ``(beta-1)/beta`` and ``1/beta``."""
-    return MixtureWeights(exponential=(p.beta - 1.0) / p.beta, gamma2=1.0 / p.beta)
 
 
 #: Values per block of the array kernels: a block's temporaries stay in

@@ -398,7 +398,7 @@ def _run_sampler_gof(e: Experiment) -> McReport:
     ks_one = gof.ks_distance_sorted(mix.values, cdf(mix.values, p))
     crit_one = _GOF_FACTOR / math.sqrt(e.n)
 
-    inv = sample_inverse_cdf(e.n, p, SeedSpec(e.seed.master_seed, e.seed.stream_id + 1))
+    inv = sample_inverse_cdf(e.n, p, _block_seed(e.seed, 1))
     ks_two = gof.ks_two_sample(mix.values, inv.values)
     crit_two = _GOF_FACTOR * math.sqrt(2.0 / e.n)
 

@@ -68,8 +68,8 @@ def _solve_scaled(L: float, beta: float):
     ``b`` included.
     """
     log1p = math.log1p
-    y = L + log1p(L / beta)
-    lo, hi = 0.0, math.inf
+    y = L + log1p(L / beta)  # first fixed-point iterate; lands left of root
+    lo, hi = y, math.inf
     eps8, abs_l = 8.0 * _EPS, abs(L)
     iterations = 0
     for iterations in range(1, _MAXITER + 1):

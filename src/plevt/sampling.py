@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import Params, mixture_weights
+from .distribution import Params
 from .errors import CsvFormatError, DomainError, check_int, check_sample
 from .quantile import quantile_values
 
@@ -159,11 +159,10 @@ def mixture_values(n: int, p: Params, seed: SeedSpec) -> np.ndarray:
     """
     n = check_int(n, "sample size", 1)
     rng = seed.rng()
-    w = mixture_weights(p)
     component = rng.random(n)
     e1 = _exponentials(rng, n)
     e2 = _exponentials(rng, n)
-    return (e1 + np.where(component < w.exponential, 0.0, e2)) / p.theta
+    return (e1 + np.where(component < (p.beta - 1.0) / p.beta, 0.0, e2)) / p.theta
 
 
 def sample_mixture(n: int, p: Params, seed: SeedSpec) -> SortedSample:

@@ -16,7 +16,7 @@ with point estimate ``(t_n / a_n)**(1/s)``.  Centered at gamma**s * a_n and
 scaled by s_n, t_n is asymptotically normal provided b_n (the Lindeberg
 ratio) vanishes and s_n(f,1) / (s_n(f,s) log n) tends to zero; the Hill
 case additionally wants k to grow slower than (log n)^{4/3}, tracked by
-the diagnostic ``check_k1 = k**(3/4) / log n``.
+the diagnostic ``k1 = k**(3/4) / log n`` of ``SpacingPlan.conditions``.
 
 ``SpacingPlan`` owns 1 <= k <= n - 1 and builds a_n, s_n and b_n once per (f, n, k, s),
 in one pass over the ratios f(j)/j**s; samples are reduced and diagnostics read against it.
@@ -47,7 +47,6 @@ __all__ = [
     "hill",
     "dh_statistic",
     "standardize_dh",
-    "check_k1",
     "check_dh_conditions",
     "default_k",
 ]
@@ -221,7 +220,7 @@ class SpacingPlan:
         """
         n = self.n
         sn1 = self._of(n, self.w, 1.0).s_n
-        return {"k1": check_k1(n, self.w.size), "ratio1": sn1 / (self.s_n * math.log(n)),
+        return {"k1": self.w.size**0.75 / math.log(n), "ratio1": sn1 / (self.s_n * math.log(n)),
                 "bn": self.b_n, "growth": self.a_n / self.s_n}
 
     def rows(self, top: np.ndarray) -> TailStatistics:
@@ -266,12 +265,6 @@ def standardize_dh(ts: TailStatistics, gamma: float) -> tuple[float, float]:
     if not (gamma > 0.0 and np.isfinite(z_a).all() and np.isfinite(z_b).all()):
         raise DomainError(f"gamma must be finite and > 0 and give a finite pair, got {gamma!r}")
     return z_a, z_b
-
-
-def check_k1(n: int, k: int) -> float:
-    """Growth diagnostic ``k**(3/4) / log n``; small means k is admissible."""
-    n, k = check_int(n, "n", 2), check_int(k, "k", 1)
-    return k**0.75 / math.log(n)
 
 
 def default_k(n: int) -> int:

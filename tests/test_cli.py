@@ -75,6 +75,12 @@ def test_eval_moment_overflow_is_a_usage_error(capsys):
     assert err.startswith("error:") and "overflows" in err
 
 
+def test_eval_moment_without_its_order_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--fn", "moment")
+    assert code == 2 and out == ""
+    assert err == "error: --fn moment requires --n (the moment order)\n"
+
+
 def test_eval_survival_cdf_complement(capsys):
     _, s_out, _ = run(capsys, "eval", "--fn", "survival", "--x", "1.0")
     _, c_out, _ = run(capsys, "eval", "--fn", "cdf", "--x", "1.0")
@@ -298,6 +304,10 @@ def test_hill_bad_k_grid_spec(canon_csv, capsys):
     assert code == 2
     code, _, _ = run(capsys, "hill", "-i", canon_csv, "--k-grid", "a:b")
     assert code == 2
+    for spec in ("5", "1:2:3:4", "1::2"):  # one part, four, an empty one
+        code, out, err = run(capsys, "hill", "-i", canon_csv, "--k-grid", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: --k-grid expects MIN:MAX[:STEP], got {spec!r}\n"
 
 
 def test_hill_k_grid_ends_are_checked_before_the_grid_is_built(canon_csv, capsys):

@@ -131,7 +131,6 @@ OBJECTS = {
 CONTRACT = {
     # distribution
     "Params": {"theta": "real", "beta": "real"},
-    "mixture_weights": {"p": "Params"},
     "pdf": {"x": "real array", "p": "Params"},
     "survival": {"x": "real array", "p": "Params"},
     "cdf": {"x": "real array", "p": "Params"},
@@ -163,7 +162,6 @@ CONTRACT = {
     "hill": {"sample": "SortedSample", "k": "size"},
     "dh_statistic": {"sample": "SortedSample", "f": "WeightFunction", "k": "size", "s": "real"},
     "standardize_dh": {"ts": "TailStatistics", "gamma": "real"},
-    "check_k1": {"n": "count", "k": "count"},
     "check_dh_conditions": {"f": "WeightFunction", "n": "count", "k": "size", "s": "real"},
     "default_k": {"n": "count"},
     # records
@@ -188,7 +186,7 @@ CONTRACT = {
 
 #: Result records: the library fills them from checked values, and their
 #: constructors check nothing.
-RECORDS = {"MixtureWeights", "FitResult", "QuantileResult", "TailStatistics", "McReport"}
+RECORDS = {"FitResult", "QuantileResult", "TailStatistics", "McReport"}
 
 
 def resolve(name: str):
@@ -315,7 +313,8 @@ EDGES = {
     "RecordSequence of float indices": lambda: plevt.RecordSequence([1.0, 2.0], [1.5, 2.7]),
     "standardized_record past the double range": lambda: plevt.standardized_record(1.0, 10**400, P),
     "simulate_record past the double range": lambda: plevt.simulate_record(10**400, P, SeedSpec(1)),
-    "check_k1 past the double range": lambda: plevt.check_k1(10, 10**400),
+    "spacing plan at a k past the double range": lambda: plevt.tail.SpacingPlan.build(
+        WeightFunction.identity(), 10, 10**400, 1.0),
     "spacings of a spacing past the double range":
         lambda: plevt.spacings(SortedSample(np.array([-1e308, 1e308])), 1),
     "hill of a spacing past the double range":

@@ -17,7 +17,6 @@ from plevt import (
     Params,
     cdf,
     fit_method_of_moments,
-    mixture_weights,
     moment,
     moment_radius_sequence,
     pdf,
@@ -64,8 +63,6 @@ def test_params_refuse_non_reals(value):
 def test_params_derived_fields():
     p = Params(4.0, 2.0)
     assert p.gamma == 0.25
-    assert not p.is_lindley
-    assert Params(1.0, 2.0).is_lindley  # beta = 1 + theta
     assert Params(theta=2, beta=3).theta == 2.0  # ints coerced
 
 
@@ -151,7 +148,6 @@ def test_lindley_reduction():
     # theta^2 (1+x) e^{-theta x} / (1+theta).
     for theta in (0.5, 1.0, 3.0):
         p = Params(theta, 1.0 + theta)
-        assert p.is_lindley
         for x in (0.0, 0.4, 2.5, 9.0):
             lindley = theta**2 * (1.0 + x) * math.exp(-theta * x) / (1.0 + theta)
             assert pdf(x, p) == pytest.approx(lindley, rel=1e-14)
@@ -207,14 +203,6 @@ def test_density_scalar_and_nan_contract(fn):
     with pytest.raises(DomainError, match="NaN"):
         fn(x, p)
     assert x.tobytes() == before.tobytes()
-
-
-def test_mixture_weights_sum_to_one():
-    for theta, beta in GRID:
-        w = mixture_weights(Params(theta, beta))
-        assert w.exponential == pytest.approx((beta - 1.0) / beta, rel=1e-15)
-        assert w.gamma2 == pytest.approx(1.0 / beta, rel=1e-15)
-        assert w.exponential + w.gamma2 == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

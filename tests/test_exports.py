@@ -1,17 +1,20 @@
 """The export lists: every name in an ``__all__`` resolves, none is listed
 twice, star imports of the package and its modules succeed, every
 public callable has an entry in the edge-input contract table that gives
-each of its parameters a kind, and every name a module imports is used
-there or exported."""
+each of its parameters a kind, every name a module imports is used there
+or exported, and every exported name is used by the package or named in
+the README."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 from test_contract import CONTRACT, RECORDS, resolve
+from test_readme import README
 
 import plevt
 
@@ -57,6 +60,12 @@ def test_every_parameter_has_a_contract_kind(name):
     assert set(inspect.signature(resolve(name)).parameters) - set(CONTRACT[name]) == set()
 
 
+def export_lists(tree: ast.AST) -> list[ast.Assign]:
+    """The ``__all__ = [...]`` assignments in ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+
+
 def unused_imports(source: str) -> list[str]:
     """Names that ``source`` imports but neither reads nor lists in ``__all__``."""
     tree = ast.parse(source)
@@ -66,10 +75,8 @@ def unused_imports(source: str) -> list[str]:
                 and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
                 for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
+    for node in export_lists(tree):
+        used |= set(ast.literal_eval(node.value))
     return [name for name in imported if name not in used]
 
 
@@ -82,3 +89,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names that ``source`` reads, as a name or an attribute, or spells as a
+    string constant outside ``__all__`` (a lookup by name)."""
+    tree = ast.parse(source)
+    exported = {id(node) for assign in export_lists(tree) for node in ast.walk(assign.value)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported):
+            names.add(node.value)
+    return names
+
+
+def test_references_are_found():
+    # a definition, an assignment and the export list itself are not uses
+    source = "__all__ = ['a', 'b']\na = 1\ndef b():\n    pass\nc = d.e + lookup('f')\n"
+    assert referenced_names(source) == {"d", "e", "lookup", "f"}
+
+
+def test_every_export_is_used_or_documented():
+    # a public name that only the tests reach does not belong in the API
+    used = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    for path in SOURCES:
+        used |= referenced_names(path.read_text(encoding="utf-8"))
+    assert [f"{m.__name__}.{name}" for m in EXPORTING for name in m.__all__
+            if name not in used] == []

@@ -1,5 +1,6 @@
 """Quantile solvers, Lambert-W cross-check, and the tail expansion."""
 
+import contextlib
 import hashlib
 import math
 import re
@@ -365,23 +366,25 @@ def test_blocked_solve_does_not_depend_on_position(size):
         assert quantile_values(u[i], p) == got[i]
 
 
-@pytest.mark.parametrize("beta, steps", [
-    (1.0 + 1e-7, {1, 2, 3, 4}), (2.0, {1, 2, 3, 4}), (1e8, {1}),
+#: L <= 0, which the public entry points refuse: the only inputs seen to
+#: reach the bracket fallback and the exit on a step that leaves y unchanged
+STAND_INS = np.append(-np.logspace(-12.0, 8.0, 12), 0.0)
+
+
+@pytest.mark.parametrize("beta, steps, defined", [
+    (1.0 + 1e-7, {1, 2, 3, 4}, 8), (2.0, {1, 2, 3, 4}, 8), (1e8, {1}, 12),
 ], ids=["beta=1+1e-7", "beta=2", "beta=1e8"])
-def test_each_quantile_is_independent_of_its_neighbours(beta, steps):
+def test_each_quantile_is_independent_of_its_neighbours(beta, steps, defined):
     # a settled value leaves the solve while its neighbours step on, so its
     # bits must be those of the same value solved alone.  Subnormal L settle
     # at the first residual check and the positive grid takes from 1 to 14
-    # Newton steps (by beta); no L > 0 was seen to reach the bracket
-    # fallback or a step that leaves y unchanged, so L <= 0, which the
-    # public entry points refuse, stand in for those
+    # Newton steps (by beta); the stand-ins take the loop's other exits
     rng = np.random.default_rng(5)
     distinct = np.concatenate([
         [5e-324, 1e-310, 1e-300],
         np.logspace(-12.0, 300.0, 60),
         rng.uniform(0.01, 800.0, 30),
-        -np.logspace(-12.0, 8.0, 12),
-        [0.0],
+        STAND_INS,
     ])
     L = rng.permutation(np.resize(distinct, _BLOCK + 500))  # each value in both blocks
     with np.errstate(all="ignore"):  # L <= 0 meets log1p(-1) and NaN
@@ -390,6 +393,14 @@ def test_each_quantile_is_independent_of_its_neighbours(beta, steps):
     assert _sha256(got) == _sha256(np.array([alone[v] for v in L.tolist()]))
     # the scalar loop's residual checks: 1 means settled at the first one
     assert {_solve_scaled(v, beta)[1] for v in distinct if v > 0.0} >= steps
+    # both forms open the bracket at the first iterate, so they stop at the
+    # same y on each stand-in where the scalar math.log1p does not raise
+    scalar = {}
+    for v in STAND_INS.tolist():
+        with contextlib.suppress(ValueError):
+            scalar[v] = _solve_scaled(v, beta)[0]
+    assert len(scalar) == defined
+    assert _sha256(list(scalar.values())) == _sha256(np.array([alone[v] for v in scalar]))
 
 
 def _peak_bytes(call):

@@ -14,7 +14,6 @@ from plevt import (
     SortedSample,
     WeightFunction,
     check_dh_conditions,
-    check_k1,
     default_k,
     dh_statistic,
     hill,
@@ -313,8 +312,12 @@ def test_standardize_dh_linearization():
 # rate conditions and schedules
 
 
+def _k1(n, k):
+    return SpacingPlan.build(WeightFunction.identity(), n, k, 1.0).conditions()["k1"]
+
+
 def test_check_k1_value():
-    assert check_k1(100_000, 7) == pytest.approx(7**0.75 / math.log(100_000), rel=1e-14)
+    assert _k1(100_000, 7) == pytest.approx(7**0.75 / math.log(100_000), rel=1e-14)
 
 
 def test_default_k_schedule():
@@ -324,13 +327,15 @@ def test_default_k_schedule():
     assert [default_k(n) for n in range(2, 8)] == [1, 2, 3, 4, 5, 5]
     # the schedule respects the growth condition across scales
     for n in (10**3, 10**5, 10**7):
-        assert check_k1(n, default_k(n)) < 1.5
+        assert _k1(n, default_k(n)) < 1.5
 
 
 @pytest.mark.parametrize("value", [7.9, "200", True, math.inf, math.nan], ids=repr)
 def test_counts_refuse_non_integers(value):
-    for call in (lambda: default_k(value), lambda: check_k1(value, 7),
-                 lambda: check_k1(100_000, value), lambda: WeightFunction.identity().weights(value)):
+    identity = WeightFunction.identity()
+    for call in (lambda: default_k(value), lambda: SpacingPlan.build(identity, value, 7, 1.0),
+                 lambda: SpacingPlan.build(identity, 100_000, value, 1.0),
+                 lambda: identity.weights(value)):
         with pytest.raises(DomainError, match=f"must be an integer, got {value!r}"):
             call()
 
