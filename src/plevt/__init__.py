@@ -3,134 +3,27 @@
 Evaluation, sampling, method-of-moments fitting, tail-index estimation
 (Hill and weighted-spacing variants), record-value asymptotics, and a
 deterministic Monte Carlo harness checking each limit theorem.
+
+The package exports the ``__all__`` of each library module below;
+``plevt.gof`` and ``plevt.cli`` are imported from their modules.
 """
 
-from .distribution import (
-    FitResult,
-    Params,
-    cdf,
-    fit_method_of_moments,
-    moment,
-    moment_radius_sequence,
-    pdf,
-    survival,
-    von_mises_ratio,
-)
-from .errors import (
-    CsvFormatError,
-    DegenerateSampleError,
-    DomainError,
-    ExperimentRefusedError,
-    FitInfeasibleError,
-    NotEvaluableError,
-    ParameterError,
-    PlevtError,
-)
-from .harness import (
-    Experiment,
-    McReport,
-    Thresholds,
-    default_thresholds,
-    derived_rerun_seed,
-    report_to_json,
-    run_experiment,
-    run_suite,
-    standard_suite,
-)
-from .quantile import (
-    QuantileResult,
-    quantile_exact,
-    quantile_from_log_tail,
-    quantile_tail_expansion,
-    quantile_values,
-)
-from .records import (
-    RecordSequence,
-    extract_records,
-    simulate_record,
-    standardized_record,
-)
-from .sampling import (
-    SeedSpec,
-    SortedSample,
-    mixture_values,
-    read_values_csv,
-    sample_inverse_cdf,
-    sample_mixture,
-    spacings,
-    top_order_statistics,
-    write_values_csv,
-)
-from .tail import (
-    TailStatistics,
-    WeightFunction,
-    check_dh_conditions,
-    default_k,
-    dh_statistic,
-    hill,
-    standardize_dh,
-)
+from .distribution import *
+from .errors import *
+from .harness import *
+from .quantile import *
+from .records import *
+from .sampling import *
+from .tail import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # distribution
-    "Params",
-    "pdf",
-    "survival",
-    "cdf",
-    "moment",
-    "moment_radius_sequence",
-    "von_mises_ratio",
-    "FitResult",
-    "fit_method_of_moments",
-    # quantile
-    "QuantileResult",
-    "quantile_exact",
-    "quantile_from_log_tail",
-    "quantile_values",
-    "quantile_tail_expansion",
-    # sampling
-    "SeedSpec",
-    "SortedSample",
-    "mixture_values",
-    "sample_mixture",
-    "sample_inverse_cdf",
-    "top_order_statistics",
-    "spacings",
-    "read_values_csv",
-    "write_values_csv",
-    # tail estimation
-    "WeightFunction",
-    "TailStatistics",
-    "hill",
-    "dh_statistic",
-    "standardize_dh",
-    "check_dh_conditions",
-    "default_k",
-    # records
-    "RecordSequence",
-    "extract_records",
-    "simulate_record",
-    "standardized_record",
-    # harness
-    "Experiment",
-    "McReport",
-    "Thresholds",
-    "default_thresholds",
-    "derived_rerun_seed",
-    "run_experiment",
-    "run_suite",
-    "standard_suite",
-    "report_to_json",
-    # errors
-    "PlevtError",
-    "ParameterError",
-    "DomainError",
-    "NotEvaluableError",
-    "FitInfeasibleError",
-    "DegenerateSampleError",
-    "CsvFormatError",
-    "ExperimentRefusedError",
-]
+# ``+=`` of a module's ``__all__`` is the form static checkers read as a re-export
+__all__ = ["__version__"]
+__all__ += distribution.__all__
+__all__ += errors.__all__
+__all__ += harness.__all__
+__all__ += quantile.__all__
+__all__ += records.__all__
+__all__ += sampling.__all__
+__all__ += tail.__all__

@@ -5,6 +5,17 @@ import sys
 
 import numpy as np
 
+__all__ = [
+    "PlevtError",
+    "ParameterError",
+    "DomainError",
+    "NotEvaluableError",
+    "FitInfeasibleError",
+    "DegenerateSampleError",
+    "CsvFormatError",
+    "ExperimentRefusedError",
+]
+
 #: The largest integer that converts to a finite float.
 _INT_MAX = int(sys.float_info.max)
 #: The largest x with a finite exp(x): a log past it overflows on the way back.

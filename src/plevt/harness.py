@@ -80,9 +80,6 @@ from .sampling import (
 from .tail import SpacingPlan, WeightFunction, _power, default_k, standardize_dh
 
 __all__ = [
-    "KINDS",
-    "REPLICATED_KINDS",
-    "STOCHASTIC_KINDS",
     "Thresholds",
     "default_thresholds",
     "Experiment",
@@ -91,10 +88,7 @@ __all__ = [
     "run_experiment",
     "run_suite",
     "standard_suite",
-    "report_to_json_dict",
     "report_to_json",
-    "suite_to_json",
-    "write_csv_summary",
 ]
 
 #: Additive constant for the automatic re-run seed (64-bit golden ratio).

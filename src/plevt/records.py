@@ -27,7 +27,6 @@ __all__ = [
     "RecordSequence",
     "extract_records",
     "simulate_record",
-    "record_log_tails",
     "standardized_record",
 ]
 

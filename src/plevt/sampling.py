@@ -29,7 +29,6 @@ __all__ = [
     "top_order_statistics",
     "spacings",
     "read_values_csv",
-    "parse_values_lines",
     "write_values_csv",
 ]
 

@@ -254,6 +254,17 @@ def test_default_k_on_a_small_file_is_n_minus_one(tmp_path, capsys, command, n):
         assert json.loads(out)["k"] == n - 1
 
 
+@pytest.mark.parametrize("command", ["hill", "dhill"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fewer_than_three_values_is_a_usage_error(tmp_path, capsys, command, n):
+    # the library takes 2 values at k = 1; the CLI asks for 3
+    p = tmp_path / "tiny.csv"
+    p.write_text("".join(f"{v}\n" for v in (0.5, 1.2)[:n]))
+    code, out, err = run(capsys, command, "-i", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: {command} needs at least 3 observations, got {n}\n"
+
+
 def test_hill_k_out_of_range(canon_csv, capsys):
     code, _, err = run(capsys, "hill", "-i", canon_csv, "--k", "5")
     assert code == 2
