@@ -140,12 +140,13 @@ def _read_input(read, arg: str):
         raise CsvFormatError(arg, 0, f"unreadable input: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, data, write=lambda text, fh: fh.write(text)) -> None:
+    """``write(data, fh)`` to the file at ``path``, or to stdout for none or ``-``."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        write(data, sys.stdout)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        write(data, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +179,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         values = sample_mixture(args.n, p, seed).values
     else:
         values = mixture_values(args.n, p, seed)
-    if args.output in (None, "-"):
-        write_values_csv(values, sys.stdout)
-        return EXIT_OK
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_values_csv(values, fh)
+    _write_text(args.output, values, write_values_csv)
     return EXIT_OK
 
 

@@ -65,8 +65,23 @@ class Params:
 
     @property
     def gamma(self) -> float:
-        """Extreme value index of the law, ``1/theta``."""
-        return 1.0 / self.theta
+        """Extreme value index of the law, ``1/theta``; DomainError past the double range."""
+        return _in_data_units(1.0, self, "gamma")
+
+
+def _in_data_units(y, p: Params, what: str):
+    """``y / theta``, the one place plevt divides by theta, for a float or array of ``theta*x``;
+    DomainError naming ``what`` past the double range.  Floats skip numpy's 2-4 us a call."""
+    if type(y) is float:
+        x = y / p.theta
+        if math.isfinite(x):
+            return x
+    else:
+        with np.errstate(over="ignore"):  # an infinite value is refused just below
+            x = y / p.theta
+        if np.isfinite(x).all():
+            return x
+    raise DomainError(f"{what} overflows float64 for {p}")
 
 
 #: Values per block of the array kernels: a block's temporaries stay in
@@ -174,7 +189,7 @@ def moment_radius_sequence(p: Params, n_max: int) -> np.ndarray:
     log(n)/n; the raw roots ``m_n**(1/n)`` diverge and are not used.
     """
     n = np.arange(1, check_int(n_max, "n_max", 1) + 1, dtype=np.float64)
-    return np.exp((np.log(p.beta + n) - math.log(p.beta)) / n) / p.theta
+    return _in_data_units(np.exp((np.log(p.beta + n) - math.log(p.beta)) / n), p, "moment radius")
 
 
 def von_mises_ratio(x: float, p: Params) -> float:

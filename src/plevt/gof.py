@@ -36,8 +36,9 @@ def _std_normal_cdf_block(arr):
 
 
 def gumbel_cdf(x):
-    """Standard Gumbel cdf exp(-exp(-x))."""
-    return np.exp(-np.exp(-check_real_array(x, "x")))
+    """Standard Gumbel cdf exp(-exp(-x)); 0 where exp(-x) overflows (x below about -709.78)."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.exp(-check_real_array(x, "x")))
 
 
 def ks_distance_sorted(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:

@@ -64,7 +64,9 @@ import numpy as np
 
 from . import gof
 from .distribution import Params, cdf
-from .errors import ExperimentRefusedError, ParameterError, check_bool, check_int, check_real
+from .errors import (
+    DomainError, ExperimentRefusedError, ParameterError, check_bool, check_int, check_real,
+)
 from .quantile import _quantiles_at_log_tails, quantile_exact, quantile_tail_expansion
 from .records import record_log_tails, standardized_record
 from .sampling import (
@@ -279,15 +281,25 @@ def _summary(
 ) -> tuple[np.ndarray, float, float, float]:
     """Sorted values, their mean, variance and KS distance to the reference law."""
     zs = np.sort(values)
-    mean = float(np.mean(zs))
-    var = float(np.var(zs, ddof=1))
+    mean, var = _mean_var(zs)
     ks = gof.ks_distance_sorted(zs, getattr(gof, _REFERENCES[reference][0])(zs))
     return zs, mean, var, ks
 
 
+def _mean_var(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample variance; one past the double range is inf, which _report refuses."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(values)), float(np.var(values, ddof=1))
+
+
 def _report(e: Experiment, **measured) -> McReport:
     """Report of one attempt at ``e``: its kind, reps and master seed with
-    the measured fields; :func:`run_experiment` fills in the runtime."""
+    the measured fields; :func:`run_experiment` fills in the runtime.  A
+    measured float that is not finite, which strict JSON cannot hold,
+    raises DomainError naming its field."""
+    for name, value in measured.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{name} = {value!r} leaves the double range for {e.params}")
     return McReport(kind=e.kind, reps=e.reps, runtime_ms=0, seed=e.seed.master_seed, **measured)
 
 
@@ -342,7 +354,6 @@ def _run_max_gumbel(e: Experiment) -> McReport:
 def _run_spacings_clt(e: Experiment) -> McReport:
     """``hill_clt`` (identity weights, s = 1) and ``dh_clt``."""
     p = e.params
-    gamma = p.gamma
     k = e.k
     weight = WeightFunction.identity() if e.weight is None else e.weight
     s = 1.0 if e.s is None else e.s
@@ -355,6 +366,7 @@ def _run_spacings_clt(e: Experiment) -> McReport:
                 f"{what} = {diag[key]:.3g} exceeds {bounds[key]:g} (n={e.n}, k={k})",
                 diagnostics=diag,
             )
+    gamma = p.gamma
 
     def block(seed, count):
         ts = plan.rows(top_order_statistics_rows(e.n, k, p, seed, count))
@@ -396,10 +408,11 @@ def _run_sampler_gof(e: Experiment) -> McReport:
     ks_two = gof.ks_two_sample(mix.values, inv.values)
     crit_two = _GOF_FACTOR * math.sqrt(2.0 / e.n)
 
+    mean, var = _mean_var(mix.values)
     return _report(
         e,
-        empirical_mean=float(np.mean(mix.values)),
-        empirical_var=float(np.var(mix.values, ddof=1)),
+        empirical_mean=mean,
+        empirical_var=var,
         ks_distance=ks_one,
         reference="pseudo_lindley",
         threshold=crit_one,
@@ -427,10 +440,11 @@ def _run_quantile_error_order(e: Experiment) -> McReport:
         weighted.append(err * big_l * big_l)
     weighted_arr = np.asarray(weighted)
     ratio = float(np.max(weighted_arr) / np.min(weighted_arr))
+    mean, var = _mean_var(weighted_arr)
     return _report(
         e,
-        empirical_mean=float(np.mean(weighted_arr)),
-        empirical_var=float(np.var(weighted_arr, ddof=1)),
+        empirical_mean=mean,
+        empirical_var=var,
         ks_distance=0.0,
         reference="none",
         threshold=_ERROR_RATIO_BOUND,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Params, _blockwise
+from .distribution import Params, _blockwise, _in_data_units
 from .errors import DomainError, check_real, check_real_array
 
 __all__ = [
@@ -156,12 +156,6 @@ def _solve_scaled_array(log_inv_u, beta):
     return float(y[0]) if L.ndim == 0 else y.reshape(L.shape)
 
 
-def _check_finite(x: float, p: Params) -> float:
-    if not math.isfinite(x):
-        raise DomainError(f"quantile overflows float64 for {p}")
-    return x
-
-
 def quantile_exact(u: float, p: Params) -> QuantileResult:
     """Upper quantile: the x with ``survival(x) == u``.
 
@@ -172,9 +166,7 @@ def quantile_exact(u: float, p: Params) -> QuantileResult:
     not on x.  The result carries the quantile and the number of Newton
     steps.  Raises DomainError when the quantile is not finite.
     """
-    u = _check_tail_mass(u)
-    y, iterations = _solve_scaled(-math.log(u), p.beta)
-    return QuantileResult(_check_finite(y / p.theta, p), iterations)
+    return quantile_from_log_tail(-math.log(_check_tail_mass(u)), p)
 
 
 def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
@@ -188,7 +180,7 @@ def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
     if not (L > 0.0) or not math.isfinite(L):
         raise DomainError(f"log(1/u) must be finite and > 0, got {log_inv_u!r}")
     y, iterations = _solve_scaled(L, p.beta)
-    return QuantileResult(_check_finite(y / p.theta, p), iterations)
+    return QuantileResult(_in_data_units(y, p, "quantile"), iterations)
 
 
 def _quantiles_at_log_tails(log_inv_u: np.ndarray, p: Params) -> np.ndarray:
@@ -203,11 +195,7 @@ def _quantiles_at_log_tails(log_inv_u: np.ndarray, p: Params) -> np.ndarray:
         raise DomainError(
             "tail masses must lie strictly in (0, 1): log(1/u) must be finite and > 0"
         )
-    with np.errstate(over="ignore"):  # an infinite x is refused just below
-        x = _solve_scaled_array(log_inv_u, p.beta) / p.theta
-    if not np.isfinite(x).all():
-        raise DomainError(f"quantile overflows float64 for {p}")
-    return x
+    return _in_data_units(_solve_scaled_array(log_inv_u, p.beta), p, "quantile")
 
 
 def quantile_values(u, p: Params) -> np.ndarray:
@@ -234,4 +222,4 @@ def quantile_tail_expansion(u: float, p: Params) -> float:
         raise DomainError(
             f"tail expansion needs log(1/u) > 1 (u < 1/e), got log(1/u)={L!r}"
         )
-    return _check_finite((L + math.log(L) - math.log(p.beta)) / p.theta, p)
+    return _in_data_units(L + math.log(L) - math.log(p.beta), p, "quantile")

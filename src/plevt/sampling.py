@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import Params
+from .distribution import Params, _in_data_units
 from .errors import CsvFormatError, DomainError, check_int, check_sample
 from .quantile import quantile_values
 
@@ -161,7 +161,7 @@ def mixture_values(n: int, p: Params, seed: SeedSpec) -> np.ndarray:
     component = rng.random(n)
     e1 = _exponentials(rng, n)
     e2 = _exponentials(rng, n)
-    return (e1 + np.where(component < (p.beta - 1.0) / p.beta, 0.0, e2)) / p.theta
+    return _in_data_units(e1 + np.where(component < (p.beta - 1.0) / p.beta, 0.0, e2), p, "a draw")
 
 
 def sample_mixture(n: int, p: Params, seed: SeedSpec) -> SortedSample:
@@ -295,6 +295,6 @@ def write_values_csv(values, fh) -> None:
     Each block of ``_CSV_BLOCK`` values is joined into one string and
     written with one call, so memory stays bounded at any sample size.
     """
-    values = check_sample(values, "values")
+    values = check_sample(values, "sample")
     for start in range(0, values.size, _CSV_BLOCK):
         fh.write("\n".join(map(repr, values[start:start + _CSV_BLOCK].tolist())) + "\n")

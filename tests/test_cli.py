@@ -141,6 +141,21 @@ def test_sample_unwritable_output(capsys):
     assert code == 3
 
 
+def test_sample_stdout_and_file_are_the_same_bytes(tmp_path, capsys):
+    p = tmp_path / "s.csv"
+    code, out, _ = run(capsys, "sample", "-n", "300", "--seed", "4")
+    assert code == 0
+    assert main(["sample", "-n", "300", "--seed", "4", "-o", str(p)]) == 0
+    assert p.read_text(encoding="utf-8") == out
+
+
+def test_sample_past_the_double_range_is_one_usage_error_line(capsys):
+    # theta = 5e-324 is a valid rate, but every draw / theta overflows
+    code, out, err = run(capsys, "sample", "-n", "5", "--theta", "5e-324", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: a draw overflows float64 for Params(theta=5e-324, beta=2.0)"]
+
+
 def test_sample_seed_warning_on_stderr(capsys, monkeypatch):
     monkeypatch.delenv("PLEVT_SEED", raising=False)
     code, out, err = run(capsys, "sample", "-n", "3")
@@ -525,7 +540,8 @@ CLI_SWEEPS = [
     (["eval", "--fn", "quantile", "--u", "0.5"], {"--u": REAL_TEXT, "--theta": REAL_TEXT}),
     (["eval", "--fn", "moment", "--n", "2"], {"--n": COUNT_TEXT, "--theta": REAL_TEXT}),
     (["sample", "-n", "3", "--seed", "1"], {"-n": SMALL_TEXT, "--seed": COUNT_TEXT,
-                                            "--stream": COUNT_TEXT, "--beta": REAL_TEXT}),
+                                            "--stream": COUNT_TEXT, "--theta": REAL_TEXT,
+                                            "--beta": REAL_TEXT}),
     (["fit", "-i", "header.csv"], {"-i": FILE_TEXT}),
     (["hill", "-i", "small.csv"], {"-i": FILE_TEXT, "--k": COUNT_TEXT, "--level": REAL_TEXT,
                                    "--k-grid": ["1:3", "3:1", "0:3", "1:2:0", "a:b", "1:99",
@@ -534,6 +550,7 @@ CLI_SWEEPS = [
                                                 "--f": SPEC_TEXT, "--s": REAL_TEXT}),
     (["records", "-i", "small.csv"], {"-i": FILE_TEXT}),
     (["records", "--simulate", "--n", "3", "--seed", "1"], {"--n": COUNT_TEXT,
+                                                            "--theta": REAL_TEXT,
                                                             "--beta": REAL_TEXT}),
     (_VERIFY + ["record_clt", "--n", "50"], {"--n": SMALL_TEXT, "--reps": SMALL_TEXT,
                                              "--ks": REAL_TEXT, "--mean-window": REAL_TEXT,
@@ -542,7 +559,11 @@ CLI_SWEEPS = [
     (_VERIFY + ["dh_clt", "--n", "100000", "--k", "20", "--s", "2"],
      {"--k": SMALL_TEXT, "--f": SPEC_TEXT, "--s": REAL_TEXT}),
     (_VERIFY + ["max_gumbel", "--n", "1000"], {"--ks": REAL_TEXT}),
-    (["verify", "--kind", "quantile_error_order"], {"--beta": REAL_TEXT}),
+    (["verify", "--kind", "quantile_error_order"], {"--theta": REAL_TEXT + ["1e-160"],
+                                                    "--beta": REAL_TEXT}),
+    # at theta = 1e-200 the draws are finite but their variance is not
+    (["verify", "--kind", "sampler_gof", "--n", "50", "--seed", "7"],
+     {"--theta": REAL_TEXT + ["1e-200"]}),
 ]
 
 
@@ -613,6 +634,14 @@ def test_verify_single_kind_passes(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["passed"] is True and d["runtime_ms"] == 0
+
+
+def test_verify_refuses_a_report_field_past_the_double_range(capsys):
+    # the draws near 1e160 are finite, their variance is not: no "Infinity" is printed
+    code, out, err = run(capsys, "verify", "--kind", "sampler_gof", "--n", "50",
+                         "--theta", "1e-160", "--seed", "7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: empirical_var = inf ") and len(err.splitlines()) == 1
 
 
 def test_verify_stable_json_byte_identical(capsys):

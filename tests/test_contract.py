@@ -332,9 +332,28 @@ EDGES = {
         WeightFunction.identity(), 10, 10**12, 2.0),
 }
 
+#: theta = 5e-324 is a valid rate whose scale 1/theta leaves the double range:
+#: calls that returned inf or warned there, and the quantity each refusal names.
+TINY = Params(5e-324, 2.0)
+THETA_SCALE = {
+    "mixture_values": (lambda: plevt.mixture_values(3, TINY, SeedSpec(1)), "a draw"),
+    "sample_mixture": (lambda: plevt.sample_mixture(3, TINY, SeedSpec(1)), "a draw"),
+    "moment_radius_sequence": (lambda: plevt.moment_radius_sequence(TINY, 2), "moment radius"),
+    "standardized_record": (lambda: plevt.standardized_record(1.0, 3, TINY), "gamma"),
+    "Params.gamma": (lambda: TINY.gamma, "gamma"),
+}
+EDGES.update({f"{name} at theta = 5e-324": call for name, (call, _) in THETA_SCALE.items()})
+
 
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_edge_is_refused(edge):
     with warnings.catch_warnings(), pytest.raises(plevt.DomainError):
         warnings.simplefilter("error")  # refused, not warned about first
         EDGES[edge]()
+
+
+@pytest.mark.parametrize("name", sorted(THETA_SCALE))
+def test_theta_scale_refusal_names_its_quantity(name):
+    call, quantity = THETA_SCALE[name]
+    with pytest.raises(plevt.DomainError, match=f"^{quantity} overflows float64 for Params"):
+        call()

@@ -1,14 +1,17 @@
 """Distribution core: density, survival, moments, fitting."""
 
+import ast
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plevt
 from plevt import (
     DomainError,
     FitInfeasibleError,
@@ -64,6 +67,38 @@ def test_params_derived_fields():
     p = Params(4.0, 2.0)
     assert p.gamma == 0.25
     assert Params(theta=2, beta=3).theta == 2.0  # ints coerced
+
+
+def theta_divisions(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each division in ``source`` whose divisor
+    is an attribute named ``theta``, as in ``y / p.theta`` or ``x /= self.theta``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        divisor = getattr(node, "right", getattr(node, "value", None))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                and isinstance(divisor, ast.Attribute) and divisor.attr == "theta"):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_theta_divisions_are_found():
+    source = "def f(p):\n    return 1.0 / p.theta\nx /= q.theta\ny = p.theta / 2\nz = 1 / theta\n"
+    assert theta_divisions(source) == [("f", 2), (None, 3)]
+
+
+def test_one_function_divides_by_theta():
+    # the theta scale has one owner, which also refuses a result past the double range;
+    # it divides once per input kind, a float by itself and an array under numpy's errstate
+    sites = [(path.name, function) for path in sorted(Path(plevt.__file__).parent.glob("*.py"))
+             for function, _ in theta_divisions(path.read_text(encoding="utf-8"))]
+    assert sites == [("distribution.py", "_in_data_units")] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,17 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import gumbel_r
 
 import plevt.harness
 from plevt.distribution import Params
-from plevt.errors import ExperimentRefusedError, ParameterError
-from plevt.gof import ks_two_sample, std_normal_cdf
+from plevt.errors import DomainError, ExperimentRefusedError, ParameterError
+from plevt.gof import gumbel_cdf, ks_two_sample, std_normal_cdf
 from plevt.harness import (
     KINDS,
     REPLICATED_KINDS,
@@ -75,6 +77,21 @@ def test_std_normal_cdf_bits_pinned_and_memory_bounded():
     h = hashlib.sha256(std_normal_cdf(x).tobytes())
     h.update(std_normal_cdf(x[:100_000].reshape(400, 250)).tobytes())
     assert h.hexdigest() == "f667b3fbf17987f14fa7222b6ba66d38185b477673e0c3bc1f4f9b98dbd70241"
+
+
+def test_gumbel_cdf_matches_scipy():
+    # scipy evaluates the same exp(-exp(-x)), and warns below -709.78 itself
+    x = np.linspace(-709.0, 40.0, 20_001)
+    np.testing.assert_allclose(gumbel_cdf(x), gumbel_r.cdf(x), rtol=1e-15, atol=0.0)
+
+
+def test_gumbel_cdf_edges_keep_the_shape():
+    # exp(-x) overflows below about -709.78, where the cdf is 0, without a warning
+    got = gumbel_cdf(np.array([-1000.0, -np.inf, np.inf, np.nan]))
+    np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, np.nan])
+    x = np.linspace(-1000.0, 5.0, 12).reshape(3, 4)
+    assert gumbel_cdf(x).shape == (3, 4)
+    np.testing.assert_array_equal(gumbel_cdf(x)[0, :2], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +515,22 @@ def test_hill_refuses_fast_k_growth_before_drawing(monkeypatch):
     with pytest.raises(ExperimentRefusedError, match="^k grows too fast for the Hill CLT") as exc:
         run_experiment(e)
     assert exc.value.diagnostics["k1"] == pytest.approx(20**0.75 / math.log(100), rel=1e-12)
+
+
+def test_spacing_guards_refuse_before_gamma_overflows():
+    # at theta = 5e-324 gamma = 1/theta is refused, but the guard speaks first
+    e = Experiment(kind="hill_clt", params=Params(5e-324, 2.0), n=100, k=20, reps=100)
+    with pytest.raises(ExperimentRefusedError, match="^k grows too fast"):
+        run_experiment(e)
+    with pytest.raises(DomainError, match="^gamma overflows"):
+        run_experiment(replace(e, k=5))
+
+
+def test_report_refuses_a_field_past_the_double_range():
+    # draws near 1e160 are finite, but their variance is not strict JSON
+    e = Experiment(kind="sampler_gof", params=Params(1e-160, 2.0), n=50, seed=SeedSpec(7))
+    with pytest.raises(DomainError, match="^empirical_var = inf leaves the double range"):
+        run_experiment(e)
 
 
 def test_dh_refuses_lindeberg_violation():

@@ -368,6 +368,11 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(values, back)  # repr round-trips exactly
 
 
+def test_csv_write_refuses_a_nonfinite_value():
+    with pytest.raises(DomainError, match="^sample values must all be finite$"):
+        write_values_csv(np.array([1.0, np.inf]), io.StringIO())
+
+
 def test_csv_header_detected(tmp_path):
     path = tmp_path / "with_header.csv"
     path.write_text("value\n1.5\n2.5\n")
