@@ -24,6 +24,7 @@ Commands are deterministic given the full flag set, seed included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from .errors import (
     ParameterError,
 )
 from .harness import (
+    STOCHASTIC_KINDS,
     Experiment,
     default_thresholds,
     report_to_json,
@@ -106,16 +108,15 @@ def _apply_env_defaults(parser: argparse.ArgumentParser) -> None:
         action.required = False
 
 
-def _resolve_seed(args: argparse.Namespace) -> SeedSpec:
-    seed = args.seed
-    if seed is None:
+def _resolve_seed(args: argparse.Namespace, draws: bool = True) -> SeedSpec:
+    """The seed to run at; with none given, a run that ``draws`` warns of the default."""
+    if args.seed is None and draws:
         print(
             f"warning: no --seed given (and no PLEVT_SEED); "
             f"using default master seed {DEFAULT_MASTER_SEED}",
             file=sys.stderr,
         )
-        seed = DEFAULT_MASTER_SEED
-    return SeedSpec(seed, args.stream)
+    return SeedSpec(DEFAULT_MASTER_SEED if args.seed is None else args.seed, args.stream)
 
 
 def _read_input_values(path: str | None) -> np.ndarray:
@@ -140,13 +141,28 @@ def _read_input(read, arg: str):
         raise CsvFormatError(arg, 0, f"unreadable input: {exc}") from exc
 
 
-def _write_text(path: str | None, data, write=lambda text, fh: fh.write(text)) -> None:
-    """``write(data, fh)`` to the file at ``path``, or to stdout for none or ``-``."""
-    if path in (None, "-"):
-        write(data, sys.stdout)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        write(data, fh)
+def _write_outputs(*outputs) -> None:
+    """Write each ``(path, content)`` of a command to the file at ``path``, or to
+    stdout for none or ``-``; ``content`` is text, or a function that writes to the file.
+
+    Two outputs on one sink raise ParameterError.  Every file is opened before
+    any content is written, so a refused command, or one with a file it cannot
+    open (OSError), writes no content anywhere.
+    """
+    sinks = ["-" if path in (None, "-") else os.path.realpath(path) for path, _ in outputs]
+    for i, sink in enumerate(sinks):
+        if sink in sinks[:i]:
+            where = "stdout" if sink == "-" else repr(outputs[i][0])
+            raise ParameterError(f"two outputs would go to {where}; give each its own path")
+    with contextlib.ExitStack() as files:
+        handles = [sys.stdout if sink == "-" else
+                   files.enter_context(open(path, "w", encoding="utf-8"))
+                   for sink, (path, _) in zip(sinks, outputs)]
+        for fh, (_, content) in zip(handles, outputs):
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +182,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ParameterError(f"--fn {args.fn} requires --{flag}")
         fn = {"pdf": pdf, "survival": survival, "cdf": cdf, "quantile": quantile_values}[args.fn]
         lines = [f"{float(x)!r}\t{float(v)!r}" for x, v in zip(points, fn(points, p))]
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_outputs((args.output, "\n".join(lines) + "\n"))
     return EXIT_OK
 
 
@@ -179,7 +195,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         values = sample_mixture(args.n, p, seed).values
     else:
         values = mixture_values(args.n, p, seed)
-    _write_text(args.output, values, write_values_csv)
+    _write_outputs((args.output, lambda fh: write_values_csv(values, fh)))
     return EXIT_OK
 
 
@@ -194,7 +210,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "m2": result.m2,
         "n_obs": int(values.size),
     }
-    _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
+    _write_outputs((args.output, json.dumps(payload, sort_keys=True) + "\n"))
     return EXIT_OK
 
 
@@ -242,7 +258,7 @@ def cmd_hill(args: argparse.Namespace) -> int:
         h = hill(sample, k)
         half = z * h / math.sqrt(k)
         rows.append(f"{k},{h!r},{h - half!r},{h + half!r}")
-    _write_text(args.output, "\n".join(rows) + "\n")
+    _write_outputs((args.output, "\n".join(rows) + "\n"))
     return EXIT_OK
 
 
@@ -254,7 +270,7 @@ def cmd_dhill(args: argparse.Namespace) -> int:
     ts = plan.rows(sample.values)
     payload = {"n": sample.n, "weight": weight.label, "conditions": plan.conditions(),
                **asdict(ts)}
-    _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
+    _write_outputs((args.output, json.dumps(payload, sort_keys=True) + "\n"))
     return EXIT_OK
 
 
@@ -270,20 +286,19 @@ def cmd_records(args: argparse.Namespace) -> int:
             "value": value,
             "standardized": standardized_record(value, args.n, p),
         }
-        _write_text(args.output, json.dumps(payload, sort_keys=True) + "\n")
+        _write_outputs((args.output, json.dumps(payload, sort_keys=True) + "\n"))
         return EXIT_OK
     values = _read_input_values(args.input)
     rec = extract_records(values)
     rows = ["index,value"]
     for idx, val in zip(rec.indices, rec.values):
         rows.append(f"{int(idx)},{float(val)!r}")
-    _write_text(args.output, "\n".join(rows) + "\n")
+    _write_outputs((args.output, "\n".join(rows) + "\n"))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p = Params(args.theta, args.beta)
-    seed = _resolve_seed(args)
     if args.all:
         if args.kind is not None:
             raise ParameterError("--all and --kind are mutually exclusive")
@@ -298,7 +313,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--all runs the standard suite at its defaults and takes no "
                 f"{', '.join(given)} (as a flag or a PLEVT_* variable)"
             )
-        results = run_suite(standard_suite(p, seed))
+        results = run_suite(standard_suite(p, _resolve_seed(args)))
         text = suite_to_json(results, stable=args.stable_json)
     elif args.kind is None:
         raise ParameterError("verify requires --kind (or --all)")
@@ -316,17 +331,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             weight=None if args.f is None else _read_input(WeightFunction.from_spec, args.f),
             s=args.s,
             reps=args.reps,
-            seed=seed,
+            seed=_resolve_seed(args, draws=args.kind in STOCHASTIC_KINDS),
             thresholds=thresholds,
             rerun_on_fail=not args.no_rerun,
         )
         report = run_experiment(experiment)
         results = [(experiment, report)]
         text = report_to_json(report, stable=args.stable_json)
-    _write_text(args.output, text + "\n")
+    outputs = [(args.output, text + "\n")]
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            write_csv_summary(results, fh)
+        outputs.append((args.csv, lambda fh: write_csv_summary(results, fh)))
+    _write_outputs(*outputs)
     return EXIT_OK if all(r.passed for _, r in results) else EXIT_VERIFY_FAILED
 
 
@@ -433,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="zero the runtime_ms field for byte-identical comparisons",
     )
-    sub.add_argument("--csv", default=None, help="also write a CSV summary to this path")
+    sub.add_argument("--csv", default=None,
+                     help="also write a CSV summary to this path (- for stdout)")
     _add_output(sub)
     sub.set_defaults(func=cmd_verify)
 

@@ -31,6 +31,7 @@ from .errors import (
     check_int,
     check_real,
     check_real_array,
+    check_sample,
 )
 
 __all__ = [
@@ -240,9 +241,10 @@ def fit_method_of_moments(sample) -> FitResult:
     double range (values above about 1.3e154 in m2) or a mean whose square
     falls below its normal range (below about 1.5e-154) raise DomainError.
 
-    ``sample`` may be a SortedSample or any 1-d array of observations.
+    ``sample`` may be a SortedSample or any 1-d array of finite observations;
+    another shape, or a value that is not finite, raises DomainError.
     """
-    values = check_real_array(getattr(sample, "values", sample), "sample")
+    values = check_sample(getattr(sample, "values", sample), "sample")
     if values.size < 2:
         raise DomainError(f"need at least 2 observations, got {values.size}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is NaN, refused below

@@ -42,10 +42,16 @@ def gumbel_cdf(x):
 
 
 def ks_distance_sorted(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:
-    """sup-distance between the ecdf of sorted data and given cdf values."""
-    n = sorted_values.size
-    if n == 0:
-        raise DomainError("empty sample")
+    """sup-distance between the ecdf of sorted data and given cdf values.
+
+    Raises DomainError unless ``cdf_values`` is a non-empty 1-d array of
+    finite reals of the shape of ``sorted_values``.
+    """
+    cdf_values = check_sample(cdf_values, "cdf_values")
+    if np.shape(sorted_values) != cdf_values.shape:
+        raise DomainError(f"cdf_values must have the shape {np.shape(sorted_values)} "
+                          f"of sorted_values, got {cdf_values.shape}")
+    n = cdf_values.size
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - cdf_values))
     d_minus = float(np.max(cdf_values - (i - 1.0) / n))

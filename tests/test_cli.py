@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving plevt.cli.main with in-process argv lists."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -829,6 +830,107 @@ def test_verify_csv_summary(tmp_path, capsys):
     lines = p.read_text().splitlines()
     assert lines[0].startswith("kind,n,k,reps,")
     assert lines[1].split(",")[0] == "sampler_gof"
+
+
+def test_verify_csv_to_stdout_beside_the_report_is_refused(tmp_path, capsys, monkeypatch):
+    # "-" is stdout for --csv as for -o, so two outputs would share one sink
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--csv", "-"], ["--csv", "-", "-o", "-"]):
+        code, out, err = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                             *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: two outputs would go to stdout; give each its own path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_csv_to_stdout_and_report_to_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "r.json"
+    code, out, _ = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                       "--stable-json", "-o", str(report), "--csv", "-")
+    code_alone, alone, _ = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                               "--stable-json")
+    assert code == code_alone == 0
+    assert report.read_text(encoding="utf-8") == alone
+    assert out.splitlines()[0].startswith("kind,n,k,reps,")
+    assert out.splitlines()[1].split(",")[0] == "quantile_error_order"
+    assert list(tmp_path.iterdir()) == [report]
+
+
+def test_verify_report_and_csv_on_one_path_are_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for csv in ("x", "./x", str(tmp_path / "x")):  # one file, spelled three ways
+        code, out, err = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                             "-o", "x", "--csv", csv)
+        assert (code, out) == (2, "")
+        assert err == "error: two outputs would go to " + repr(csv) + "; give each its own path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_unwritable_csv_writes_no_report(tmp_path, capsys):
+    # every output is opened before any is written, so the report is not printed
+    code, out, err = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                         "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "x.csv" in err
+    report = tmp_path / "r.json"
+    code, out, _ = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                       "-o", str(report), "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (3, "")
+    assert not report.exists() or report.read_text() == ""  # nothing written
+
+
+SEED_WARNING = "warning: no --seed given (and no PLEVT_SEED); using default master seed 7\n"
+
+
+@pytest.mark.parametrize("argv, warns", [
+    (["verify", "--kind", "quantile_error_order"], False),  # draws nothing
+    (["verify", "--kind", "sampler_gof", "--n", "50"], True),
+    (["verify", "--all"], True),
+    (["sample", "-n", "3"], True),
+    (["records", "--simulate", "--n", "3"], True),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else str(v))
+def test_only_a_run_that_draws_warns_about_its_seed(capsys, monkeypatch, argv, warns):
+    monkeypatch.delenv("PLEVT_SEED", raising=False)
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1)
+    assert err == (SEED_WARNING if warns else "")
+
+
+def sink_sites(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each place in ``source`` that writes
+    output: a call of ``open``, a mention of ``sys.stdout``, or a ``print``
+    with no ``file=``, which prints to stdout."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        called = node.func.id if call else None
+        if (called == "open"
+                or called == "print" and not any(kw.arg == "file" for kw in node.keywords)
+                or isinstance(node, ast.Attribute) and node.attr == "stdout"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_sink_sites_are_found():
+    source = ("def f(p):\n    with open(p) as fh:\n        print(1, file=fh)\n"
+              "def g():\n    print('x')\n    sys.stderr.write('y')\nh(sys.stdout)\n")
+    assert sink_sites(source) == [("f", 2), ("g", 5), (None, 7)]
+
+
+def test_one_function_owns_every_output_sink():
+    # stdout and every output file of every subcommand go through one function,
+    # which maps "-" to stdout and refuses two outputs on one sink
+    source = Path(plevt.cli.__file__).read_text(encoding="utf-8")
+    assert {function for function, _ in sink_sites(source)} == {"_write_outputs"}
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,8 @@ EDGES = {
     "cdf of a mixed list": lambda: plevt.cdf([1, "a"], P),
     "von_mises_ratio of a string": lambda: plevt.von_mises_ratio("1", P),
     "fit of strings": lambda: plevt.fit_method_of_moments(["1", "2", "4"]),
+    "fit of a 2-d sample": lambda: plevt.fit_method_of_moments([[1.0, 2.0], [3.0, 4.0]]),
+    "fit of a NaN": lambda: plevt.fit_method_of_moments([1.0, math.nan, 2.0]),
     "write_values_csv of strings": lambda: plevt.write_values_csv(["1"], io.StringIO()),
     "write_values_csv of a 0-d array": lambda: plevt.write_values_csv(np.array(1.0), io.StringIO()),
     "SortedSample of strings": lambda: SortedSample(["1", "2"]),
@@ -322,6 +324,12 @@ EDGES = {
     "weight table of bools": lambda: WeightFunction.table([True, True]),
     "two-sample KS of strings": lambda: plevt.gof.ks_two_sample(["1", "2"], ["3"]),
     "KS distance of an empty sample": lambda: plevt.gof.ks_distance_sorted(np.array([]), np.array([])),
+    "KS distance at a cdf of another length":
+        lambda: plevt.gof.ks_distance_sorted(np.arange(3.0), np.array([0.1, 0.5])),
+    "KS distance at a NaN cdf value":
+        lambda: plevt.gof.ks_distance_sorted(np.arange(3.0), np.array([0.1, math.nan, 0.9])),
+    "KS distance at a 2-d cdf":
+        lambda: plevt.gof.ks_distance_sorted(np.arange(3.0), np.array([[0.1], [0.5], [0.9]])),
     "standardize_dh at a string gamma": lambda: plevt.standardize_dh(TS, "1"),
     "moment past the double range": lambda: plevt.moment(1000, P),
     "standardized_record of a string": lambda: plevt.standardized_record("1", 5, P),
@@ -345,9 +353,13 @@ THETA_SCALE = {
 EDGES.update({f"{name} at theta = 5e-324": call for name, (call, _) in THETA_SCALE.items()})
 
 
+#: The message an edge's refusal must match, where the refusal had another reason before.
+EDGE_MESSAGES = {"fit of a NaN": "must all be finite"}
+
+
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_edge_is_refused(edge):
-    with warnings.catch_warnings(), pytest.raises(plevt.DomainError):
+    with warnings.catch_warnings(), pytest.raises(plevt.DomainError, match=EDGE_MESSAGES.get(edge)):
         warnings.simplefilter("error")  # refused, not warned about first
         EDGES[edge]()
 
