@@ -28,6 +28,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, replace
 from statistics import NormalDist
@@ -145,19 +146,30 @@ def _write_outputs(*outputs) -> None:
     """Write each ``(path, content)`` of a command to the file at ``path``, or to
     stdout for none or ``-``; ``content`` is text, or a function that writes to the file.
 
-    Two outputs on one sink raise ParameterError.  Every file is opened before
-    any content is written, so a refused command, or one with a file it cannot
-    open (OSError), writes no content anywhere.
+    Two outputs on one sink raise ParameterError.  Every file is opened, for
+    appending, before any is emptied or written, so a refused command, or one
+    with a file it cannot open (OSError), writes no content anywhere: an old
+    file keeps its bytes, and a file that the failed command created is removed.
     """
     sinks = ["-" if path in (None, "-") else os.path.realpath(path) for path, _ in outputs]
     for i, sink in enumerate(sinks):
         if sink in sinks[:i]:
             where = "stdout" if sink == "-" else repr(outputs[i][0])
             raise ParameterError(f"two outputs would go to {where}; give each its own path")
+    fresh = [sink for sink in sinks if sink != "-" and not os.path.exists(sink)]
     with contextlib.ExitStack() as files:
-        handles = [sys.stdout if sink == "-" else
-                   files.enter_context(open(path, "w", encoding="utf-8"))
-                   for sink, (path, _) in zip(sinks, outputs)]
+        try:
+            handles = [sys.stdout if sink == "-" else
+                       files.enter_context(open(path, "a", encoding="utf-8"))
+                       for sink, (path, _) in zip(sinks, outputs)]
+        except OSError:
+            for sink in fresh:
+                if os.path.exists(sink):  # created by an open above
+                    os.remove(sink)
+            raise
+        for fh in handles:  # all open: empty the regular files, as mode "w" would have
+            if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
         for fh, (_, content) in zip(handles, outputs):
             if callable(content):
                 content(fh)

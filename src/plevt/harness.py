@@ -16,11 +16,11 @@ compares the empirical law against its limiting reference:
                          error, weighted by log(1/u)^2, stays within a
                          bounded ratio across fourteen decades of u
 
-Replication r of an experiment draws from the Philox stream
-``seed.stream_id + r`` under the experiment's master seed
-(:meth:`plevt.sampling.SeedSpec.rngs`), whatever block of ``_REP_BLOCK``
-replications holds it, so suites are reproducible one replication at a
-time.  One loop runs each runner's block function (draw, solve, reduce,
+Replication r of an experiment draws from position r mod B of the
+Philox key of stream ``seed.stream_id + (r // B)*B`` under its master seed
+(:func:`plevt.sampling._block_rngs`), B = ``_REP_BLOCK``, so B is part of
+the output contract and replication r does not depend on how many are
+drawn.  One loop runs each runner's block function (draw, solve, reduce,
 standardize) and writes its arrays into outputs of all the replications,
 in one thread: a thread pool measured slower on every replicated kind.
 
@@ -131,7 +131,7 @@ class Thresholds:
 
 
 _MIN_REPS = 100
-_REP_BLOCK = 2**14  # replications per block of an attempt
+_REP_BLOCK = 2**14  # replications per block of an attempt, and so per Philox key
 
 
 def default_thresholds(kind: str) -> Thresholds:
@@ -148,9 +148,10 @@ class Experiment:
     Unset fields, thresholds included, are filled with kind defaults; fields
     that do not apply to the kind must stay unset, and a single-shot kind
     (``sampler_gof``, ``quantile_error_order``) takes only its default
-    thresholds.  ``seed.stream_id`` is the base stream index, replication
-    ``r`` uses stream ``stream_id + r``, and every stream the kind uses must
-    lie below 2**64.  ``rerun_on_fail`` must be a bool.
+    thresholds.  ``seed.stream_id`` is the base stream index: the block of
+    replications from ``first`` draws on stream ``stream_id + first``, and
+    the streams ``stream_id .. stream_id + reps - 1`` must lie below 2**64.
+    ``rerun_on_fail`` must be a bool.
     """
 
     kind: str

@@ -21,7 +21,7 @@ import numpy as np
 from .distribution import Params
 from .errors import DomainError, check_int, check_int_array, check_real_array, check_sample
 from .quantile import quantile_from_log_tail
-from .sampling import SeedSpec, _thread_rng
+from .sampling import SeedSpec, _block_rngs, _thread_rng
 
 __all__ = [
     "RecordSequence",
@@ -74,10 +74,12 @@ def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:
 
 def record_log_tails(n: int, seed: SeedSpec, reps: int) -> np.ndarray:
     """G_n, the log tail mass of the n-th record, for each of ``reps``
-    replications: entry r is one ``standard_gamma(n)`` draw, the law of a
-    sum of n unit exponentials, on stream ``seed.stream_id + r``."""
+    replications: entry r of one ``standard_gamma(n)`` array, the law of a
+    sum of n unit exponentials, from the gamma generator of ``seed``'s key
+    (:func:`plevt.sampling._block_rngs`)."""
     n = check_int(n, "record index", 1)
-    return np.array([rng.standard_gamma(n) for rng in seed.rngs(reps)])
+    _, gammas = _block_rngs(seed, reps)
+    return gammas.standard_gamma(n, size=reps)
 
 
 def standardized_record(x_n: float | np.ndarray, n: int, p: Params) -> float | np.ndarray:

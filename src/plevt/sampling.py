@@ -1,17 +1,17 @@
 """Reproducible sampling of the Pseudo-Lindley law and sample containers.
 
 Streams are counter-based: a ``SeedSpec`` holds a 64-bit master seed plus a
-64-bit stream id, combined into a single Philox key, so any replication of
-any experiment owns an independent stream and results are reproducible
-under any execution order.  Exponential variates are drawn by inverse
-transform ``-log1p(-U)`` with U in [0, 1), which never evaluates log(0).
+64-bit stream id, combined into a single Philox key, so any sample, and any
+block of replications of an experiment, owns an independent stream and
+results are reproducible under any execution order.  Exponential variates
+are drawn by inverse transform ``-log1p(-U)`` with U in [0, 1), which never
+evaluates log(0).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,20 +56,6 @@ class SeedSpec:
         key = self.master_seed | (self.stream_id << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def rngs(self, reps: int) -> Iterator[np.random.Generator]:
-        """The generator on each of streams ``stream_id .. stream_id + reps
-        - 1`` in turn: replication r draws from stream ``stream_id + r``,
-        and draws what ``SeedSpec(master_seed, stream_id + r).rng()`` draws.
-
-        One call builds one generator, the first stream's :meth:`rng`, and
-        restores its starting state with the key's stream word changed for
-        each stream, so every step yields the same object: a yielded
-        generator is valid until the next one is requested.  Separate calls
-        share nothing.  A range past the last stream id is refused here,
-        before anything is drawn."""
-        stop = _stream_stop(self.stream_id, check_int(reps, "reps", 0))
-        return _reset_streams(self, stop)
-
 
 def _stream_stop(first: int, count: int, error=DomainError) -> int:
     """The end ``first + count`` of the streams ``first .. first + count - 1``;
@@ -80,17 +66,20 @@ def _stream_stop(first: int, count: int, error=DomainError) -> int:
 
 
 def _block_seed(seed: SeedSpec, first: int) -> SeedSpec:
-    """The seed whose :meth:`SeedSpec.rngs` starts at replication ``first`` of ``seed``'s."""
+    """The key of the block of replications that starts at replication
+    ``first`` of ``seed``'s: stream ``seed.stream_id + first``."""
     return SeedSpec(seed.master_seed, seed.stream_id + first)
 
 
-def _reset_streams(seed: SeedSpec, stop: int) -> Iterator[np.random.Generator]:
-    rng = seed.rng()
-    bits = rng.bit_generator
-    fresh = bits.state
-    for stream in range(seed.stream_id, stop):
-        _restart(bits, fresh, seed.master_seed, stream)
-        yield rng
+def _block_rngs(seed: SeedSpec, reps: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The generators of a block of ``reps`` replications on ``seed``'s key:
+    the uniforms' at counter 0, the gammas' 2**128 draws on, so they never
+    overlap.  numpy fills arrays in order, so row r is the same at any count
+    above r.  The block takes the streams ``stream_id .. stream_id + reps -
+    1``; a range past 2**64 - 1 is refused before anything is drawn."""
+    _stream_stop(seed.stream_id, check_int(reps, "reps", 0))
+    uniforms = seed.rng()
+    return uniforms, np.random.Generator(uniforms.bit_generator.jumped())
 
 
 def _restart(bits: np.random.Philox, fresh: dict, master_seed: int, stream_id: int) -> None:
@@ -116,7 +105,7 @@ def _thread_rng(seed: SeedSpec) -> np.random.Generator:
 
     It draws what ``seed.rng()`` draws, without building a Philox per call.
     The next call in the same thread resets it, so it must not leave plevt;
-    :meth:`SeedSpec.rngs` builds its own and never shares this one.
+    the block draws of the replicated kinds build their own (:func:`_block_rngs`).
     """
     cached = getattr(_local, "rng", None)
     if cached is None:
@@ -192,21 +181,20 @@ def top_order_statistics_rows(n: int, k: int, p: Params, seed: SeedSpec, reps: i
     With ``Gamma_j = E_1 + ... + E_j`` for unit exponentials, the j-th
     smallest of n uniform tail masses is ``Gamma_j / Gamma_{n+1}`` in law,
     so ``X_{n-j+1,n} = Q(Gamma_j / Gamma_{n+1})``.  Row r draws only
-    ``E_1..E_{k+1}`` (by inverse transform) and ``Gamma_{n+1} -
-    Gamma_{k+1}`` as one ``standard_gamma(n-k)`` on stream ``stream_id + r``;
-    the transforms and the quantile solve then run once on the whole array,
-    which the harness keeps to one block of an attempt's replications.
+    ``E_1..E_{k+1}`` (by inverse transform), from row r of one
+    ``(reps, k+1)`` array of uniforms, and ``Gamma_{n+1} - Gamma_{k+1}``,
+    entry r of one ``standard_gamma(n-k)`` array, both on ``seed``'s key
+    (:func:`_block_rngs`); the transforms and the quantile solve then run
+    once on the whole array, which the harness keeps to one block of an
+    attempt's replications.
     """
     n = check_int(n, "sample size", 1)
     k = check_int(k, "k")
     if not 0 <= k <= n - 1:
         raise DomainError(f"k must lie in [0, n-1] = [0, {n - 1}], got {k}")
-    rngs = seed.rngs(reps)
-    u = np.empty((reps, k + 1))
-    rest = np.empty(reps)
-    for i, rng in enumerate(rngs):
-        u[i] = rng.random(k + 1)
-        rest[i] = rng.standard_gamma(n - k)
+    uniforms, gammas = _block_rngs(seed, reps)
+    u = uniforms.random((reps, k + 1))
+    rest = gammas.standard_gamma(n - k, size=reps)
     # measure-zero guard: U = 0 would give Gamma_1 = 0 and an infinite tail
     u = np.where(u == 0.0, _MIN_UNIFORM, u)
     partial = np.cumsum(-np.log1p(-u), axis=1)

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, lambertw
 
 from plevt.errors import CsvFormatError
+from plevt.quantile import quantile_values
 
 
 def pdf_reference(x, theta, beta):
@@ -327,3 +328,44 @@ def record_statistic_law(n, theta, beta, reps, seed):
     x = invert_log_tail(g, theta, beta)
     return np.sort((x - gamma * n) / (gamma * math.sqrt(n)))
 
+
+# ---------------------------------------------------------------------------
+# The replicated draw as plevt made it before it drew whole blocks: one
+# Philox stream per replication, replication r on stream stream_id + r.
+
+
+def per_stream_generators(seed, reps):
+    """Replication r's generator, on stream ``seed.stream_id + r``.
+
+    One generator is built, and before each replication its starting state
+    is restored with the key's stream word set, so replication r draws what
+    ``SeedSpec(master_seed, stream_id + r).rng()`` draws.  A yielded
+    generator is valid until the next one is requested.
+    """
+    rng = seed.rng()
+    bits = rng.bit_generator
+    fresh = bits.state
+    for r in range(reps):
+        fresh["state"]["key"][1] = seed.stream_id + r
+        bits.state = fresh
+        yield rng
+
+
+def top_order_statistics_rows_per_stream(n, k, p, seed, reps):
+    """``top_order_statistics_rows`` with row r drawn alone on its own
+    stream: ``random(k+1)``, then one ``standard_gamma(n-k)``; the Renyi
+    transform and the quantile solve are the library's."""
+    u = np.empty((reps, k + 1))
+    rest = np.empty(reps)
+    for r, rng in enumerate(per_stream_generators(seed, reps)):
+        u[r] = rng.random(k + 1)
+        rest[r] = rng.standard_gamma(n - k)
+    u = np.where(u == 0.0, 2.0**-53, u)
+    partial = np.cumsum(-np.log1p(-u), axis=1)
+    total = partial[:, -1:] + rest[:, None]
+    return np.maximum.accumulate(quantile_values(partial[:, ::-1] / total, p), axis=1)
+
+
+def record_log_tails_per_stream(n, seed, reps):
+    """``record_log_tails`` with entry r one ``standard_gamma(n)`` on its own stream."""
+    return np.array([rng.standard_gamma(n) for rng in per_stream_generators(seed, reps)])

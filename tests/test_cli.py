@@ -880,6 +880,28 @@ def test_verify_unwritable_csv_writes_no_report(tmp_path, capsys):
     assert not report.exists() or report.read_text() == ""  # nothing written
 
 
+@pytest.mark.parametrize("old", [None, "an old report\n"], ids=["new", "existing"])
+def test_verify_unwritable_csv_leaves_the_report_file_as_it_was(tmp_path, capsys, old):
+    # the report opens first: an old file keeps its bytes, and a file the
+    # failed command created is removed
+    report = tmp_path / "r.json"
+    if old is not None:
+        report.write_text(old, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                         "-o", str(report), "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (3, "") and "x.csv" in err
+    if old is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert report.read_text(encoding="utf-8") == old
+    # once both open, the old report is replaced, not appended to
+    code, _, _ = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                     "--stable-json", "-o", str(report), "--csv", str(tmp_path / "x.csv"))
+    _, alone, _ = run(capsys, "verify", "--kind", "quantile_error_order", "--seed", "7",
+                      "--stable-json")
+    assert code == 0 and report.read_text(encoding="utf-8") == alone
+
+
 SEED_WARNING = "warning: no --seed given (and no PLEVT_SEED); using default master seed 7\n"
 
 
@@ -1146,4 +1168,4 @@ def test_verify_all_output_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--all", "--seed", "7", "--stable-json")
     assert code == 1
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "e5f085b5683d345358ab352e093f0d69a9378cef794887cb287fe7b4b1afa213"
+    assert digest == "006e37ad30bb67d6830436ac6929cda57fc236856a612cedb73f5b04e1e4e7dc"

@@ -258,9 +258,10 @@ def test_same_seed_same_stable_report():
 
 
 def test_first_replications_do_not_depend_on_reps():
-    # replication i draws only from stream stream_id + i, so the first r
-    # replications of a longer run are the replications of a run of r; a
-    # sampler that drew a block of one stream for all rows would fail here
+    # numpy fills a block's arrays in order, so the first r replications of
+    # a longer run are the replications of a run of r; a sampler that drew
+    # every uniform of a row before the next row's, or the gammas between
+    # the rows, from one stream would fail here
     p, seed = Params(1.0, 2.0), SeedSpec(11, 3)
     rows = top_order_statistics_rows(5000, 5, p, seed, 200)
     tails = record_log_tails(100, seed, 200)
@@ -272,29 +273,29 @@ def test_first_replications_do_not_depend_on_reps():
 _PINNED = {
     "max_gumbel": (
         dict(n=10_000, reps=100),
-        '{"empirical_mean": 0.7421896791619176, "empirical_var": 2.4515183682966253, '
-        '"kind": "max_gumbel", "ks_distance": 0.10602423272908873, "passed": false, '
+        '{"empirical_mean": 0.7537964199470636, "empirical_var": 1.9356137602653485, '
+        '"kind": "max_gumbel", "ks_distance": 0.07494557711812277, "passed": false, '
         '"reference": "gumbel", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.05}',
         None,
     ),
     "hill_clt": (
         dict(n=10_000, reps=100),
-        '{"empirical_mean": 0.3937575074862093, "empirical_var": 1.4492321788592293, '
-        '"kind": "hill_clt", "ks_distance": 0.12117279799031166, "passed": false, '
+        '{"empirical_mean": 0.31558276414112535, "empirical_var": 1.3784475873417243, '
+        '"kind": "hill_clt", "ks_distance": 0.14241263082094857, "passed": false, '
         '"reference": "std_normal", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.08}',
-        "0x1.2d147a3864b1ap+0",
+        "0x1.242149312ec49p+0",
     ),
     "dh_clt": (
         dict(n=10_000, k=20, weight=WeightFunction.identity(), s=2.0, reps=100),
-        '{"empirical_mean": 0.4611207531584439, "empirical_var": 2.7629422924483484, '
-        '"kind": "dh_clt", "ks_distance": 0.1717648814889613, "passed": false, '
+        '{"empirical_mean": 0.41842975787119374, "empirical_var": 2.2510482304683896, '
+        '"kind": "dh_clt", "ks_distance": 0.1719976408565042, "passed": false, '
         '"reference": "std_normal", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.1}',
-        "0x1.1986da50a9be4p+0",
+        "0x1.20f152431e9aap+0",
     ),
     "record_clt": (
         dict(n=400, reps=100),
-        '{"empirical_mean": 0.32207596024884827, "empirical_var": 1.0701513391920676, '
-        '"kind": "record_clt", "ks_distance": 0.17204066305975985, "passed": false, '
+        '{"empirical_mean": 0.2326525713093404, "empirical_var": 1.0872476053638402, '
+        '"kind": "record_clt", "ks_distance": 0.15392985418254573, "passed": false, '
         '"reference": "std_normal", "reps": 100, "runtime_ms": 0, "seed": 7, "threshold": 0.05}',
         None,
     ),
@@ -317,22 +318,22 @@ _PINNED = {
 
 
 # SHA-256 of extras["replications"].view(np.uint64), the sorted
-# standardized replications, recorded while each replication still built
-# its own Philox generator
+# standardized replications, recorded when a block of replications first
+# drew its uniforms and its gammas as one array each on its own key
 _PINNED_REPLICATIONS = {
-    "dh_clt": "0cd73b0ba98804f42e8dd3a7ba7c2f42e7d1f898b1a6a5cc0f5e730eae7b3501",
-    "hill_clt": "b4fb3d5b7a686fc18baf0c3a078ce7a9701cd95fde6acce21f3160dc1790b2f9",
-    "max_gumbel": "63b0ba6c4224329454d8acf4d2df2a38231895e7857a0ce4c14f2122be09c5f2",
-    "record_clt": "af206e2b9b7a1fd29ce46bb0a38de49dc49569438f135508916da1505b69aedf",
+    "dh_clt": "0f7a95483fcb04aad425e2e49f0e4b6cc026f32846a8f6a66970ac4e3b14ac29",
+    "hill_clt": "913dc5e8f5e05a8a62fe1c3b9c708c800ed194648bc46ce846b05bb12a9b50f8",
+    "max_gumbel": "ae6522ecffdf52c0ca5c0aece25ca6b2c3961cefbf2fe324ba219caf827fecc4",
+    "record_clt": "5e96b418ba3f5b1d70be11a41da7202313434f47a16fe4c85520158367a04c98",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_PINNED))
 def test_report_bits_pinned(kind):
-    """Stable reports equal figures recorded before the harness computed
-    whole attempts as arrays, and, for the single-shot kinds, before the
-    kinds became one table (numpy 2.4, x86-64 with AVX-512); a rewrite
-    that moves any bit fails here.  The last bits depend on the platform's
+    """Stable reports equal figures recorded when a block first drew its
+    replications as arrays on one key, and, for the single-shot kinds,
+    before the kinds became one table (numpy 2.4, x86-64 with AVX-512); a
+    rewrite that moves any bit fails here.  The last bits depend on the platform's
     vector math, so another platform may need the figures re-recorded."""
     extra, expected, mean_hill = _PINNED[kind]
     e = Experiment(kind=kind, seed=SeedSpec(7), rerun_on_fail=False, **extra)
@@ -347,15 +348,15 @@ def test_report_bits_pinned(kind):
         assert digest == _PINNED_REPLICATIONS[kind]
 
 
-# The same digest at reps = 2**14 + 5, two blocks of the attempt loop (the
-# standard suite's k = 20, s = 2 for dh_clt), recorded while an attempt still
-# drew, solved and reduced all its replications as one array
+# The same digest at reps = 2**14 + 5, two blocks of the attempt loop on two
+# keys (the standard suite's k = 20, s = 2 for dh_clt), recorded with the
+# replications above
 _MULTI_BLOCK_REPS = 2**14 + 5
 _PINNED_MULTI_BLOCK = {
-    "dh_clt": "eaa096c7e5094885e25fefd199cb4f59dc87b96fb7cfdc8bead1130e7496e1ed",
-    "hill_clt": "b53ebf0dee7abdc35732f88b6a92e7d493e478cf5aa3d03c18090e45c3fed243",
-    "max_gumbel": "3d9cbbb0379361186d2568c3f23e52eb7e1961ac8822e750281a9ff345ddc655",
-    "record_clt": "cf86d3219c37a8ac578d16294efef063ac16b84596d181e33e51e7f4affaf81d",
+    "dh_clt": "75932e989dd140cea898f0024c8d688f8883e491aca8899f74e956217104de88",
+    "hill_clt": "2ac0f6f029874d4b3f45546999d24a5c451b787138cfaa44ce8da8016ce9a14a",
+    "max_gumbel": "b05ee7f6a97884cfb5562aa9e007e0f5902142ab61c9c3c729ffd1f62e2ef861",
+    "record_clt": "b48427147b6aaf993529c216cf72beb7a96a640405812e5af69359ec6e5218b1",
 }
 _SUITE_FIELDS = {"dh_clt": dict(k=20, weight=WeightFunction.identity(), s=2.0)}
 
@@ -379,13 +380,14 @@ def test_multi_block_replications_pinned(kind):
 
 @pytest.mark.parametrize("block", [1, 1000, 2**14 + 1])
 @pytest.mark.parametrize("kind", sorted(_PINNED_MULTI_BLOCK))
-def test_block_size_keeps_the_bits(monkeypatch, kind, block):
-    # replication r draws from stream stream_id + r and is reduced alone,
-    # whichever block holds it; blocks of 1 cost about 0.3 ms each
+def test_block_size_is_part_of_the_contract(monkeypatch, kind, block):
+    # replication r draws from position r mod B of block r // B's key, so
+    # the pins above hold at B = 2**14 only, and another B moves the bits
+    assert plevt.harness._REP_BLOCK == 2**14
     reps = 300 if block == 1 else _MULTI_BLOCK_REPS
     default = _default_attempt(kind, reps)
     monkeypatch.setattr(plevt.harness, "_REP_BLOCK", block)
-    assert _attempt(kind, reps) == default
+    assert _attempt(kind, reps)[1] != default[1]
 
 
 @pytest.mark.parametrize("kind", ["hill_clt", "dh_clt"])
@@ -394,7 +396,7 @@ def test_attempt_memory_is_bounded_per_block(monkeypatch, kind):
     # report, not with a block's draws, solve and reduction.  Whole-attempt
     # arrays grew by 336 (hill_clt) and 914 (dh_clt) bytes per replication
     # here; blocked, by 16.  Blocks of 2**10, not 2**14, keep the traced
-    # draw loop (about 45 us a replication) short
+    # attempts short
     monkeypatch.setattr(plevt.harness, "_REP_BLOCK", 2**10)
 
     def peak(reps):

@@ -2,12 +2,18 @@
 
 The exactness gate compares each new draw with the full-sample path it
 replaces by a two-sample KS test, at n = 1e4 where the full path is cheap,
-with disjoint master seeds and the 0.1% critical value.
+with disjoint master seeds and the 0.1% critical value.  The layout gate
+compares each replicated kind's standardized statistic, drawn in blocks on
+one key, with the same statistic drawn one stream per replication, as
+plevt drew it before (``tests/oracles.py``).
 """
+
+import math
 
 import numpy as np
 import pytest
 
+import plevt.harness
 from plevt import (
     DomainError,
     Params,
@@ -18,9 +24,14 @@ from plevt import (
     top_order_statistics,
 )
 from plevt.gof import ks_two_sample
+from plevt.harness import Experiment, run_experiment
 from plevt.records import record_log_tails
 
-from oracles import ks_critical_two_sample
+from oracles import (
+    ks_critical_two_sample,
+    record_log_tails_per_stream,
+    top_order_statistics_rows_per_stream,
+)
 
 P = Params(1.0, 2.0)
 N = 10_000
@@ -72,6 +83,34 @@ def test_record_gamma_draw_matches_exponential_sum():
     old = np.array([np.sum(-np.log1p(-SeedSpec(OLD_SEED, r).rng().random(n)))
                     for r in range(REPS)])
     _assert_same_law(new, old)
+
+
+LAYOUT_REPS = 100_000
+#: the replicated kinds, dh_clt as the standard suite runs it
+LAYOUT_FIELDS = {
+    "max_gumbel": {},
+    "hill_clt": {},
+    "dh_clt": dict(k=20, weight=IDENTITY, s=2.0),
+    "record_clt": {},
+}
+
+
+def _replications(kind, master):
+    e = Experiment(kind=kind, reps=LAYOUT_REPS, seed=SeedSpec(master), rerun_on_fail=False,
+                   **LAYOUT_FIELDS[kind])
+    return run_experiment(e).extras["replications"]
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUT_FIELDS))
+def test_block_layout_keeps_the_law_of_the_per_stream_layout(monkeypatch, kind):
+    # 1e5 replications of each layout, seven blocks of the new one, on
+    # disjoint master seeds, at the harness's 1.95 factor
+    new = _replications(kind, NEW_SEED)
+    monkeypatch.setattr(plevt.harness, "top_order_statistics_rows",
+                        top_order_statistics_rows_per_stream)
+    monkeypatch.setattr(plevt.harness, "record_log_tails", record_log_tails_per_stream)
+    old = _replications(kind, OLD_SEED)
+    assert ks_two_sample(new, old) <= 1.95 * math.sqrt(2.0 / LAYOUT_REPS)
 
 
 # ---------------------------------------------------------------------------

@@ -150,12 +150,14 @@ def test_simulate_record_rejects_bad_n():
 
 
 @pytest.mark.parametrize("master, first", [(21, 0), (2**64 - 1, 2**64 - 5)])
-def test_record_log_tails_are_one_gamma_draw_per_stream(master, first):
+def test_record_log_tails_per_block(master, first):
+    # one standard_gamma(n) array from the block key's counter 2**128 on
     n = 400
     g = record_log_tails(n, SeedSpec(master, first), 5)
     assert g.shape == (5,) and g.dtype == np.float64
-    for r in range(5):
-        assert g[r] == SeedSpec(master, first + r).rng().standard_gamma(n)
+    bits = np.random.Philox(key=master | first << 64)
+    bits.advance(2**128)
+    np.testing.assert_array_equal(g, np.random.Generator(bits).standard_gamma(n, size=5))
     with pytest.raises(DomainError):
         record_log_tails(n, SeedSpec(master, 2**64 - 5), 6)  # stream 2**64 is no stream
 

@@ -28,9 +28,12 @@ from plevt import (
     write_values_csv,
 )
 from plevt.gof import ks_distance_sorted, ks_two_sample
+from plevt.harness import _REP_BLOCK
 from plevt.quantile import quantile_values
 from plevt.records import record_log_tails
 from plevt.sampling import (
+    _block_rngs,
+    _block_seed,
     parse_values_lines,
     top_order_statistics,
     top_order_statistics_rows,
@@ -65,63 +68,81 @@ def test_streams_are_distinct():
     a = mixture_values(1000, P, SeedSpec(77, 0))
     b = mixture_values(1000, P, SeedSpec(77, 1))
     assert not np.array_equal(a, b)
-    *_, fifth = SeedSpec(77).rngs(6)
-    np.testing.assert_array_equal(fifth.random(8), SeedSpec(77, 5).rng().random(8))
 
 
-@pytest.mark.parametrize("master, first", [
-    (3, 0),
-    (2**64 - 1, 0),
-    (0, 2**64 - 4),
-    (2**64 - 1, 2**64 - 4),
-    (0x9E3779B97F4A7C15, 2**63 - 2),
-])
-def test_rngs_are_the_one_stream_generators_in_order(master, first):
-    # replication i of rngs draws what SeedSpec(master, first + i).rng() draws;
-    # seeds and stream ids near 2**64 - 1 check how the key words are packed.
-    # A yielded generator is valid until the next is requested, so each is
-    # drawn from inside the loop.
-    k, n = 7, 100_000
-    streams = 0
-    for i, rng in enumerate(SeedSpec(master, first).rngs(4)):
-        ref = SeedSpec(master, first + i).rng()
-        np.testing.assert_array_equal(rng.random(k + 1), ref.random(k + 1))
-        assert rng.standard_gamma(n - k) == ref.standard_gamma(n - k)
-        streams += 1
-    assert streams == 4
-    assert list(SeedSpec(master, first).rngs(0)) == []
+# ---------------------------------------------------------------------------
+# the block layout: a block of replications draws its uniforms as one array
+# from counter 0 of its key and its gammas as one array from 2**128 draws on
 
 
-@pytest.mark.parametrize("master", [3, 2**64 - 1])
-def test_rngs_reset_keeps_nothing_of_the_stream_before(master):
-    # streams 5, then 2, then 5 from separate calls, two streams per call;
-    # each generator is left half-used before the next is requested: a
-    # spare 32-bit half (has_uint32) and a partly used output buffer
-    for first in (5, 2, 5):
-        for i, rng in enumerate(SeedSpec(master, first).rngs(2)):
-            ref = SeedSpec(master, first + i).rng()
-            np.testing.assert_array_equal(rng.random(8), ref.random(8))
-            assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
-            assert rng.random(1) == ref.random(1)
-            state = rng.bit_generator.state
-            assert (state["has_uint32"], state["buffer_pos"]) == (1, 2)
+def _gamma_generator(master, stream):
+    """The gamma generator of the block on key (master, stream), spelled out."""
+    bits = np.random.Philox(key=master | stream << 64)
+    bits.advance(2**128)
+    return np.random.Generator(bits)
 
 
-def test_rngs_iterators_stepped_alternately_stay_apart():
-    # each call owns its generator: stepping one iterator leaves the
-    # generator the other one yielded on its own stream
-    low, high = SeedSpec(9, 0).rngs(3), SeedSpec(9, 10).rngs(3)
-    for i in range(3):
-        a = next(low)
-        b = next(high)
-        assert a is not b
-        ref_a, ref_b = SeedSpec(9, i).rng(), SeedSpec(9, 10 + i).rng()
-        np.testing.assert_array_equal(a.random(8), ref_a.random(8))
-        np.testing.assert_array_equal(b.random(8), ref_b.random(8))
-        assert a.standard_gamma(50) == ref_a.standard_gamma(50)
+def test_top_order_statistics_rows_match_the_block_draw():
+    # reference: the block draw written out per row; the row form must
+    # reproduce it bit for bit, and the one-seed call is row 0 of its key
+    n, k, reps = 100_000, 7, 300
+    rows = top_order_statistics_rows(n, k, P, SeedSpec(3, 5), reps)
+    assert rows.shape == (reps, k + 1)
+    u = np.random.Generator(np.random.Philox(key=3 | 5 << 64)).random((reps, k + 1))
+    rest = _gamma_generator(3, 5).standard_gamma(n - k, size=reps)
+    for r, row in enumerate(rows):
+        ur = np.where(u[r] == 0.0, 2.0**-53, u[r])
+        partial = np.cumsum(-np.log1p(-ur))
+        total = partial[-1] + rest[r]
+        ref = np.maximum.accumulate(quantile_values(partial[::-1] / total, P))
+        np.testing.assert_array_equal(row, ref)
+    np.testing.assert_array_equal(top_order_statistics(n, k, P, SeedSpec(3, 5)).values, rows[0])
+
+
+COUNTS = (1, 2, 37, 1000, 2**14 + 3)
+
+
+@pytest.mark.parametrize("k", [0, 7, 20])
+def test_block_row_is_the_same_at_every_count_above_it(k):
+    # numpy fills both arrays in order, so the first c rows of a block are
+    # the rows of a block of c, at every c; also across the 2**14 of a block
+    seed = SeedSpec(2**64 - 1, 2**63)
+    rows = top_order_statistics_rows(10_000, k, P, seed, COUNTS[-1])
+    tails = record_log_tails(400, seed, COUNTS[-1])
+    for count in COUNTS[:-1]:
+        np.testing.assert_array_equal(top_order_statistics_rows(10_000, k, P, seed, count),
+                                      rows[:count])
+        np.testing.assert_array_equal(record_log_tails(400, seed, count), tails[:count])
+
+
+def test_first_draws_of_ten_thousand_blocks_are_distinct():
+    # the blocks of an attempt as the harness places them, one key each: no
+    # two share a first uniform or a first gamma (the draws of row 0)
+    uniforms, gammas = set(), set()
+    for b in range(10_000):
+        u, g = _block_rngs(_block_seed(SeedSpec(7), b * _REP_BLOCK), 1)
+        uniforms.add(u.random())
+        gammas.add(g.standard_gamma(400))
+    assert len(uniforms) == len(gammas) == 10_000
+
+
+@pytest.mark.parametrize("draw", ["rows", "tails"])
+def test_block_draws_refuse_a_range_past_2_64(draw):
+    # a block of reps takes the streams stream_id .. stream_id + reps - 1
+    call = {"rows": lambda seed, reps: top_order_statistics_rows(100, 2, P, seed, reps),
+            "tails": lambda seed, reps: record_log_tails(40, seed, reps)}[draw]
+    seed = SeedSpec(5, 2**64 - 3)
+    assert len(call(seed, 3)) == 3  # the last stream id, 2**64 - 1, is valid
+    with pytest.raises(DomainError, match="pass 2\\*\\*64 - 1"):
+        call(seed, 4)
+    with pytest.raises(DomainError, match="reps must be >= 0"):
+        call(seed, -1)
+    assert len(call(SeedSpec(5), 0)) == 0
 
 
 def test_replicated_draws_build_one_philox(monkeypatch):
+    # one keyed Philox per block, whatever its count; the gamma generator is
+    # its jumped copy, which numpy builds without a key
     built = []
     philox = np.random.Philox
 
@@ -161,30 +182,16 @@ def test_simulate_record_builds_no_philox_after_a_threads_first_call(monkeypatch
     assert not thread.is_alive() and counts == [1, 1]
 
 
-def test_simulate_record_inside_an_rngs_loop_leaves_the_yielded_generator():
-    # rngs owns its generator, so a record drawn between two draws of a
-    # yielded one moves neither stream
+def test_simulate_record_between_block_draws_moves_neither():
+    # the thread's record generator and a block's two generators share
+    # nothing, so records drawn between blocks change no block's bits
+    alone = [record_log_tails(400, SeedSpec(9, b), 3) for b in range(3)]
     got = []
-    for r, rng in enumerate(SeedSpec(9).rngs(3)):
-        first = rng.random(3)
-        record = simulate_record(400, P, SeedSpec(9, r))
-        got.append((first.tolist(), record, rng.standard_gamma(400)))
-    for r in range(3):
-        ref = SeedSpec(9, r).rng()
-        record = quantile_from_log_tail(SeedSpec(9, r).rng().standard_gamma(400), P).value
-        assert got[r] == (ref.random(3).tolist(), record, ref.standard_gamma(400))
-
-
-def test_rngs_refuse_a_range_past_2_64_on_the_call():
-    seed = SeedSpec(5, 2**64 - 3)
-    assert len(list(seed.rngs(3))) == 3  # the last stream id, 2**64 - 1, is valid
-    # the refusal comes from the call itself, not from the first next()
-    with pytest.raises(DomainError, match="pass 2\\*\\*64 - 1"):
-        seed.rngs(4)
-    with pytest.raises(DomainError, match="reps must be >= 0"):
-        seed.rngs(-1)
-    with pytest.raises(DomainError):
-        top_order_statistics_rows(100, 2, P, seed, 4)
+    for b in range(3):
+        got.append(record_log_tails(400, SeedSpec(9, b), 3))
+        record = simulate_record(400, P, SeedSpec(9, b))
+        assert record == quantile_from_log_tail(SeedSpec(9, b).rng().standard_gamma(400), P).value
+    np.testing.assert_array_equal(got, alone)
 
 
 NOT_INTEGERS = [7.9, "200", True, math.inf, math.nan]
@@ -336,23 +343,6 @@ def test_spacings_k_bounds():
     with pytest.raises(DomainError):
         spacings(s, 3)
     assert spacings(s, 2).shape == (2,)
-
-
-def test_top_order_statistics_rows_match_per_seed_loop():
-    # reference: the one-sample draw path written out per seed; the row form
-    # must reproduce it bit for bit, and the one-seed call is its first row
-    n, k = 100_000, 7
-    rows = top_order_statistics_rows(n, k, P, SeedSpec(3), 300)
-    assert rows.shape == (300, k + 1)
-    for r, row in enumerate(rows):
-        rng = SeedSpec(3, r).rng()
-        u = rng.random(k + 1)
-        u = np.where(u == 0.0, 2.0**-53, u)
-        partial = np.cumsum(-np.log1p(-u))
-        total = partial[-1] + rng.standard_gamma(n - k)
-        ref = np.maximum.accumulate(quantile_values(partial[::-1] / total, P))
-        np.testing.assert_array_equal(row, ref)
-    np.testing.assert_array_equal(top_order_statistics(n, k, P, SeedSpec(3, 5)).values, rows[5])
 
 
 # ---------------------------------------------------------------------------
