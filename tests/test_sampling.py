@@ -40,6 +40,7 @@ from plevt.sampling import (
 )
 
 from oracles import ks_two_sample_searchsorted, parse_values_lines_loop
+from oracles import per_stream_generators as rngs
 
 P = Params(1.0, 2.0)
 
@@ -68,6 +69,64 @@ def test_streams_are_distinct():
     a = mixture_values(1000, P, SeedSpec(77, 0))
     b = mixture_values(1000, P, SeedSpec(77, 1))
     assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# rngs: the per-stream reference generators of tests/oracles.py, one
+# stream per replication, against which the block layout is gated
+
+
+@pytest.mark.parametrize("master, first", [
+    (3, 0),
+    (2**64 - 1, 0),
+    (0, 2**64 - 4),
+    (2**64 - 1, 2**64 - 4),
+    (0x9E3779B97F4A7C15, 2**63 - 2),
+])
+def test_rngs_are_the_one_stream_generators_in_order(master, first):
+    # replication i of rngs draws what SeedSpec(master, first + i).rng()
+    # draws; seeds and stream ids near 2**64 - 1 check how the key words are
+    # packed.  A yielded generator is valid until the next is requested, so
+    # each is drawn from inside the loop
+    k, n = 7, 100_000
+    streams = 0
+    for i, rng in enumerate(rngs(SeedSpec(master, first), 4)):
+        ref = SeedSpec(master, first + i).rng()
+        np.testing.assert_array_equal(rng.random(k + 1), ref.random(k + 1))
+        assert rng.standard_gamma(n - k) == ref.standard_gamma(n - k)
+        streams += 1
+    assert streams == 4
+    assert list(rngs(SeedSpec(master, first), 0)) == []
+
+
+@pytest.mark.parametrize("master", [3, 2**64 - 1])
+def test_rngs_reset_keeps_nothing_of_the_stream_before(master):
+    # streams 5, then 2, then 5 from separate calls, two streams per call;
+    # each generator is left half-used before the next is requested: a
+    # spare 32-bit half (has_uint32) and a partly used output buffer
+    for first in (5, 2, 5):
+        for i, rng in enumerate(rngs(SeedSpec(master, first), 2)):
+            ref = SeedSpec(master, first + i).rng()
+            np.testing.assert_array_equal(rng.random(8), ref.random(8))
+            assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+            assert rng.random(1) == ref.random(1)
+            state = rng.bit_generator.state
+            assert (state["has_uint32"], state["buffer_pos"]) == (1, 2)
+
+
+def test_rngs_iterators_stepped_alternately_stay_apart():
+    # each call owns its generator: stepping one iterator leaves the
+    # generator the other one yielded on its own stream
+    low = rngs(SeedSpec(9, 0), 3)
+    high = rngs(SeedSpec(9, 10), 3)
+    for i in range(3):
+        a = next(low)
+        b = next(high)
+        assert a is not b
+        ref_a, ref_b = SeedSpec(9, i).rng(), SeedSpec(9, 10 + i).rng()
+        np.testing.assert_array_equal(a.random(8), ref_a.random(8))
+        np.testing.assert_array_equal(b.random(8), ref_b.random(8))
+        assert a.standard_gamma(50) == ref_a.standard_gamma(50)
 
 
 # ---------------------------------------------------------------------------
