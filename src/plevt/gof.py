@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .distribution import _blockwise
+from .distribution import _BLOCK, _blockwise
 from .errors import DomainError, check_real_array, check_sample
 
 __all__ = [
@@ -61,17 +61,38 @@ def ks_distance_sorted(sorted_values: np.ndarray, cdf_values: np.ndarray) -> flo
 def ks_two_sample(x, y) -> float:
     """Two-sample KS distance between the ecdfs of x and y.
 
-    One stable merge of the two sorted samples counts, at each pooled
-    point, how many values of x lie at or below it; the ecdfs are compared
-    at the last point of each run of equal values.  Raises DomainError
-    unless x and y are non-empty 1-d arrays of finite reals.
+    One stable merge of the two sorted samples orders the pooled values;
+    the ecdfs are compared at the last point of each run of equal values.
+    The merged order is reduced in blocks of ``_BLOCK`` points: a block
+    counts the x values at or below each of its points from the count the
+    blocks before it carried, and looks one point past its end to see
+    whether its last run ends there.  So no temporary grows with the input
+    beyond the pooled values and their order.  A sample that one pass finds
+    ascending is not sorted again, and neither input is written.  Raises
+    DomainError unless x and y are non-empty 1-d arrays of finite reals.
     """
-    x = np.sort(check_sample(x, "x"))
-    y = np.sort(check_sample(y, "y"))
+    x = _ascending(check_sample(x, "x"))
+    y = _ascending(check_sample(y, "y"))
     pooled = np.concatenate([x, y])
     order = np.argsort(pooled, kind="stable")
-    merged = pooled[order]
-    last = np.append(merged[1:] != merged[:-1], True)
-    count_x = np.cumsum(order < x.size)[last]
-    count_y = np.flatnonzero(last) + 1 - count_x
-    return float(np.max(np.abs(count_x / x.size - count_y / y.size)))
+    d, count_x = 0.0, 0
+    for start in range(0, pooled.size, _BLOCK):
+        from_x = order[start:start + _BLOCK] < x.size
+        merged = pooled[order[start:start + _BLOCK + 1]]
+        # the pooled sample's last point ends a run; any other block's last
+        # point is compared with the point just past it
+        last = np.empty(from_x.size, dtype=bool)
+        last[-1] = True
+        np.not_equal(merged[1:], merged[:-1], out=last[:merged.size - 1])
+        counts = np.cumsum(from_x)
+        counts += count_x
+        count_x = counts[-1]
+        at_x = counts[last]
+        at_y = np.flatnonzero(last) + (start + 1) - at_x
+        d = np.max(np.abs(at_x / x.size - at_y / y.size), initial=d)
+    return float(d)
+
+
+def _ascending(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted, or ``values`` itself when one pass finds them ascending."""
+    return np.sort(values) if (values[1:] < values[:-1]).any() else values

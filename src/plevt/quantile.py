@@ -98,37 +98,58 @@ def _solve_block(L, beta):
     A value is written to ``out`` and leaves the working arrays (``at``
     holds each one's place in ``out``) once it sits at a fixed point of the
     step: its residual is within tolerance, or its step leaves y unchanged.
+    Each step computes into the block's scratch arrays (cut to the values
+    left) rather than into fresh ones, in the order the expressions in the
+    comments give, so the bits are those of the expressions.  ``L`` is
+    read, never written.
     """
-    y = L + np.log1p(L / beta)  # first fixed-point iterate; lands left of root
+    y = np.divide(L, beta)
+    np.log1p(y, out=y)
+    y += L  # y = L + log1p(L/beta), the first fixed-point iterate; lands left of root
     lo = y.copy()
     hi = np.full_like(y, np.inf)
     out = np.empty_like(y)
     at = np.arange(y.size)
+    h, step, scratch = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    flags, more = np.empty(y.size, dtype=bool), np.empty(y.size, dtype=bool)
     for _ in range(_MAXITER):
-        h = np.log1p(y / beta) - y + L
-        noise = 8.0 * _EPS * np.maximum(1.0, np.abs(L) + y)
-        active = np.abs(h) > np.maximum(_TOL, noise)
+        h, step, scratch, flags, more = (a[:y.size] for a in (h, step, scratch, flags, more))
+        np.divide(y, beta, out=h)
+        np.log1p(h, out=h)
+        h -= y
+        h += L  # h = log1p(y/beta) - y + L
+        noise = np.abs(L, out=step)
+        noise += y
+        np.maximum(noise, 1.0, out=noise)
+        noise *= 8.0 * _EPS  # noise = 8 eps max(1, |L| + y)
+        np.maximum(noise, _TOL, out=noise)
+        active = np.greater(np.abs(h, out=scratch), noise, out=flags)  # |h| > max(tol, noise)
         if not active.all():  # written now; those still active are rewritten later
             out[at] = y
             keep = np.flatnonzero(active)
             at, y, L, lo, hi, h = (a.take(keep) for a in (at, y, L, lo, hi, h))
+            step, flags, more = step[:at.size], flags[:at.size], more[:at.size]
         if not at.size:
             break
-        pos = h > 0.0
-        lo = np.where(pos, y, lo)
-        hi = np.where(pos, hi, y)
-        hp = 1.0 / (beta + y) - 1.0
-        cand = y - h / hp
-        inside = (cand > lo) & (cand < hi)
+        pos = np.greater(h, 0.0, out=flags)
+        np.copyto(lo, y, where=pos)
+        np.copyto(hi, y, where=np.logical_not(pos, out=pos))
+        cand = np.add(y, beta, out=step)
+        np.divide(1.0, cand, out=cand)
+        cand -= 1.0  # hp = 1/(beta + y) - 1
+        np.divide(h, cand, out=cand)
+        np.subtract(y, cand, out=cand)  # cand = y - h/hp
+        inside = np.greater(cand, lo, out=flags)
+        inside &= np.less(cand, hi, out=more)
         if not inside.all():
             mid = np.where(np.isinf(hi), y + np.maximum(1.0, y), 0.5 * (lo + hi))
-            cand = np.where(inside, cand, mid)
-        moved = cand != y
+            np.copyto(cand, mid, where=np.logical_not(inside, out=inside))
+        moved = np.not_equal(cand, y, out=flags)
         if not moved.all():
             out[at] = y
             keep = np.flatnonzero(moved)
             at, cand, L, lo, hi = (a.take(keep) for a in (at, cand, L, lo, hi))
-        y = cand
+        y, step = cand, y
     out[at] = y
     return out
 

@@ -133,8 +133,11 @@ class SortedSample:
 
 def _exponentials(rng: np.random.Generator, size: int) -> np.ndarray:
     # inverse transform: -log(1 - U) with U in [0, 1), so the argument of
-    # log never reaches 0
-    return -np.log1p(-rng.random(size))
+    # log never reaches 0; computed in the array of the draws
+    e = rng.random(size)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    return np.negative(e, out=e)
 
 
 def mixture_values(n: int, p: Params, seed: SeedSpec) -> np.ndarray:
@@ -147,15 +150,20 @@ def mixture_values(n: int, p: Params, seed: SeedSpec) -> np.ndarray:
     """
     n = check_int(n, "sample size", 1)
     rng = seed.rng()
-    component = rng.random(n)
+    exponential_only = rng.random(n) < (p.beta - 1.0) / p.beta
     e1 = _exponentials(rng, n)
     e2 = _exponentials(rng, n)
-    return _in_data_units(e1 + np.where(component < (p.beta - 1.0) / p.beta, 0.0, e2), p, "a draw")
+    # e1 + 0.0 is e1 (e1 >= +0.0), so adding the zeroed e2 gives the same bits
+    np.copyto(e2, 0.0, where=exponential_only)
+    e1 += e2
+    return _in_data_units(e1, p, "a draw")
 
 
 def sample_mixture(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     """Sorted sample of size n from the mixture representation."""
-    return SortedSample(np.sort(mixture_values(n, p, seed)))
+    values = mixture_values(n, p, seed)
+    values.sort()
+    return SortedSample(values)
 
 
 def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
@@ -164,8 +172,10 @@ def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     rng = seed.rng()
     u = rng.random(n)
     # measure-zero guard: rng.random can return exactly 0, outside (0, 1)
-    u = np.where(u == 0.0, _MIN_UNIFORM, u)
-    return SortedSample(np.sort(quantile_values(u, p)))
+    np.copyto(u, _MIN_UNIFORM, where=u == 0.0)
+    values = quantile_values(u, p)
+    values.sort()
+    return SortedSample(values)
 
 
 def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSample:

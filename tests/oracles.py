@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, lambertw
 
 from plevt.errors import CsvFormatError
-from plevt.quantile import quantile_values
+from plevt.quantile import _EPS, _MAXITER, _TOL, quantile_values
 
 
 def pdf_reference(x, theta, beta):
@@ -369,3 +369,45 @@ def top_order_statistics_rows_per_stream(n, k, p, seed, reps):
 def record_log_tails_per_stream(n, seed, reps):
     """``record_log_tails`` with entry r one ``standard_gamma(n)`` on its own stream."""
     return np.array([rng.standard_gamma(n) for rng in per_stream_generators(seed, reps)])
+
+
+# ---------------------------------------------------------------------------
+# The array Newton step as plevt wrote it before it reused its buffers: a
+# fresh array for every intermediate.  The rewritten solver must return the
+# same bits.
+
+
+def solve_block_fresh_arrays(L, beta):
+    """``plevt.quantile._solve_block`` with every temporary a new array."""
+    y = L + np.log1p(L / beta)  # first fixed-point iterate; lands left of root
+    lo = y.copy()
+    hi = np.full_like(y, np.inf)
+    out = np.empty_like(y)
+    at = np.arange(y.size)
+    for _ in range(_MAXITER):
+        h = np.log1p(y / beta) - y + L
+        noise = 8.0 * _EPS * np.maximum(1.0, np.abs(L) + y)
+        active = np.abs(h) > np.maximum(_TOL, noise)
+        if not active.all():  # written now; those still active are rewritten later
+            out[at] = y
+            keep = np.flatnonzero(active)
+            at, y, L, lo, hi, h = (a.take(keep) for a in (at, y, L, lo, hi, h))
+        if not at.size:
+            break
+        pos = h > 0.0
+        lo = np.where(pos, y, lo)
+        hi = np.where(pos, hi, y)
+        hp = 1.0 / (beta + y) - 1.0
+        cand = y - h / hp
+        inside = (cand > lo) & (cand < hi)
+        if not inside.all():
+            mid = np.where(np.isinf(hi), y + np.maximum(1.0, y), 0.5 * (lo + hi))
+            cand = np.where(inside, cand, mid)
+        moved = cand != y
+        if not moved.all():
+            out[at] = y
+            keep = np.flatnonzero(moved)
+            at, cand, L, lo, hi = (a.take(keep) for a in (at, cand, L, lo, hi))
+        y = cand
+    out[at] = y
+    return out

@@ -1169,3 +1169,13 @@ def test_verify_all_output_is_pinned(capsys):
     assert code == 1
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "006e37ad30bb67d6830436ac6929cda57fc236856a612cedb73f5b04e1e4e7dc"
+
+
+def test_sample_output_is_pinned(capsys):
+    """SHA-256 of ``sample -n 100000 --seed 7``: the mixture draw's bits,
+    in the CSV as written; recorded on numpy 2.4, x86-64 with AVX-512, with
+    the same platform caveat as ``test_verify_all_output_is_pinned``."""
+    code, out, err = run(capsys, "sample", "-n", "100000", "--seed", "7")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "621b31afd15296886ccc793c1044e5347c43120da1b9039bf452577a299526a9"

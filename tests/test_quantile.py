@@ -24,7 +24,9 @@ from plevt import (
 import plevt.distribution
 import plevt.quantile
 from plevt.distribution import _BLOCK
-from plevt.quantile import _quantiles_at_log_tails, _solve_scaled, _solve_scaled_array
+from plevt.quantile import (
+    _quantiles_at_log_tails, _solve_block, _solve_scaled, _solve_scaled_array,
+)
 from plevt.sampling import top_order_statistics_rows
 
 from oracles import (
@@ -32,6 +34,7 @@ from oracles import (
     quantile_bisection,
     quantile_lambertw,
     quantile_tail_expansion_integral,
+    solve_block_fresh_arrays,
 )
 
 PARAM_GRID = [(1.0, 2.0), (3.0, 1.5), (0.5, 1.2), (0.7, 6.0)]
@@ -401,6 +404,43 @@ def test_each_quantile_is_independent_of_its_neighbours(beta, steps, defined):
             scalar[v] = _solve_scaled(v, beta)[0]
     assert len(scalar) == defined
     assert _sha256(list(scalar.values())) == _sha256(np.array([alone[v] for v in scalar]))
+
+
+@pytest.mark.parametrize("beta", [1.0 + 1e-7, 1.5, 2.0, 11.0, 1e6])
+def test_solve_block_bits_equal_the_fresh_array_reference(beta):
+    # the solver computes into reused scratch arrays; the reference makes a
+    # fresh array for every intermediate.  The log-uniform L from 5e-324 to
+    # 1.7e308 settle at different steps (subnormal L at the first check);
+    # only the stand-ins, L <= 0, reach the bracket fallback
+    rng = np.random.default_rng(33)
+    for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+        wide = np.exp(rng.uniform(math.log(5e-324), math.log(1.7e308), size))
+        wide[:len(STAND_INS) + 2] = np.append(STAND_INS, [5e-324, 1.7e308])
+        for L in (rng.uniform(0.1, 700.0, size), -np.log(rng.random(size)),
+                  rng.gamma(400.0, size=size), wide):
+            before = L.copy()
+            L.setflags(write=False)  # read, never written
+            with np.errstate(all="ignore"):  # L <= 0 meets log1p(-1) and NaN
+                got = _solve_block(L, beta)
+                want = solve_block_fresh_arrays(L, beta)
+            assert got.tobytes() == want.tobytes()
+            assert L.tobytes() == before.tobytes()
+
+
+def test_array_entry_points_read_their_input_and_never_write_it():
+    # read-only arrays over several blocks, as a (reps, k+1) block and flat;
+    # any write would raise, and the bytes must come back as they went in
+    p = Params(1.3, 2.5)
+    u = np.exp(-np.random.default_rng(8).uniform(1e-3, 700.0, 3 * _BLOCK + 7))
+    L = -np.log(u)
+    for arr in (u, L):
+        arr.setflags(write=False)
+    before = u.tobytes(), L.tobytes()
+    flat = quantile_values(u, p)
+    np.testing.assert_array_equal(quantile_values(u[:21_000].reshape(1000, 21), p).ravel(),
+                                  flat[:21_000])
+    np.testing.assert_array_equal(_quantiles_at_log_tails(L, p), flat)
+    assert (u.tobytes(), L.tobytes()) == before
 
 
 def _peak_bytes(call):

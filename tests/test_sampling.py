@@ -27,6 +27,7 @@ from plevt import (
     spacings,
     write_values_csv,
 )
+from plevt.distribution import _BLOCK
 from plevt.gof import ks_distance_sorted, ks_two_sample
 from plevt.harness import _REP_BLOCK
 from plevt.quantile import quantile_values
@@ -41,6 +42,7 @@ from plevt.sampling import (
 
 from oracles import ks_two_sample_searchsorted, parse_values_lines_loop
 from oracles import per_stream_generators as rngs
+from test_quantile import _peak_bytes
 
 P = Params(1.0, 2.0)
 
@@ -326,6 +328,54 @@ _TIED = st.lists(
 def test_ks_two_sample_equals_the_searchsorted_formula_with_ties(x, y):
     # unsorted input, repeated values within and across the samples
     assert ks_two_sample(x, y) == ks_two_sample_searchsorted(x, y)
+
+
+@pytest.mark.parametrize("pooled", [m * _BLOCK + d for m in (1, 2, 3) for d in (-1, 0, 1)])
+def test_ks_two_sample_equals_the_searchsorted_formula_across_block_seams(pooled):
+    # the merged order is reduced in blocks of _BLOCK points; with seven
+    # distinct values a run of ties crosses the first seam, so a block's
+    # last run ends in the next block
+    rng = np.random.default_rng(pooled)
+    nx = pooled // 3
+    x = rng.integers(0, 7, nx).astype(np.float64)
+    y = rng.integers(0, 7, pooled - nx).astype(np.float64)
+    merged = np.sort(np.concatenate([x, y]))
+    assert pooled <= _BLOCK or merged[_BLOCK - 1] == merged[_BLOCK]
+    want = ks_two_sample_searchsorted(x, y)
+    assert ks_two_sample(x, y) == want
+    assert ks_two_sample(np.sort(x), np.sort(y)) == want  # ascending: not sorted again
+    assert ks_two_sample(y, x) == want
+    one_value = np.full(nx, 3.0)  # a sample that is one run of ties
+    assert ks_two_sample(one_value, y) == ks_two_sample_searchsorted(one_value, y)
+    assert ks_two_sample(one_value, np.full(pooled - nx, 3.0)) == 0.0
+    # distinct values, but for one run of ties across the first seam
+    u = np.sort(rng.uniform(0.0, 1.0, pooled))
+    u[_BLOCK - 3:_BLOCK + 3] = u[_BLOCK - 3]
+    x, y = u[::2], u[1::2]
+    assert ks_two_sample(x, y) == ks_two_sample_searchsorted(x, y)
+
+
+def test_ks_two_sample_reads_its_inputs_and_never_writes_them():
+    # an ascending sample goes to the merge as the caller's own array
+    a = sample_mixture(50_000, P, SeedSpec(6, 0)).values
+    b = sample_inverse_cdf(40_000, P, SeedSpec(6, 1)).values
+    shuffled = np.random.default_rng(6).permutation(b)
+    for arr in (a, b, shuffled):
+        arr.setflags(write=False)
+    before = [arr.tobytes() for arr in (a, b, shuffled)]
+    want = ks_two_sample_searchsorted(a, b)
+    assert ks_two_sample(a, b) == want
+    assert ks_two_sample(a, shuffled) == want
+    assert [arr.tobytes() for arr in (a, b, shuffled)] == before
+
+
+def test_ks_two_sample_memory_is_bounded():
+    # the sampler_gof pair of 2x1e5 ascending values: merging and reducing
+    # whole-size arrays peaked at 12.46 MiB; reduced in blocks, 3.96 MiB,
+    # of which the pooled values and their merged order are 3.05
+    a = sample_mixture(100_000, P, SeedSpec(1, 0)).values
+    b = sample_inverse_cdf(100_000, P, SeedSpec(1, 1)).values
+    assert _peak_bytes(lambda: ks_two_sample(a, b)) <= 5 * 2**20
 
 
 @pytest.mark.parametrize("x, y", [([], [1.0]), ([1.0], []), ([], [])])
