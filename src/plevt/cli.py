@@ -139,7 +139,7 @@ def _read_input(read, arg: str):
     try:
         return read(arg)
     except OSError as exc:
-        raise CsvFormatError(arg, 0, f"unreadable input: {exc}") from exc
+        raise CsvFormatError(exc.filename or arg, 0, exc.strerror or str(exc)) from exc
 
 
 def _write_outputs(*outputs) -> None:
@@ -279,9 +279,8 @@ def cmd_dhill(args: argparse.Namespace) -> int:
     weight = _read_input(WeightFunction.from_spec, args.f)
     k = args.k if args.k is not None else default_k(sample.n)
     plan = SpacingPlan.build(weight, sample.n, k, args.s)
-    ts = plan.rows(sample.values)
     payload = {"n": sample.n, "weight": weight.label, "conditions": plan.conditions(),
-               **asdict(ts)}
+               **asdict(plan.statistics(sample.values))}
     _write_outputs((args.output, json.dumps(payload, sort_keys=True) + "\n"))
     return EXIT_OK
 

@@ -56,13 +56,15 @@ class DegenerateSampleError(PlevtError, ValueError):
 
 
 class CsvFormatError(PlevtError, ValueError):
-    """Malformed numeric CSV input."""
+    """Malformed numeric CSV input; at ``line_no`` 0, input that could not be
+    read at all, with ``content`` the reason."""
 
     def __init__(self, path: str, line_no: int, content: str):
         self.path = path
         self.line_no = line_no
         self.content = content
-        super().__init__(f"{path}:{line_no}: not a number: {content!r}")
+        super().__init__(f"{path}:{line_no}: not a number: {content!r}" if line_no
+                         else f"{path}: unreadable input: {content}")
 
 
 class ExperimentRefusedError(PlevtError, RuntimeError):

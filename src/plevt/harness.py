@@ -79,7 +79,7 @@ from .sampling import (
     sample_mixture,
     top_order_statistics_rows,
 )
-from .tail import SpacingPlan, WeightFunction, _power, default_k, standardize_dh
+from .tail import SpacingPlan, WeightFunction, _power, default_k
 
 __all__ = [
     "Thresholds",
@@ -368,21 +368,19 @@ def _run_spacings_clt(e: Experiment) -> McReport:
                 diagnostics=diag,
             )
     gamma = p.gamma
+    with np.errstate(over="ignore"):  # inf, not OverflowError, past the range: z refuses it
+        gamma_s = float(np.float64(gamma) ** s)
 
     def block(seed, count):
-        ts = plan.rows(top_order_statistics_rows(e.n, k, p, seed, count))
-        z_a, _ = standardize_dh(ts, gamma)
-        return z_a / gamma**s, ts.hill
+        t = plan.sums(top_order_statistics_rows(e.n, k, p, seed, count))
+        with np.errstate(over="ignore"):  # a z that is not finite is refused just below
+            z = (t - gamma_s * plan.a_n) / plan.s_n
+        if not np.isfinite(z).all():
+            raise DomainError(f"(t_n - gamma**s a_n) / s_n overflows float64 at s = {s!r}")
+        return (z / gamma**s,)
 
-    z, hill = _replicate(e, block)
-    extras = {
-        "k": k,
-        "s": s,
-        "weight": weight.label,
-        "mean_hill": float(np.mean(np.sort(hill))),
-        **diag,
-    }
-    return _replicated_report(e, z, "std_normal", extras)
+    (z,) = _replicate(e, block)
+    return _replicated_report(e, z, "std_normal", {"k": k, "s": s, "weight": weight.label, **diag})
 
 
 def _run_record_clt(e: Experiment) -> McReport:

@@ -82,37 +82,30 @@ def _block_rngs(seed: SeedSpec, reps: int) -> tuple[np.random.Generator, np.rand
     return uniforms, np.random.Generator(uniforms.bit_generator.jumped())
 
 
-def _restart(bits: np.random.Philox, fresh: dict, master_seed: int, stream_id: int) -> None:
-    """Put ``bits`` at the start of stream (master_seed, stream_id).
-
-    ``fresh`` is a state that ``bits.state`` returned at a stream's start:
-    counter 0 and an empty buffer.  A Philox state is its key and counter,
-    so that state with the key words replaced is the one
-    ``SeedSpec(master_seed, stream_id).rng()`` starts from.  Setting the
-    state copies the arrays, so ``fresh`` keeps its counter at 0.
-    """
-    key = fresh["state"]["key"]
-    key[0] = master_seed
-    key[1] = stream_id
-    bits.state = fresh
-
-
 _local = threading.local()
 
 
 def _thread_rng(seed: SeedSpec) -> np.random.Generator:
     """The calling thread's own generator, at the start of ``seed``'s stream.
 
-    It draws what ``seed.rng()`` draws, without building a Philox per call.
-    The next call in the same thread resets it, so it must not leave plevt;
-    the block draws of the replicated kinds build their own (:func:`_block_rngs`).
+    It draws what ``seed.rng()`` draws, without building a Philox per call:
+    a Philox state is its key and counter, so the state the thread's
+    generator returned at its first stream's start (counter 0, an empty
+    buffer), with the key words replaced, is where ``seed.rng()`` starts.
+    Setting the state copies its arrays, so the kept state stays at counter 0.
+    The next call in the same thread resets the generator, so it must not
+    leave plevt; the block draws of the replicated kinds build their own
+    (:func:`_block_rngs`).
     """
     cached = getattr(_local, "rng", None)
     if cached is None:
         rng = seed.rng()
         _local.rng = cached = rng, rng.bit_generator.state
     rng, fresh = cached
-    _restart(rng.bit_generator, fresh, seed.master_seed, seed.stream_id)
+    key = fresh["state"]["key"]
+    key[0] = seed.master_seed
+    key[1] = seed.stream_id
+    rng.bit_generator.state = fresh
     return rng
 
 
@@ -244,10 +237,14 @@ def read_values_csv(path: str) -> np.ndarray:
     """Read a one-value-per-line CSV, auto-detecting a single header line.
 
     The first line may be non-numeric (treated as a header); any later
-    non-numeric line raises CsvFormatError carrying the line number.
+    non-numeric line raises CsvFormatError carrying the line number.  A file
+    that is not UTF-8 text raises it at line 0, as input it cannot read.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(str(path), 0, f"not UTF-8 text at byte {exc.start}") from None
     return parse_values_lines(text.split("\n"), label=str(path))
 
 

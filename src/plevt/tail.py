@@ -19,7 +19,9 @@ case additionally wants k to grow slower than (log n)^{4/3}, tracked by
 the diagnostic ``k1 = k**(3/4) / log n`` of ``SpacingPlan.conditions``.
 
 ``SpacingPlan`` owns 1 <= k <= n - 1 and builds a_n, s_n and b_n once per (f, n, k, s),
-in one pass over the ratios f(j)/j**s; samples are reduced and diagnostics read against it.
+in one pass over the ratios f(j)/j**s.  Its ``sums`` reduces rows of top order
+statistics to t_n alone, one weighted sum per row, which is all a Monte Carlo
+replication needs; its ``statistics`` gives one sample's hill, t_n and estimate.
 Normalizers that are not finite and > 0, Gamma(2s+1) past the double range
 (s above about 85.3), an overflowing spacing, t_n or t_n / a_n raise DomainError.
 """
@@ -27,7 +29,7 @@ Normalizers that are not finite and > 0, Gamma(2s+1) past the double range
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +48,6 @@ __all__ = [
     "TailStatistics",
     "hill",
     "dh_statistic",
-    "standardize_dh",
     "check_dh_conditions",
     "default_k",
 ]
@@ -175,8 +176,10 @@ def hill(sample: SortedSample, k: int) -> float:
 class SpacingPlan:
     """The weights ``w = f(1..k)`` at power s with ``a_n``, ``s_n`` and
     ``b_n``, built once per (f, n, k, s) of a sample of n values before any
-    spacing is reduced against them.  s_n(f, 1) waits for :meth:`conditions`:
-    a statistic that is finite is not refused for a diagnostic it does not need."""
+    spacing is reduced against them: rows to ``t_n`` by :meth:`sums`, one
+    sample to all its statistics by :meth:`statistics`.  s_n(f, 1) waits for
+    :meth:`conditions`: a statistic that is finite is not refused for a
+    diagnostic it does not need."""
 
     n: int
     s: float
@@ -223,48 +226,30 @@ class SpacingPlan:
         return {"k1": self.w.size**0.75 / math.log(n), "ratio1": sn1 / (self.s_n * math.log(n)),
                 "bn": self.b_n, "growth": self.a_n / self.s_n}
 
-    def rows(self, top: np.ndarray) -> TailStatistics:
-        """Statistics of each row of ``top`` (ascending along the last axis):
-        arrays, or numpy scalars for a 1-d ``top``.  The estimate takes the C
-        library's ``pow`` one value at a time, so each row matches its one-sample
-        result: numpy's vector power (and its sqrt at s = 2) can differ in the last bit."""
+    def sums(self, top: np.ndarray) -> np.ndarray:
+        """``t_n`` of each row of ``top`` (ascending along the last axis), one
+        weighted sum per row."""
+        return _weighted_power_sum(top_spacings(top, self.w.size), self.w, self.s)
+
+    def statistics(self, values: np.ndarray) -> TailStatistics:
+        """The statistics of one ascending sample, as Python floats; a
+        ``t_n / a_n`` past the double range raises DomainError."""
         k, s, an = self.w.size, self.s, self.a_n
-        sp = top_spacings(top, k)
-        t = _weighted_power_sum(sp, self.w, s)
-        with np.errstate(over="ignore"):  # an infinite ratio is refused just below
-            ratio = t / an
-        if not np.isfinite(ratio).all():
+        sp = top_spacings(values, k)
+        t = float(_weighted_power_sum(sp, self.w, s))
+        ratio = t / an
+        if not math.isfinite(ratio):
             raise DomainError(f"t_n / a_n overflows float64 at s = {s!r} (a_n = {an!r})")
         j = np.arange(1, k + 1, dtype=np.float64)
-        root = [r ** (1.0 / s) for r in np.ravel(ratio).tolist()]
         return TailStatistics(
-            k=k, s=s, hill=_weighted_power_sum(sp, j, 1.0) / k, t_n=t, a_n=an,
-            s_n=self.s_n, b_n=self.b_n, dh_estimate=np.reshape(root, np.shape(t))[()],
+            k=k, s=s, hill=float(_weighted_power_sum(sp, j, 1.0)) / k, t_n=t, a_n=an,
+            s_n=self.s_n, b_n=self.b_n, dh_estimate=ratio ** (1.0 / s),
         )
 
 
 def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> TailStatistics:
     """All weighted-spacing statistics of the sample at (f, k, s)."""
-    ts = SpacingPlan.build(f, sample.n, k, s).rows(sample.values)
-    return replace(ts, hill=float(ts.hill), t_n=float(ts.t_n), dh_estimate=float(ts.dh_estimate))
-
-
-def standardize_dh(ts: TailStatistics, gamma: float) -> tuple[float, float]:
-    """Standardized pair at a known gamma (elementwise for row statistics).
-
-    Returns ``z_a = (t_n - gamma**s * a_n) / s_n`` (limit N(0, gamma**(2s)))
-    and ``z_b = (a_n / s_n) * (dh_estimate - gamma)`` (limit N(0, gamma**2 / s**2));
-    DomainError unless gamma is a finite real > 0 and both are finite.
-    """
-    gamma = check_real(gamma, "gamma")
-    if gamma > 0.0:
-        with np.errstate(over="ignore"):  # a pair that is not finite is refused just below
-            gamma_s = float(np.float64(gamma) ** ts.s)  # inf, not OverflowError, past the range
-            z_a = (ts.t_n - gamma_s * ts.a_n) / ts.s_n
-            z_b = (ts.a_n / ts.s_n) * (ts.dh_estimate - gamma)
-    if not (gamma > 0.0 and np.isfinite(z_a).all() and np.isfinite(z_b).all()):
-        raise DomainError(f"gamma must be finite and > 0 and give a finite pair, got {gamma!r}")
-    return z_a, z_b
+    return SpacingPlan.build(f, sample.n, k, s).statistics(sample.values)
 
 
 def default_k(n: int) -> int:

@@ -740,13 +740,22 @@ def test_verify_refuses_streams_past_2_64_before_running(capsys, monkeypatch):
 
 def test_unreadable_weight_table_is_input_error(tmp_path, canon_csv, capsys):
     # a table: weight file that cannot be opened is an input failure (exit 4),
-    # as for a missing -i file, not an output failure (exit 3)
-    spec = f"table:{tmp_path / 'missing.csv'}"
-    for argv in (["dhill", "-i", canon_csv, "--k", "3", "--f", spec],
-                 ["verify", "--kind", "dh_clt", "--reps", "100", "--seed", "7", "--f", spec]):
+    # as for a missing -i file, not an output failure (exit 3); the line names
+    # the file and the reason, not a line that is not a number
+    missing, binary = tmp_path / "missing.csv", tmp_path / "binary.csv"
+    binary.write_bytes(b"1.5\n\xd0\x00\n")
+    spec = f"table:{missing}"
+    for argv, path in ((["dhill", "-i", canon_csv, "--k", "3", "--f", spec], missing),
+                       (["verify", "--kind", "dh_clt", "--reps", "100", "--seed", "7",
+                         "--f", spec], missing),
+                       (["dhill", "-i", canon_csv, "--k", "3", "--f", f"table:{binary}"], binary),
+                       (["hill", "-i", str(missing)], missing),
+                       (["hill", "-i", str(binary)], binary),
+                       (["fit", "-i", str(tmp_path)], tmp_path)):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == "", argv[0]
-        assert err.startswith("error:") and "unreadable input" in err, argv[0]
+        assert err.startswith(f"error: {path}: unreadable input: "), err
+        assert "not a number" not in err and err.count("\n") == 1, err
 
 
 def test_weights_evaluated_once_per_attempt_and_command(canon_csv, capsys, monkeypatch):

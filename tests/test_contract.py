@@ -98,7 +98,6 @@ DRAWN = {
 
 P = Params(1.0, 2.0)
 SAMPLE = SortedSample(np.sort(plevt.mixture_values(40, P, SeedSpec(3))))
-TS = plevt.dh_statistic(SAMPLE, WeightFunction.identity(), 10, 2.0)
 QUICK = Experiment(kind="quantile_error_order")
 
 #: Valid instances of the object kinds; the first is the one a sweep holds.
@@ -110,9 +109,6 @@ OBJECTS = {
     "WeightFunction": [WeightFunction.identity(), WeightFunction.log1p(),
                        WeightFunction.power(-400.0), WeightFunction.power(160.0),
                        WeightFunction.table([1.0, 2.0, 3.0])],
-    "TailStatistics": [TS, plevt.tail.SpacingPlan.build(
-        WeightFunction.identity(), 1000, 5, 1.0).rows(
-        plevt.sampling.top_order_statistics_rows(1000, 5, P, SeedSpec(4), 3))],
     "Experiment": [QUICK, Experiment(kind="record_clt", n=5, reps=100, rerun_on_fail=False)],
     "Thresholds": [plevt.Thresholds(), plevt.Thresholds(ks=0.1, mean_window=0.2)],
     "experiments": [[QUICK], []],
@@ -161,7 +157,6 @@ CONTRACT = {
     "WeightFunction.weights": {"self": "WeightFunction", "k": "size"},
     "hill": {"sample": "SortedSample", "k": "size"},
     "dh_statistic": {"sample": "SortedSample", "f": "WeightFunction", "k": "size", "s": "real"},
-    "standardize_dh": {"ts": "TailStatistics", "gamma": "real"},
     "check_dh_conditions": {"f": "WeightFunction", "n": "count", "k": "size", "s": "real"},
     "default_k": {"n": "count"},
     # records
@@ -330,7 +325,6 @@ EDGES = {
         lambda: plevt.gof.ks_distance_sorted(np.arange(3.0), np.array([0.1, math.nan, 0.9])),
     "KS distance at a 2-d cdf":
         lambda: plevt.gof.ks_distance_sorted(np.arange(3.0), np.array([[0.1], [0.5], [0.9]])),
-    "standardize_dh at a string gamma": lambda: plevt.standardize_dh(TS, "1"),
     "moment past the double range": lambda: plevt.moment(1000, P),
     "standardized_record of a string": lambda: plevt.standardized_record("1", 5, P),
     "check_dh_conditions at k = n": lambda: plevt.check_dh_conditions(

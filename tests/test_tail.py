@@ -1,11 +1,14 @@
 """Hill and weighted-spacing estimators against brute-force references."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plevt.tail
 from plevt import (
     DegenerateSampleError,
     DomainError,
@@ -19,7 +22,6 @@ from plevt import (
     hill,
     sample_mixture,
     spacings,
-    standardize_dh,
 )
 from plevt.sampling import top_order_statistics_rows
 from plevt.tail import SpacingPlan
@@ -199,7 +201,7 @@ def test_overflowing_normalizers_are_refused():
         with pytest.raises(DomainError):
             check_dh_conditions(f, 1000, 20, s)
         with pytest.raises(DomainError):
-            SpacingPlan.build(f, 1000, 20, s).rows(top)
+            SpacingPlan.build(f, 1000, 20, s).sums(top)
     diag = check_dh_conditions(WeightFunction.identity(), 1000, 20, 85.0)
     assert all(math.isfinite(v) and v > 0.0 for v in diag.values())
 
@@ -221,7 +223,7 @@ def test_overflowing_spacing_sum_is_refused():
         dh_statistic(s, WeightFunction.identity(), 20, 70.0)
     top = np.stack([np.arange(1.0, 101.0), np.arange(1.0, 101.0) * 1e5])
     with pytest.raises(DomainError):
-        SpacingPlan.build(WeightFunction.identity(), 100, 20, 70.0).rows(top)
+        SpacingPlan.build(WeightFunction.identity(), 100, 20, 70.0).sums(top)
 
 
 def test_overflowing_estimate_ratio_is_refused():
@@ -272,40 +274,53 @@ def test_hill_degenerate_sample():
     (WeightFunction.identity(), 3.0),
 ])
 def test_row_statistics_match_one_sample_loop(f, s):
-    # reference: the one-sample formulas row by row, with Python's float pow
-    # for the estimate; the row form and dh_statistic on each row as one
-    # sample must reproduce them bit for bit
+    # reference: the one-sample formula row by row; the row sums and the
+    # one-sample statistics on each row must reproduce it bit for bit
     k = 20
     tops = top_order_statistics_rows(10_000, k, Params(1.0, 2.0), SeedSpec(9), 1000)
-    ts = SpacingPlan.build(f, 10_000, k, s).rows(tops)
-    z_a, z_b = standardize_dh(ts, 0.7)
-    j = np.arange(1.0, k + 1.0)
-    for r, row in enumerate(tops):
-        sp = np.diff(row)[::-1].copy()
-        t = float(np.sum(f.weights(k) * sp**s))
-        est = (t / ts.a_n) ** (1.0 / s)
-        assert ts.t_n[r] == t
+    plan = SpacingPlan.build(f, 10_000, k, s)
+    t_rows = plan.sums(tops)
+    assert t_rows.shape == (1000,)
+    for row, t_row in zip(tops, t_rows):
+        t = float(np.sum(f.weights(k) * np.diff(row)[::-1].copy()**s))
+        assert t_row == t
+        assert plan.statistics(row).t_n == t
         assert dh_statistic(_sorted(row), f, k, s).t_n == t
-        assert ts.hill[r] == float(np.sum(j * sp)) / k
-        assert ts.dh_estimate[r] == est
-        assert z_a[r] == (t - 0.7**s * ts.a_n) / ts.s_n
-        assert z_b[r] == (ts.a_n / ts.s_n) * (est - 0.7)
 
 
 def test_row_statistics_refuse_a_degenerate_row():
     tops = np.array([[0.0, 1.0, 2.0, 4.0], [1.0, 2.5, 2.5, 2.5]])
     with pytest.raises(DegenerateSampleError):
-        SpacingPlan.build(WeightFunction.identity(), 4, 2, 1.0).rows(tops)
+        SpacingPlan.build(WeightFunction.identity(), 4, 2, 1.0).sums(tops)
 
 
-def test_standardize_dh_linearization():
-    gamma = 0.5
-    ts = dh_statistic(CANON, WeightFunction.identity(), 3, 1.0)
-    z_a, z_b = standardize_dh(ts, gamma)
-    assert z_a == pytest.approx((ts.t_n - gamma * ts.a_n) / ts.s_n, rel=1e-14)
-    assert z_b == pytest.approx(
-        (ts.a_n / ts.s_n) * (ts.dh_estimate - gamma), rel=1e-14
-    )
+def tolist_calls(source: str) -> list[int]:
+    """Lines of ``source`` that call a ``tolist`` method."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "tolist")
+
+
+def test_tolist_calls_are_found():
+    source = "a = x.tolist()\nb = tolist(x)\nc = [r for r in np.ravel(t).tolist()]\n"
+    assert tolist_calls(source) == [1, 3]
+
+
+def test_spacing_statistics_make_no_python_list():
+    # a block of replications is reduced by array calls alone: no row is
+    # taken out of numpy to be worked on one Python float at a time
+    assert tolist_calls(Path(plevt.tail.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_statistics_are_floats_with_the_root_estimate():
+    # one sample's statistics are Python floats, not numpy scalars, and the
+    # estimate is Python's float pow of t_n / a_n
+    for f in (WeightFunction.identity(), WeightFunction.power(0.5), WeightFunction.log1p()):
+        for s in (1.0, 1.5, 2.0, 3.0):
+            ts = SpacingPlan.build(f, CANON.n, 3, s).statistics(CANON.values)
+            fields = (ts.hill, ts.t_n, ts.a_n, ts.s_n, ts.b_n, ts.dh_estimate)
+            assert all(type(v) is float for v in fields)
+            assert ts.dh_estimate == (ts.t_n / ts.a_n) ** (1.0 / s)
 
 
 # ---------------------------------------------------------------------------
