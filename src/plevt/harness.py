@@ -21,8 +21,9 @@ Philox key of stream ``seed.stream_id + (r // B)*B`` under its master seed
 (:func:`plevt.sampling._block_rngs`), B = ``_REP_BLOCK``, so B is part of
 the output contract and replication r does not depend on how many are
 drawn.  One loop runs each runner's block function (draw, solve, reduce,
-standardize) and writes its arrays into outputs of all the replications,
-in one thread: a thread pool measured slower on every replicated kind.
+standardize) and writes the one array it returns into an output of all the
+replications, allocated before the first block, in one thread: a thread
+pool measured slower on every replicated kind.
 
 Each kind is one entry of the ``_KINDS`` table: runner, default thresholds,
 n and reps, the optional fields it takes (k for ``hill_clt``; k, weight and
@@ -277,16 +278,6 @@ _REFERENCES = {
 }
 
 
-def _summary(
-    values: np.ndarray, reference: str = "std_normal"
-) -> tuple[np.ndarray, float, float, float]:
-    """Sorted values, their mean, variance and KS distance to the reference law."""
-    zs = np.sort(values)
-    mean, var = _mean_var(zs)
-    ks = gof.ks_distance_sorted(zs, getattr(gof, _REFERENCES[reference][0])(zs))
-    return zs, mean, var, ks
-
-
 def _mean_var(values: np.ndarray) -> tuple[float, float]:
     """Mean and sample variance; one past the double range is inf, which _report refuses."""
     with np.errstate(over="ignore"):
@@ -310,8 +301,10 @@ def _replicated_report(
     """Report of a replicated attempt: the standardized replications against
     the reference law, with the sorted replications kept in the extras."""
     th = e.thresholds
-    zs, mean, var, ks = _summary(values, reference)
-    _, mean_target, var_target = _REFERENCES[reference]
+    cdf_name, mean_target, var_target = _REFERENCES[reference]
+    zs = np.sort(values)
+    mean, var = _mean_var(zs)
+    ks = gof.ks_distance_sorted(zs, getattr(gof, cdf_name)(zs))
     passed = (
         (th.ks is None or ks <= th.ks)
         and (th.mean_window is None or abs(mean - mean_target) <= th.mean_window)
@@ -329,16 +322,15 @@ def _replicated_report(
     )
 
 
-def _replicate(e: Experiment, block) -> list[np.ndarray]:
-    """Each array ``block(seed, count)`` returns for blocks of ``_REP_BLOCK``
-    replications, written into one output of ``e.reps`` values."""
-    outs = []
+def _replicate(e: Experiment, block) -> np.ndarray:
+    """The ``e.reps`` replications: one output, allocated before anything is
+    drawn, filled with the array ``block(seed, count)`` returns for each
+    block of ``_REP_BLOCK`` replications."""
+    out = np.empty(e.reps)
     for first in range(0, e.reps, _REP_BLOCK):
-        got = block(_block_seed(e.seed, first), min(_REP_BLOCK, e.reps - first))
-        outs = outs or [np.empty(e.reps) for _ in got]
-        for out, a in zip(outs, got):
-            out[first:first + a.size] = a
-    return outs
+        count = min(_REP_BLOCK, e.reps - first)
+        out[first:first + count] = block(_block_seed(e.seed, first), count)
+    return out
 
 
 def _run_max_gumbel(e: Experiment) -> McReport:
@@ -346,10 +338,9 @@ def _run_max_gumbel(e: Experiment) -> McReport:
     q_n = quantile_exact(1.0 / e.n, p).value
 
     def block(seed, count):
-        return (p.theta * (top_order_statistics_rows(e.n, 0, p, seed, count)[:, 0] - q_n),)
+        return p.theta * (top_order_statistics_rows(e.n, 0, p, seed, count)[:, 0] - q_n)
 
-    (z,) = _replicate(e, block)
-    return _replicated_report(e, z, "gumbel", {"centering": q_n})
+    return _replicated_report(e, _replicate(e, block), "gumbel", {"centering": q_n})
 
 
 def _run_spacings_clt(e: Experiment) -> McReport:
@@ -367,9 +358,8 @@ def _run_spacings_clt(e: Experiment) -> McReport:
                 f"{what} = {diag[key]:.3g} exceeds {bounds[key]:g} (n={e.n}, k={k})",
                 diagnostics=diag,
             )
-    gamma = p.gamma
     with np.errstate(over="ignore"):  # inf, not OverflowError, past the range: z refuses it
-        gamma_s = float(np.float64(gamma) ** s)
+        gamma_s = float(np.float64(p.gamma) ** s)
 
     def block(seed, count):
         t = plan.sums(top_order_statistics_rows(e.n, k, p, seed, count))
@@ -377,10 +367,10 @@ def _run_spacings_clt(e: Experiment) -> McReport:
             z = (t - gamma_s * plan.a_n) / plan.s_n
         if not np.isfinite(z).all():
             raise DomainError(f"(t_n - gamma**s a_n) / s_n overflows float64 at s = {s!r}")
-        return (z / gamma**s,)
+        return z / gamma_s
 
-    (z,) = _replicate(e, block)
-    return _replicated_report(e, z, "std_normal", {"k": k, "s": s, "weight": weight.label, **diag})
+    extras = {"k": k, "s": s, "weight": weight.label, **diag}
+    return _replicated_report(e, _replicate(e, block), "std_normal", extras)
 
 
 def _run_record_clt(e: Experiment) -> McReport:
@@ -388,13 +378,10 @@ def _run_record_clt(e: Experiment) -> McReport:
     n = e.n
 
     def block(seed, count):
-        g = record_log_tails(n, seed, count)
-        return standardized_record(_quantiles_at_log_tails(g, p), n, p), (g - n) / math.sqrt(n)
+        x = _quantiles_at_log_tails(record_log_tails(n, seed, count), p)
+        return standardized_record(x, n, p)
 
-    z, control = _replicate(e, block)
-    _, ctrl_mean, ctrl_var, ctrl_ks = _summary(control)
-    control = {"control_mean": ctrl_mean, "control_var": ctrl_var, "control_ks": ctrl_ks}
-    return _replicated_report(e, z, "std_normal", control)
+    return _replicated_report(e, _replicate(e, block), "std_normal", {})
 
 
 def _run_sampler_gof(e: Experiment) -> McReport:
@@ -453,7 +440,6 @@ def _run_quantile_error_order(e: Experiment) -> McReport:
             "raw_errors": raw,
             "weighted_errors": weighted,
             "weighted_ratio": ratio,
-            "raw_errors_decreasing": bool(np.all(np.diff(raw) < 0.0)),
         },
     )
 

@@ -23,7 +23,8 @@ in one pass over the ratios f(j)/j**s.  Its ``sums`` reduces rows of top order
 statistics to t_n alone, one weighted sum per row, which is all a Monte Carlo
 replication needs; its ``statistics`` gives one sample's hill, t_n and estimate.
 Normalizers that are not finite and > 0, Gamma(2s+1) past the double range
-(s above about 85.3), an overflowing spacing, t_n or t_n / a_n raise DomainError.
+(s above about 85.3), an overflowing spacing, t_n or t_n / a_n and a t_n that
+underflows to 0 from spacings that are not all zero raise DomainError.
 """
 
 from __future__ import annotations
@@ -153,10 +154,13 @@ def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
     """``sum_j w(j) * sp_j**s`` along the last axis, one total per row."""
     with np.errstate(over="ignore"):  # an infinite total is refused just below
         total = np.sum(w * sp**s, axis=-1)
-    if (total == 0.0).any():
-        raise DegenerateSampleError(
-            f"all top-{sp.shape[-1]} spacings are zero; weighted spacing sum degenerate"
-        )
+    zero = total == 0.0
+    if zero.any():
+        if (sp[zero] == 0.0).all(axis=-1).any():
+            raise DegenerateSampleError(
+                f"all top-{sp.shape[-1]} spacings are zero; weighted spacing sum degenerate"
+            )
+        raise DomainError(f"weighted spacing sum underflows float64 at s = {s!r}")
     if not np.isfinite(total).all():
         raise DomainError(f"weighted spacing sum overflows float64 at s = {s!r}")
     return total

@@ -63,6 +63,7 @@ from plevt.harness import (
     run_experiment,
     run_suite,
 )
+from plevt.records import record_log_tails
 from plevt.sampling import SeedSpec, SortedSample
 from plevt.tail import WeightFunction, dh_statistic, hill
 
@@ -325,7 +326,10 @@ def test_criterion_07_record_clt(capfd):
     e = Experiment(kind="record_clt", seed=SEED, rerun_on_fail=False)  # n=400, 5000 reps
     rep = run_experiment(e)
     dt = time.perf_counter() - t0
-    cm, cv = rep.extras["control_mean"], rep.extras["control_var"]
+    # the Gamma(n) control: the attempt's own log tails G_n, one block on its
+    # seed's key, standardized as (G_n - n)/sqrt(n)
+    control = (record_log_tails(e.n, e.seed, e.reps) - e.n) / math.sqrt(e.n)
+    cm, cv = float(np.mean(control)), float(np.var(control, ddof=1))
     mc_mean = 4.0 / math.sqrt(rep.reps)            # 4 sigma of the MC noise
     mc_var = 4.0 * math.sqrt(2.0 / rep.reps)
     # centering at gamma*n leaves the documented log(n)/sqrt(n) offset

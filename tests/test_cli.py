@@ -384,6 +384,16 @@ def test_dhill_degenerate_sample(tmp_path, capsys):
     assert "refused:" in err
 
 
+def test_dhill_underflowing_sum_is_usage_error(tmp_path, capsys):
+    # spacings of 1e-200 are not zero, but t_n at s = 2 underflows: a result
+    # past the double range (exit 2), not a degenerate sample (exit 5)
+    p = tmp_path / "tiny.csv"
+    p.write_text("0.0\n1e-200\n2e-200\n")
+    code, out, err = run(capsys, "dhill", "-i", str(p), "--k", "2", "--s", "2")
+    assert code == 2 and out == ""
+    assert err == "error: weighted spacing sum underflows float64 at s = 2.0\n"
+
+
 def test_dhill_bad_weight_spec(canon_csv, capsys):
     code, _, _ = run(capsys, "dhill", "-i", canon_csv, "--k", "3", "--f", "cube")
     assert code == 2
@@ -715,7 +725,8 @@ def test_verify_dh_clt_overflow_is_usage_error(capsys):
 def test_unallocatable_size_is_usage_error(capsys, tmp_path, argv):
     # 10**15 doubles, 8 PB, pass the 128 TiB user address space, so the
     # allocation fails under any overcommit setting; a replicated kind fails
-    # at its first block, where its outputs for every replication are allocated
+    # before its first block, where its one output for every replication is
+    # allocated
     out = tmp_path / "out"
     code, _, err = run(capsys, *argv, "--seed", "7", "-o", str(out))
     assert code == 2 and not out.exists()

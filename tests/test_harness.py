@@ -429,6 +429,57 @@ def test_replications_in_extras_only(kind, extra):
     assert len(report_to_json_dict(r)) == 10
 
 
+#: The exact ``McReport.extras`` keys of each kind's report at small sizes.
+#: A re-run adds ``first_attempt`` to every kind that draws a sample.  A
+#: cross-check that only the tests read belongs in the tests, not here.
+_SPACING_EXTRAS = {"replications", "k", "s", "weight", "k1", "ratio1", "bn", "growth"}
+_EXTRAS = {
+    "max_gumbel": (dict(n=2000, reps=100), {"replications", "centering"}),
+    "hill_clt": (dict(n=5000, k=5, reps=100), _SPACING_EXTRAS),
+    "dh_clt": (dict(n=5000, k=20, s=2.0, reps=100), _SPACING_EXTRAS),
+    "record_clt": (dict(n=100, reps=100), {"replications"}),
+    "sampler_gof": (dict(n=2000), {"two_sample_ks", "two_sample_threshold", "n"}),
+    "quantile_error_order": (
+        dict(), {"u_grid", "raw_errors", "weighted_errors", "weighted_ratio"},
+    ),
+}
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["once", "rerun"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_extras_keys_are_pinned(monkeypatch, kind, rerun):
+    extra, keys = _EXTRAS[kind]
+    thresholds = None
+    if rerun:  # every attempt misses
+        if kind in REPLICATED_KINDS:
+            thresholds = Thresholds(ks=0.0)
+        monkeypatch.setattr(plevt.harness, "_GOF_FACTOR", 0.0)
+        monkeypatch.setattr(plevt.harness, "_ERROR_RATIO_BOUND", 0.0)
+    e = Experiment(kind=kind, seed=SeedSpec(7), thresholds=thresholds, rerun_on_fail=rerun,
+                   **extra)
+    r = run_experiment(e)
+    reran = rerun and kind in STOCHASTIC_KINDS
+    assert not (rerun and r.passed)
+    assert set(r.extras) == keys | {"attempts"} | ({"first_attempt"} if reran else set())
+    assert r.extras["attempts"] == (2 if reran else 1)
+
+
+@pytest.mark.parametrize("kind", sorted(REPLICATED_KINDS))
+def test_unallocatable_attempt_draws_nothing(monkeypatch, kind):
+    # the one output of all 10**15 replications (8 PB) is allocated before
+    # the first block, so an attempt that cannot hold it draws nothing
+    draws = []
+    for name in ("top_order_statistics_rows", "record_log_tails"):
+        drawn = getattr(plevt.harness, name)
+        monkeypatch.setattr(plevt.harness, name,
+                            lambda *a, drawn=drawn: draws.append(a) or drawn(*a))
+    e = Experiment(kind=kind, reps=10**15, seed=SeedSpec(7), rerun_on_fail=False,
+                   **_SUITE_FIELDS.get(kind, {}))
+    with pytest.raises(MemoryError):
+        run_experiment(e)
+    assert draws == []
+
+
 def test_different_seeds_differ():
     e1 = Experiment(kind="sampler_gof", n=5000, seed=SeedSpec(1))
     e2 = Experiment(kind="sampler_gof", n=5000, seed=SeedSpec(2))
@@ -653,7 +704,7 @@ def test_error_order_report_values():
     assert r.ks_distance == 0.0
     assert r.extras["weighted_ratio"] == pytest.approx(12.635, abs=0.01)
     assert len(r.extras["u_grid"]) == 7
-    assert r.extras["raw_errors_decreasing"]
+    assert (np.diff(r.extras["raw_errors"]) < 0.0).all()
 
 
 def test_max_gumbel_small_scale_runs():

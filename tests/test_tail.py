@@ -294,6 +294,24 @@ def test_row_statistics_refuse_a_degenerate_row():
         SpacingPlan.build(WeightFunction.identity(), 4, 2, 1.0).sums(tops)
 
 
+def test_underflowing_spacing_sum_is_not_a_zero_spacing():
+    # spacings of 1e-200 are not zero, but their squares underflow to a t_n
+    # of 0: a sum past the double range (DomainError), not a degenerate sample
+    f = WeightFunction.identity()
+    plan = SpacingPlan.build(f, 4, 2, 2.0)
+    tiny = np.array([0.0, 1e-200, 2e-200, 3e-200])
+    normal = np.array([[0.0, 1.0, 2.0, 4.0], [1.0, 2.0, 4.0, 7.0]])
+    assert plan.sums(normal).tolist() == [6.0, 17.0]
+    for call in (lambda: dh_statistic(_sorted(tiny[:3]), f, 2, 2.0),
+                 lambda: plan.statistics(tiny),
+                 lambda: plan.sums(np.insert(normal, 1, tiny, axis=0))):
+        with pytest.raises(DomainError, match="^weighted spacing sum underflows float64 at s = 2.0"):
+            call()
+    # a row whose spacings are all zero is degenerate, whatever the other rows do
+    with pytest.raises(DegenerateSampleError):
+        plan.sums(np.array([tiny, [1.0, 2.5, 2.5, 2.5]]))
+
+
 def tolist_calls(source: str) -> list[int]:
     """Lines of ``source`` that call a ``tolist`` method."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
