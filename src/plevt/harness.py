@@ -16,6 +16,11 @@ compares the empirical law against its limiting reference:
                          error, weighted by log(1/u)^2, stays within a
                          bounded ratio across fourteen decades of u
 
+The replicated kinds' statistics are invariant under x -> theta*x, so their
+runners draw and solve in the scale-free theta*x, at ``Params(1.0, beta)``:
+at any theta their reports are the theta = 1 report, bit for bit.  The
+single-shot kinds report in data units at ``e.params``.
+
 Replication r of an experiment draws from position r mod B of the
 Philox key of stream ``seed.stream_id + (r // B)*B`` under its master seed
 (:func:`plevt.sampling._block_rngs`), B = ``_REP_BLOCK``, so B is part of
@@ -152,7 +157,8 @@ class Experiment:
     thresholds.  ``seed.stream_id`` is the base stream index: the block of
     replications from ``first`` draws on stream ``stream_id + first``, and
     the streams ``stream_id .. stream_id + reps - 1`` must lie below 2**64.
-    ``rerun_on_fail`` must be a bool.
+    ``rerun_on_fail`` must be a bool.  The replicated kinds read only
+    ``params.beta``; the single-shot kinds read theta too.
     """
 
     kind: str
@@ -334,18 +340,19 @@ def _replicate(e: Experiment, block) -> np.ndarray:
 
 
 def _run_max_gumbel(e: Experiment) -> McReport:
-    p = e.params
+    """``extras["centering"]`` is theta*Q(1/n), the centering in theta*x."""
+    p = Params(1.0, e.params.beta)
     q_n = quantile_exact(1.0 / e.n, p).value
 
     def block(seed, count):
-        return p.theta * (top_order_statistics_rows(e.n, 0, p, seed, count)[:, 0] - q_n)
+        return top_order_statistics_rows(e.n, 0, p, seed, count)[:, 0] - q_n
 
     return _replicated_report(e, _replicate(e, block), "gumbel", {"centering": q_n})
 
 
 def _run_spacings_clt(e: Experiment) -> McReport:
     """``hill_clt`` (identity weights, s = 1) and ``dh_clt``."""
-    p = e.params
+    p = Params(1.0, e.params.beta)
     k = e.k
     weight = WeightFunction.identity() if e.weight is None else e.weight
     s = 1.0 if e.s is None else e.s
@@ -358,23 +365,21 @@ def _run_spacings_clt(e: Experiment) -> McReport:
                 f"{what} = {diag[key]:.3g} exceeds {bounds[key]:g} (n={e.n}, k={k})",
                 diagnostics=diag,
             )
-    with np.errstate(over="ignore"):  # inf, not OverflowError, past the range: z refuses it
-        gamma_s = float(np.float64(p.gamma) ** s)
 
     def block(seed, count):
         t = plan.sums(top_order_statistics_rows(e.n, k, p, seed, count))
         with np.errstate(over="ignore"):  # a z that is not finite is refused just below
-            z = (t - gamma_s * plan.a_n) / plan.s_n
+            z = (t - plan.a_n) / plan.s_n
         if not np.isfinite(z).all():
-            raise DomainError(f"(t_n - gamma**s a_n) / s_n overflows float64 at s = {s!r}")
-        return z / gamma_s
+            raise DomainError(f"(t_n - a_n) / s_n overflows float64 at s = {s!r}")
+        return z
 
     extras = {"k": k, "s": s, "weight": weight.label, **diag}
     return _replicated_report(e, _replicate(e, block), "std_normal", extras)
 
 
 def _run_record_clt(e: Experiment) -> McReport:
-    p = e.params
+    p = Params(1.0, e.params.beta)
     n = e.n
 
     def block(seed, count):

@@ -26,7 +26,6 @@ __all__ = [
     "mixture_values",
     "sample_mixture",
     "sample_inverse_cdf",
-    "top_order_statistics",
     "spacings",
     "read_values_csv",
     "write_values_csv",
@@ -169,12 +168,6 @@ def sample_inverse_cdf(n: int, p: Params, seed: SeedSpec) -> SortedSample:
     values = quantile_values(u, p)
     values.sort()
     return SortedSample(values)
-
-
-def top_order_statistics(n: int, k: int, p: Params, seed: SeedSpec) -> SortedSample:
-    """The k+1 largest of n i.i.d. draws, ascending, in O(k): the one-seed
-    case of :func:`top_order_statistics_rows`."""
-    return SortedSample(top_order_statistics_rows(n, k, p, seed, 1)[0])
 
 
 def top_order_statistics_rows(n: int, k: int, p: Params, seed: SeedSpec, reps: int) -> np.ndarray:

@@ -166,14 +166,18 @@ def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
     return total
 
 
+def _hill(sp: np.ndarray) -> float:
+    """``(1/k) sum j * sp_j`` of the k top spacings ``sp``, as a Python float."""
+    k = sp.size
+    return float(_weighted_power_sum(sp, np.arange(1, k + 1, dtype=np.float64), 1.0)) / k
+
+
 def hill(sample: SortedSample, k: int) -> float:
     """Scaled-spacings estimate ``(1/k) sum j * (top spacing j)``.
 
     Raises DegenerateSampleError when all top-k spacings are zero (ties).
     """
-    sp = spacings(sample, k)
-    j = np.arange(1, k + 1, dtype=np.float64)
-    return float(_weighted_power_sum(sp, j, 1.0)) / k
+    return _hill(spacings(sample, k))
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,11 +248,8 @@ class SpacingPlan:
         ratio = t / an
         if not math.isfinite(ratio):
             raise DomainError(f"t_n / a_n overflows float64 at s = {s!r} (a_n = {an!r})")
-        j = np.arange(1, k + 1, dtype=np.float64)
-        return TailStatistics(
-            k=k, s=s, hill=float(_weighted_power_sum(sp, j, 1.0)) / k, t_n=t, a_n=an,
-            s_n=self.s_n, b_n=self.b_n, dh_estimate=ratio ** (1.0 / s),
-        )
+        return TailStatistics(k=k, s=s, hill=_hill(sp), t_n=t, a_n=an, s_n=self.s_n,
+                              b_n=self.b_n, dh_estimate=ratio ** (1.0 / s))
 
 
 def dh_statistic(sample: SortedSample, f: WeightFunction, k: int, s: float) -> TailStatistics:

@@ -655,6 +655,19 @@ def test_verify_refuses_a_report_field_past_the_double_range(capsys):
     assert err.startswith("error: empirical_var = inf ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("kind, theta", [
+    (["dh_clt", "--n", "20000", "--k", "20", "--s", "2"], "1e-160"),
+    (["max_gumbel", "--n", "20000"], "5e-324"),
+], ids=["dh_clt", "max_gumbel"])
+def test_verify_replicated_kind_prints_the_theta_1_report(capsys, kind, theta):
+    # a replicated kind runs in theta*x, so its report does not read theta;
+    # in data units these thetas take t_n (dh_clt) or the quantile past the range
+    argv = ["verify", "--kind", *kind, "--reps", "500", "--seed", "3", "--stable-json"]
+    at_one = run(capsys, *argv, "--theta", "1")
+    assert at_one[0] in (0, 1) and at_one[1] and at_one[2] == ""
+    assert run(capsys, *argv, "--theta", theta) == at_one
+
+
 def test_verify_stable_json_byte_identical(capsys):
     argv = ["verify", "--kind", "hill_clt", "--n", "4000", "--k", "5",
             "--reps", "100", "--seed", "3", "--stable-json"]

@@ -145,7 +145,6 @@ CONTRACT = {
     "mixture_values": {"n": "size", "p": "Params", "seed": "SeedSpec"},
     "sample_mixture": {"n": "size", "p": "Params", "seed": "SeedSpec"},
     "sample_inverse_cdf": {"n": "size", "p": "Params", "seed": "SeedSpec"},
-    "top_order_statistics": {"n": "size", "k": "size", "p": "Params", "seed": "SeedSpec"},
     "spacings": {"sample": "SortedSample", "k": "size"},
     "read_values_csv": {"path": "csv path"},
     "write_values_csv": {"values": "real array", "fh": "text file"},

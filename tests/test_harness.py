@@ -1,12 +1,13 @@
 """Monte Carlo harness: experiment validation, determinism, reruns, refusals."""
 
+import ast
 import functools
 import hashlib
 import io
 import json
 import math
 import re
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,21 +564,65 @@ def test_hill_refuses_fast_k_growth_before_drawing(monkeypatch):
 
 
 def test_spacing_guards_refuse_before_gamma_overflows():
-    # at theta = 5e-324 gamma = 1/theta is refused, but the guard speaks first
+    # at theta = 5e-324, where gamma = 1/theta leaves the double range, the
+    # guard still speaks before anything is drawn
     e = Experiment(kind="hill_clt", params=Params(5e-324, 2.0), n=100, k=20, reps=100)
     with pytest.raises(ExperimentRefusedError, match="^k grows too fast"):
         run_experiment(e)
-    with pytest.raises(DomainError, match="^gamma overflows"):
-        run_experiment(replace(e, k=5))
 
 
-def test_spacing_standardization_past_the_double_range_is_refused():
-    # at s = 80, gamma**s = 1.5e200 is finite but gamma**s * a_n is not, while
-    # every t_n stays finite: refused as a DomainError, never reported as -inf
-    e = Experiment(kind="dh_clt", params=Params(1 / 316, 2.0), n=1000, k=20, s=80.0,
-                   weight=WeightFunction.identity(), reps=100, rerun_on_fail=False)
-    with pytest.raises(DomainError):
-        run_experiment(e)
+#: The replicated kinds, dh_clt as the standard suite runs it
+_SCALE_FREE = {
+    "max_gumbel": dict(n=20_000),
+    "hill_clt": dict(n=20_000),
+    "dh_clt": dict(n=20_000, k=20, weight=WeightFunction.identity(), s=2.0),
+    "record_clt": dict(n=400),
+}
+_THETAS = (5e-324, 1 / 316, 1e-160, 0.5, 2.5, 1e160, 1e300)
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALE_FREE))
+def test_replicated_report_is_the_theta_1_report(kind):
+    # the statistics are invariant under x -> theta*x and the runners draw in
+    # theta*x, so no theta refuses them or moves a bit; in data units these
+    # thetas take gamma, a quantile or t_n (s = 2) past the double range or
+    # into its subnormal part
+    def attempt(theta):
+        e = Experiment(kind=kind, params=Params(theta, 2.0), reps=500, seed=SeedSpec(3),
+                       rerun_on_fail=False, **_SCALE_FREE[kind])
+        r = run_experiment(e)
+        return report_to_json(r, stable=True), r.extras["replications"].view(np.uint64)
+
+    report, zs = attempt(1.0)
+    for theta in _THETAS:
+        got, got_zs = attempt(theta)
+        assert got == report, theta
+        np.testing.assert_array_equal(got_zs, zs, err_msg=repr(theta))
+
+
+_RUNNERS = ("_run_max_gumbel", "_run_spacings_clt", "_run_record_clt")
+
+
+def scale_reads(source: str) -> list[str]:
+    """``runner.attribute`` for each ``.theta`` or ``.gamma`` read in the
+    bodies of the replicated kinds' runners defined in ``source``."""
+    return sorted(f"{fn.name}.{node.attr}" for fn in ast.parse(source).body
+                  if isinstance(fn, ast.FunctionDef) and fn.name in _RUNNERS
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Attribute) and node.attr in ("theta", "gamma"))
+
+
+def test_scale_reads_are_found():
+    source = ("def _run_max_gumbel(e):\n    return e.params.theta * gamma\n"
+              "def _run_record_clt(e):\n    def block():\n        return p.gamma\n"
+              "def other(p):\n    return p.theta\n")
+    assert scale_reads(source) == ["_run_max_gumbel.theta", "_run_record_clt.gamma"]
+
+
+def test_replicated_runners_read_no_theta_scale():
+    # the runners work at Params(1.0, beta): theta and gamma are no input to them
+    assert all(callable(getattr(plevt.harness, name)) for name in _RUNNERS)
+    assert scale_reads(Path(plevt.harness.__file__).read_text(encoding="utf-8")) == []
 
 
 def test_report_refuses_a_field_past_the_double_range():

@@ -21,11 +21,11 @@ from plevt import (
     WeightFunction,
     dh_statistic,
     sample_mixture,
-    top_order_statistics,
 )
 from plevt.gof import ks_two_sample
 from plevt.harness import Experiment, run_experiment
 from plevt.records import record_log_tails
+from plevt.sampling import SortedSample, top_order_statistics_rows
 
 from oracles import (
     ks_critical_two_sample,
@@ -53,8 +53,13 @@ def full_sample_path():
     return {"hill": np.array(hill), "dh": np.array(dh), "max": np.array(maxima)}
 
 
+def top_sample(n, k, seed):
+    """The k+1 largest of n draws at P as one sorted sample: row 0 of ``seed``'s key."""
+    return SortedSample(top_order_statistics_rows(n, k, P, seed, 1)[0])
+
+
 def _top(k, r):
-    return top_order_statistics(N, k, P, SeedSpec(NEW_SEED, r))
+    return top_sample(N, k, SeedSpec(NEW_SEED, r))
 
 
 def _assert_same_law(new, old):
@@ -118,28 +123,28 @@ def test_block_layout_keeps_the_law_of_the_per_stream_layout(monkeypatch, kind):
 
 
 def test_returns_k_plus_one_ascending_finite_values():
-    s = top_order_statistics(100_000, 20, P, SeedSpec(5))
+    s = top_sample(100_000, 20, SeedSpec(5))
     assert s.n == 21
     assert np.all(np.isfinite(s.values)) and np.all(np.diff(s.values) >= 0.0)
     assert s.values[0] > 0.0
 
 
 def test_same_stream_same_values_other_stream_differs():
-    a = top_order_statistics(1000, 5, P, SeedSpec(3, 1)).values
-    b = top_order_statistics(1000, 5, P, SeedSpec(3, 1)).values
-    c = top_order_statistics(1000, 5, P, SeedSpec(3, 2)).values
+    a = top_sample(1000, 5, SeedSpec(3, 1)).values
+    b = top_sample(1000, 5, SeedSpec(3, 1)).values
+    c = top_sample(1000, 5, SeedSpec(3, 2)).values
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_k_zero_and_k_n_minus_one():
-    assert top_order_statistics(1, 0, P, SeedSpec(1)).n == 1
-    assert top_order_statistics(50, 0, P, SeedSpec(1)).n == 1
-    full = top_order_statistics(5, 4, P, SeedSpec(1))
+    assert top_sample(1, 0, SeedSpec(1)).n == 1
+    assert top_sample(50, 0, SeedSpec(1)).n == 1
+    full = top_sample(5, 4, SeedSpec(1))
     assert full.n == 5 and np.all(np.diff(full.values) >= 0.0)
 
 
 @pytest.mark.parametrize("n, k", [(10, -1), (10, 10), (10, 11), (0, 0)])
 def test_bad_k_or_n_raises(n, k):
     with pytest.raises(DomainError):
-        top_order_statistics(n, k, P, SeedSpec(1))
+        top_sample(n, k, SeedSpec(1))

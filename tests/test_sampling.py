@@ -36,7 +36,6 @@ from plevt.sampling import (
     _block_rngs,
     _block_seed,
     parse_values_lines,
-    top_order_statistics,
     top_order_statistics_rows,
 )
 
@@ -145,7 +144,7 @@ def _gamma_generator(master, stream):
 
 def test_top_order_statistics_rows_match_the_block_draw():
     # reference: the block draw written out per row; the row form must
-    # reproduce it bit for bit, and the one-seed call is row 0 of its key
+    # reproduce it bit for bit, and a one-row draw is row 0 of its key
     n, k, reps = 100_000, 7, 300
     rows = top_order_statistics_rows(n, k, P, SeedSpec(3, 5), reps)
     assert rows.shape == (reps, k + 1)
@@ -157,7 +156,7 @@ def test_top_order_statistics_rows_match_the_block_draw():
         total = partial[-1] + rest[r]
         ref = np.maximum.accumulate(quantile_values(partial[::-1] / total, P))
         np.testing.assert_array_equal(row, ref)
-    np.testing.assert_array_equal(top_order_statistics(n, k, P, SeedSpec(3, 5)).values, rows[0])
+    np.testing.assert_array_equal(top_order_statistics_rows(n, k, P, SeedSpec(3, 5), 1), rows[:1])
 
 
 COUNTS = (1, 2, 37, 1000, 2**14 + 3)
@@ -264,9 +263,6 @@ def test_row_sampler_refuses_non_integer_counts(name, value):
     counts = {"n": 100, "k": 2, "reps": 3}
     with pytest.raises(DomainError, match=f"must be an integer, got {value!r}"):
         top_order_statistics_rows(p=P, seed=SeedSpec(1), **{**counts, name: value})
-    if name != "reps":
-        with pytest.raises(DomainError, match="must be an integer"):
-            top_order_statistics(p=P, seed=SeedSpec(1), **{"n": 100, "k": 2, name: value})
     counts[name] = np.int64(counts[name])
     assert top_order_statistics_rows(p=P, seed=SeedSpec(1), **counts).shape == (3, 3)
 
