@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -62,14 +63,13 @@ from .records import extract_records, simulate_record, standardized_record
 from .sampling import (
     SeedSpec,
     SortedSample,
-    _top_count,
+    _read_values_text,
     mixture_values,
-    parse_values_lines,
     read_values_csv,
     sample_mixture,
     write_values_csv,
 )
-from .tail import SpacingPlan, WeightFunction, default_k, hill
+from .tail import SpacingPlan, WeightFunction, _top_count, default_k, hill
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -121,8 +121,12 @@ def _resolve_seed(args: argparse.Namespace, draws: bool = True) -> SeedSpec:
 
 
 def _read_input_values(path: str | None) -> np.ndarray:
+    """The values of the CSV at ``path``, or of stdin for none or ``-``, which
+    is read as a file is: strict UTF-8 with universal newlines, whatever the
+    locale's encoding."""
     if path in (None, "-"):
-        return parse_values_lines(sys.stdin.read().split("\n"), label="<stdin>")
+        stdin = io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
+        return _read_values_text(stdin, "<stdin>")
     return _read_input(read_values_csv, path)
 
 

@@ -80,12 +80,11 @@ from .sampling import (
     SeedSpec,
     _block_seed,
     _stream_stop,
-    _top_count,
     sample_inverse_cdf,
     sample_mixture,
     top_order_statistics_rows,
 )
-from .tail import SpacingPlan, WeightFunction, _power, default_k
+from .tail import SpacingPlan, WeightFunction, _power, _top_count, default_k
 
 __all__ = [
     "Thresholds",

@@ -26,7 +26,6 @@ __all__ = [
     "mixture_values",
     "sample_mixture",
     "sample_inverse_cdf",
-    "spacings",
     "read_values_csv",
     "write_values_csv",
 ]
@@ -201,31 +200,6 @@ def top_order_statistics_rows(n: int, k: int, p: Params, seed: SeedSpec, reps: i
     return np.maximum.accumulate(values, axis=1)
 
 
-def spacings(sample: SortedSample, k: int) -> np.ndarray:
-    """Top spacings ``X_{n-j+1,n} - X_{n-j,n}`` for j = 1..k."""
-    return top_spacings(sample.values, k)
-
-
-def _top_count(n: int, k: int, error=DomainError) -> int:
-    """``k`` as a number of top spacings of n values, in [1, n-1], else ``error``."""
-    k = check_int(k, "k", error=error)
-    if not (1 <= k <= n - 1):
-        raise error(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
-    return k
-
-
-def top_spacings(values: np.ndarray, k: int) -> np.ndarray:
-    """:func:`spacings` along the last axis of ascending ``values``; C-order,
-    so numpy's vector loops treat each row as they treat one sample.  A
-    spacing past the double range raises DomainError."""
-    k = _top_count(values.shape[-1], k)
-    with np.errstate(over="ignore"):  # a spacing past the double range is refused just below
-        sp = np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()
-    if not np.isfinite(sp).all():
-        raise DomainError(f"a top-{k} spacing overflows float64")
-    return sp
-
-
 def read_values_csv(path: str) -> np.ndarray:
     """Read a one-value-per-line CSV, auto-detecting a single header line.
 
@@ -234,11 +208,17 @@ def read_values_csv(path: str) -> np.ndarray:
     that is not UTF-8 text raises it at line 0, as input it cannot read.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(str(path), 0, f"not UTF-8 text at byte {exc.start}") from None
-    return parse_values_lines(text.split("\n"), label=str(path))
+        return _read_values_text(fh, str(path))
+
+
+def _read_values_text(fh, label: str) -> np.ndarray:
+    """The values of the strict UTF-8 text stream ``fh``, as :func:`read_values_csv`
+    reads a file's; ``label`` names the source in errors."""
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(label, 0, f"not UTF-8 text at byte {exc.start}") from None
+    return parse_values_lines(text.split("\n"), label=label)
 
 
 def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:

@@ -42,7 +42,7 @@ from .errors import (
     check_real,
     check_sample,
 )
-from .sampling import SortedSample, _top_count, read_values_csv, spacings, top_spacings
+from .sampling import SortedSample, read_values_csv
 
 __all__ = [
     "WeightFunction",
@@ -52,6 +52,14 @@ __all__ = [
     "check_dh_conditions",
     "default_k",
 ]
+
+
+def _top_count(n: int, k: int, error=DomainError) -> int:
+    """``k`` as a number of top spacings of n values, in [1, n-1], else ``error``."""
+    k = check_int(k, "k", error=error)
+    if not (1 <= k <= n - 1):
+        raise error(f"k must lie in [1, n-1] = [1, {n - 1}], got {k}")
+    return k
 
 
 def _power(s, error=DomainError) -> float:
@@ -150,15 +158,19 @@ class TailStatistics:
     dh_estimate: float
 
 
-def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
-    """``sum_j w(j) * sp_j**s`` along the last axis, one total per row."""
-    with np.errstate(over="ignore"):  # an infinite total is refused just below
+def _weighted_power_sum(values: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
+    """``sum_j w(j) * (X_{n-j+1,n} - X_{n-j,n})**s`` over the top ``w.size``
+    spacings of ascending ``values`` along the last axis, one total per row;
+    C-order, so numpy's vector loops treat each row as they treat one sample."""
+    k = _top_count(values.shape[-1], w.size)  # a row too short for the weights is refused
+    with np.errstate(over="ignore"):  # a spacing or total past the double range is refused below
+        sp = np.diff(values[..., -(k + 1):], axis=-1)[..., ::-1].copy()
         total = np.sum(w * sp**s, axis=-1)
     zero = total == 0.0
     if zero.any():
         if (sp[zero] == 0.0).all(axis=-1).any():
             raise DegenerateSampleError(
-                f"all top-{sp.shape[-1]} spacings are zero; weighted spacing sum degenerate"
+                f"all top-{k} spacings are zero; weighted spacing sum degenerate"
             )
         raise DomainError(f"weighted spacing sum underflows float64 at s = {s!r}")
     if not np.isfinite(total).all():
@@ -166,10 +178,10 @@ def _weighted_power_sum(sp: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
     return total
 
 
-def _hill(sp: np.ndarray) -> float:
-    """``(1/k) sum j * sp_j`` of the k top spacings ``sp``, as a Python float."""
-    k = sp.size
-    return float(_weighted_power_sum(sp, np.arange(1, k + 1, dtype=np.float64), 1.0)) / k
+def _hill(values: np.ndarray, k: int) -> float:
+    """``(1/k) sum j * (top spacing j)`` of ascending ``values``, as a Python float."""
+    k = _top_count(values.size, k)
+    return float(_weighted_power_sum(values, np.arange(1, k + 1, dtype=np.float64), 1.0)) / k
 
 
 def hill(sample: SortedSample, k: int) -> float:
@@ -177,7 +189,7 @@ def hill(sample: SortedSample, k: int) -> float:
 
     Raises DegenerateSampleError when all top-k spacings are zero (ties).
     """
-    return _hill(spacings(sample, k))
+    return _hill(sample.values, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,18 +249,17 @@ class SpacingPlan:
     def sums(self, top: np.ndarray) -> np.ndarray:
         """``t_n`` of each row of ``top`` (ascending along the last axis), one
         weighted sum per row."""
-        return _weighted_power_sum(top_spacings(top, self.w.size), self.w, self.s)
+        return _weighted_power_sum(top, self.w, self.s)
 
     def statistics(self, values: np.ndarray) -> TailStatistics:
         """The statistics of one ascending sample, as Python floats; a
         ``t_n / a_n`` past the double range raises DomainError."""
         k, s, an = self.w.size, self.s, self.a_n
-        sp = top_spacings(values, k)
-        t = float(_weighted_power_sum(sp, self.w, s))
+        t = float(_weighted_power_sum(values, self.w, s))
         ratio = t / an
         if not math.isfinite(ratio):
             raise DomainError(f"t_n / a_n overflows float64 at s = {s!r} (a_n = {an!r})")
-        return TailStatistics(k=k, s=s, hill=_hill(sp), t_n=t, a_n=an, s_n=self.s_n,
+        return TailStatistics(k=k, s=s, hill=_hill(values, k), t_n=t, a_n=an, s_n=self.s_n,
                               b_n=self.b_n, dh_estimate=ratio ** (1.0 / s))
 
 

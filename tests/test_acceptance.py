@@ -346,6 +346,27 @@ def test_criterion_07_record_clt(capfd):
     ])
 
 
+def test_law_rows_refuse_scaled_draws(monkeypatch):
+    # the scaled-draw mutant: the harness's top order statistics and records
+    # come out 1.1 times their law's, which the KS-to-N(0,1) rows alone did
+    # not always catch; the law rows of criteria 5 and 7 must, at their own
+    # seeds and sizes and against the same reference laws
+    for name in ("top_order_statistics_rows", "_quantiles_at_log_tails"):
+        draw = getattr(plevt.harness, name)
+        monkeypatch.setattr(plevt.harness, name, lambda *a, draw=draw, **kw: 1.1 * draw(*a, **kw))
+    hill_e = Experiment(kind="hill_clt", seed=SEED, rerun_on_fail=False)
+    record_e = Experiment(kind="record_clt", seed=SEED, rerun_on_fail=False)
+    p = hill_e.params
+    laws = [
+        (hill_e, spacing_statistic_law(hill_e.n, list(range(1, hill_e.k + 1)), 1.0,
+                                       p.theta, p.beta, REF_REPS, REF_SEED)),
+        (record_e, record_statistic_law(record_e.n, p.theta, p.beta, REF_REPS, REF_SEED)),
+    ]
+    for e, law in laws:
+        _, passed, note = _law_check("law", run_experiment(e).extras["replications"], law)
+        assert not passed, f"{e.kind} passes with scaled draws: {note}"
+
+
 def test_criterion_08_gumbel_max(capfd):
     rep = run_experiment(Experiment(kind="max_gumbel", seed=SEED))
     _verdict(capfd, 8, "Gumbel max", [

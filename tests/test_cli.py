@@ -205,9 +205,7 @@ def test_fit_moments_past_the_double_range(tmp_path, capsys, scale):
 
 
 def test_fit_from_stdin(tmp_path, capsys, monkeypatch):
-    import io
-    import sys as _sys
-    monkeypatch.setattr(_sys, "stdin", io.StringIO("0.2\n0.5\n1.0\n2.0\n4.0\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"0.2\n0.5\n1.0\n2.0\n4.0\n")))
     code, out, _ = run(capsys, "fit")
     assert code == 0
     json.loads(out)
@@ -216,6 +214,37 @@ def test_fit_from_stdin(tmp_path, capsys, monkeypatch):
 def test_fit_rejects_unreadable_file(capsys, tmp_path):
     code, _, err = run(capsys, "fit", "-i", str(tmp_path / "missing.csv"))
     assert code == 4
+
+
+def _plevt_process(argv, stdin: bytes, **env) -> subprocess.CompletedProcess:
+    """``plevt argv`` in a child process fed the bytes ``stdin``."""
+    src = os.path.dirname(os.path.dirname(plevt.__file__))
+    return subprocess.run([sys.executable, "-m", "plevt.cli", *argv], input=stdin,
+                          env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
+                          timeout=120)
+
+
+def test_stdin_is_strict_utf8_as_a_file_is(tmp_path):
+    # stdin was decoded with the locale's encoding and surrogateescape, so a
+    # byte that is not UTF-8 became a line that is not a number
+    data = b"1\n2\n\xff\n3\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    piped = _plevt_process(["hill"], data)
+    from_file = _plevt_process(["hill", "-i", str(path)], b"")
+    assert piped.returncode == from_file.returncode == 4
+    assert piped.stderr == b"error: <stdin>: unreadable input: not UTF-8 text at byte 4\n"
+    assert from_file.stderr == piped.stderr.replace(b"<stdin>", os.fsencode(path))
+
+
+def test_stdin_ignores_the_locale_encoding(tmp_path):
+    # UTF-8 digits that a Latin-1 stdin would have read as mojibake
+    path = tmp_path / "ar.csv"
+    path.write_bytes("1.5\n\u0661\u0662\n3\n4\n".encode("utf-8"))
+    piped = _plevt_process(["fit"], path.read_bytes(), PYTHONIOENCODING="latin-1")
+    from_file = _plevt_process(["fit", "-i", str(path)], b"", PYTHONIOENCODING="latin-1")
+    assert piped.returncode == from_file.returncode == 0, piped.stderr
+    assert piped.stdout == from_file.stdout
 
 
 # ---------------------------------------------------------------------------

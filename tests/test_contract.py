@@ -145,7 +145,6 @@ CONTRACT = {
     "mixture_values": {"n": "size", "p": "Params", "seed": "SeedSpec"},
     "sample_mixture": {"n": "size", "p": "Params", "seed": "SeedSpec"},
     "sample_inverse_cdf": {"n": "size", "p": "Params", "seed": "SeedSpec"},
-    "spacings": {"sample": "SortedSample", "k": "size"},
     "read_values_csv": {"path": "csv path"},
     "write_values_csv": {"values": "real array", "fh": "text file"},
     # tail estimation
@@ -311,10 +310,12 @@ EDGES = {
     "simulate_record past the double range": lambda: plevt.simulate_record(10**400, P, SeedSpec(1)),
     "spacing plan at a k past the double range": lambda: plevt.tail.SpacingPlan.build(
         WeightFunction.identity(), 10, 10**400, 1.0),
-    "spacings of a spacing past the double range":
-        lambda: plevt.spacings(SortedSample(np.array([-1e308, 1e308])), 1),
     "hill of a spacing past the double range":
         lambda: plevt.hill(SortedSample(np.array([-1e308, 1e308])), 1),
+    "dh_statistic of a spacing past the double range": lambda: plevt.dh_statistic(
+        SortedSample(np.array([-1e308, 1e308])), WeightFunction.identity(), 1, 1.0),
+    "spacing plan sums of a spacing past the double range": lambda: plevt.tail.SpacingPlan.build(
+        WeightFunction.identity(), 2, 1, 1.0).sums(np.array([[0.0, 1.0], [-1e308, 1e308]])),
     "weight table of bools": lambda: WeightFunction.table([True, True]),
     "two-sample KS of strings": lambda: plevt.gof.ks_two_sample(["1", "2"], ["3"]),
     "KS distance of an empty sample": lambda: plevt.gof.ks_distance_sorted(np.array([]), np.array([])),
@@ -348,6 +349,9 @@ EDGES.update({f"{name} at theta = 5e-324": call for name, (call, _) in THETA_SCA
 
 #: The message an edge's refusal must match, where the refusal had another reason before.
 EDGE_MESSAGES = {"fit of a NaN": "must all be finite"}
+EDGE_MESSAGES.update({f"{name} of a spacing past the double range":
+                      "^weighted spacing sum overflows float64 at s = 1.0$"
+                      for name in ("hill", "dh_statistic", "spacing plan sums")})
 
 
 @pytest.mark.parametrize("edge", sorted(EDGES))

@@ -1,4 +1,4 @@
-"""Seeded streams, the two samplers, spacings, CSV I/O."""
+"""Seeded streams, the two samplers, sorted samples, CSV I/O."""
 
 import io
 import math
@@ -24,7 +24,6 @@ from plevt import (
     sample_inverse_cdf,
     sample_mixture,
     simulate_record,
-    spacings,
     write_values_csv,
 )
 from plevt.distribution import _BLOCK
@@ -417,7 +416,7 @@ def test_theta_beta_shape_effect():
 
 
 # ---------------------------------------------------------------------------
-# SortedSample and spacings
+# SortedSample
 
 
 def test_sorted_sample_rejects_unsorted():
@@ -432,22 +431,6 @@ def test_sorted_sample_rejects_nonfinite_and_empty():
         SortedSample(np.array([]))
     with pytest.raises(DomainError):
         SortedSample(np.ones((2, 2)))
-
-
-def test_spacings_hand_check():
-    s = SortedSample(np.array([0.1, 0.5, 1.2, 2.0, 3.5]))
-    got = spacings(s, 3)
-    # descending from the top: X(5)-X(4), X(4)-X(3), X(3)-X(2)
-    np.testing.assert_allclose(got, [1.5, 0.8, 0.7], rtol=1e-15)
-
-
-def test_spacings_k_bounds():
-    s = SortedSample(np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(DomainError):
-        spacings(s, 0)
-    with pytest.raises(DomainError):
-        spacings(s, 3)
-    assert spacings(s, 2).shape == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from plevt import (
     dh_statistic,
     hill,
     sample_mixture,
-    spacings,
 )
 from plevt.sampling import top_order_statistics_rows
 from plevt.tail import SpacingPlan
@@ -294,6 +293,15 @@ def test_row_statistics_refuse_a_degenerate_row():
         SpacingPlan.build(WeightFunction.identity(), 4, 2, 1.0).sums(tops)
 
 
+def test_spacing_plan_refuses_rows_too_short_for_its_weights():
+    # two values give one spacing, which numpy would broadcast over all five weights
+    plan = SpacingPlan.build(WeightFunction.identity(), 10, 5, 1.0)
+    short = np.array([[0.0, 1.0], [1.0, 3.0]])
+    for call in (lambda: plan.sums(short), lambda: plan.statistics(short[0])):
+        with pytest.raises(DomainError, match=r"k must lie in \[1, n-1\] = \[1, 1\], got 5"):
+            call()
+
+
 def test_underflowing_spacing_sum_is_not_a_zero_spacing():
     # spacings of 1e-200 are not zero, but their squares underflow to a t_n
     # of 0: a sum past the double range (DomainError), not a degenerate sample
@@ -397,9 +405,8 @@ def test_spacing_count_refuses_non_integers(value):
     # hill(sample, True) used to return the k = 1 value, and "2" a bare TypeError
     sample = _sorted(np.arange(1.0, 31.0))
     message = f"k must be an integer, got {re.escape(repr(value))}"
-    for call in (lambda: hill(sample, value), lambda: spacings(sample, value)):
-        with pytest.raises(DomainError, match=message):
-            call()
+    with pytest.raises(DomainError, match=message):
+        hill(sample, value)
     assert hill(sample, np.int64(2)) == hill(sample, 2)
 
 
