@@ -273,7 +273,10 @@ def cmd_hill(args: argparse.Namespace) -> int:
     for k in ks:
         h = hill(sample, k)
         half = z * h / math.sqrt(k)
-        rows.append(f"{k},{h!r},{h - half!r},{h + half!r}")
+        low, high = h - half, h + half
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise DomainError(f"confidence bounds of hill at k = {k} overflow float64")
+        rows.append(f"{k},{h!r},{low!r},{high!r}")
     _write_outputs((args.output, "\n".join(rows) + "\n"))
     return EXIT_OK
 

@@ -490,9 +490,6 @@ _KINDS = {
 
 KINDS = tuple(_KINDS)
 
-#: Kinds that average a standardized statistic over many replications.
-REPLICATED_KINDS = frozenset(k for k, spec in _KINDS.items() if spec.reps is not None)
-
 #: Kinds whose outcome depends on the seed: every kind that draws a sample
 #: (all but the deterministic quantile check); these get the automatic re-run.
 STOCHASTIC_KINDS = frozenset(k for k, spec in _KINDS.items() if spec.n is not None)

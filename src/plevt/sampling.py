@@ -122,7 +122,7 @@ class SortedSample:
         object.__setattr__(self, "n", int(values.size))
 
 
-def _exponentials(rng: np.random.Generator, size: int) -> np.ndarray:
+def _exponentials(rng: np.random.Generator, size: int | tuple[int, int]) -> np.ndarray:
     # inverse transform: -log(1 - U) with U in [0, 1), so the argument of
     # log never reaches 0; computed in the array of the draws
     e = rng.random(size)
@@ -188,11 +188,12 @@ def top_order_statistics_rows(n: int, k: int, p: Params, seed: SeedSpec, reps: i
     if not 0 <= k <= n - 1:
         raise DomainError(f"k must lie in [0, n-1] = [0, {n - 1}], got {k}")
     uniforms, gammas = _block_rngs(seed, reps)
-    u = uniforms.random((reps, k + 1))
+    e = _exponentials(uniforms, (reps, k + 1))
     rest = gammas.standard_gamma(n - k, size=reps)
-    # measure-zero guard: U = 0 would give Gamma_1 = 0 and an infinite tail
-    u = np.where(u == 0.0, _MIN_UNIFORM, u)
-    partial = np.cumsum(-np.log1p(-u), axis=1)
+    # measure-zero guard: E = 0 (U = 0) would give Gamma_1 = 0 and an infinite
+    # tail; E takes 2**-53, which is exactly -log1p(-U) at U = 2**-53
+    np.copyto(e, _MIN_UNIFORM, where=e == 0.0)
+    partial = np.cumsum(e, axis=1)
     total = partial[:, -1:] + rest[:, None]
     values = quantile_values(partial[:, ::-1] / total, p)
     # the solves are independent, so nearly equal tails could come back
@@ -213,42 +214,36 @@ def read_values_csv(path: str) -> np.ndarray:
 
 def _read_values_text(fh, label: str) -> np.ndarray:
     """The values of the strict UTF-8 text stream ``fh``, as :func:`read_values_csv`
-    reads a file's; ``label`` names the source in errors."""
-    try:
-        text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(label, 0, f"not UTF-8 text at byte {exc.start}") from None
-    return parse_values_lines(text.split("\n"), label=label)
-
-
-def parse_values_lines(lines, label: str = "<stream>") -> np.ndarray:
-    """Parse already-split CSV lines; ``label`` names the source in errors.
+    reads a file's; ``label`` names the source in errors.
 
     A line holds what Python's ``float`` accepts, surrounding whitespace
     included, and must be finite.  The lines convert in one pass; only when
     that fails does a second pass look for the first bad line to name.
     """
-    lines = list(lines)
-    if lines and lines[-1] == "":
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(label, 0, f"not UTF-8 text at byte {exc.start}") from None
+    # a UTF-8 byte order mark is not part of the data
+    lines = text.removeprefix("\ufeff").split("\n")
+    if lines[-1] == "":
         lines.pop()
-    if lines and lines[0].startswith("\ufeff"):
-        lines[0] = lines[0][1:]  # UTF-8 byte order mark, not part of the data
     first = 1
     if lines:
         try:
             float(lines[0])
         except ValueError:
-            first = 2  # header
-    body = lines[first - 1:]
-    if not body:
-        raise CsvFormatError(label, max(len(lines), 1), "<no numeric rows>")
+            del lines[0]  # header
+            first = 2
+    if not lines:  # no line, or a header alone
+        raise CsvFormatError(label, 1, "<no numeric rows>")
     try:
-        values = np.fromiter(map(float, body), np.float64, count=len(body))
+        values = np.fromiter(map(float, lines), np.float64, count=len(lines))
     except ValueError:
         values = None
     if values is not None and np.isfinite(values).all():
         return values
-    for line_no, raw in enumerate(body, start=first):
+    for line_no, raw in enumerate(lines, start=first):
         try:
             if math.isfinite(float(raw)):
                 continue

@@ -329,6 +329,21 @@ def test_hill_level_that_rounds_to_one(canon_csv, capsys):
     assert math.isfinite(_two_sided_z(0.9999999999999998))
 
 
+@pytest.mark.parametrize("data, options, k", [
+    ("-1e308\n0\n1e308\n", ["--k", "1"], 1),
+    ("0\n1e300\n1.7e308\n", ["--k", "2", "--level", "0.9999"], 2),
+    # k = 1 has finite bounds; the grid's later k overflows, so no row is written
+    ("0\n8e307\n8.00000001e307\n", ["--k-grid", "1:2"], 2),
+])
+def test_hill_infinite_bounds_are_a_usage_error(tmp_path, capsys, data, options, k):
+    # a finite estimate whose bounds h -+ z*h/sqrt(k) leave the double range
+    p = tmp_path / "wide.csv"
+    p.write_text(data)
+    code, out, err = run(capsys, "hill", "-i", str(p), *options)
+    assert (code, out) == (2, "")
+    assert err == f"error: confidence bounds of hill at k = {k} overflow float64\n"
+
+
 def test_hill_z_matches_ndtri():
     # NormalDist.inv_cdf and ndtri are each within 5 ulp of the exact
     # quantile (mpmath, 2e4 levels); they differ by at most 7 ulp over 1e6

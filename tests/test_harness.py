@@ -20,7 +20,6 @@ from plevt.errors import DomainError, ExperimentRefusedError, ParameterError
 from plevt.gof import gumbel_cdf, ks_two_sample, std_normal_cdf
 from plevt.harness import (
     KINDS,
-    REPLICATED_KINDS,
     STOCHASTIC_KINDS,
     Experiment,
     Thresholds,
@@ -40,6 +39,9 @@ from plevt.sampling import SeedSpec, top_order_statistics_rows
 from plevt.tail import WeightFunction
 
 from test_quantile import _peak_bytes
+
+#: The kinds that average a standardized statistic over many replications.
+REPLICATED = ("max_gumbel", "hill_clt", "dh_clt", "record_clt")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +135,7 @@ def test_single_shot_kinds_refuse_replication():
 def test_streams_must_end_below_2_64(kind):
     # replication r draws on stream + r, and sampler_gof's two samples on
     # stream and stream + 1: the last of them must still be a stream id
-    reps = 100 if kind in REPLICATED_KINDS else None
+    reps = 100 if kind in REPLICATED else None
     used = 100 if reps else 2 if kind == "sampler_gof" else 1
     n = None if kind == "quantile_error_order" else 2000
     k = 20 if kind in ("hill_clt", "dh_clt") else None
@@ -241,7 +243,15 @@ def test_kind_sets():
         "max_gumbel", "hill_clt", "dh_clt", "record_clt", "sampler_gof",
         "quantile_error_order",
     )
-    assert REPLICATED_KINDS == {"max_gumbel", "hill_clt", "dh_clt", "record_clt"}
+    # exactly the replicated kinds take more than one replication
+    accepts = []
+    for kind in KINDS:
+        try:
+            Experiment(kind=kind, reps=100)
+        except ParameterError:
+            continue
+        accepts.append(kind)
+    assert tuple(accepts) == REPLICATED
     assert STOCHASTIC_KINDS == {
         "max_gumbel", "hill_clt", "dh_clt", "record_clt", "sampler_gof",
     }
@@ -452,7 +462,7 @@ def test_extras_keys_are_pinned(monkeypatch, kind, rerun):
     extra, keys = _EXTRAS[kind]
     thresholds = None
     if rerun:  # every attempt misses
-        if kind in REPLICATED_KINDS:
+        if kind in REPLICATED:
             thresholds = Thresholds(ks=0.0)
         monkeypatch.setattr(plevt.harness, "_GOF_FACTOR", 0.0)
         monkeypatch.setattr(plevt.harness, "_ERROR_RATIO_BOUND", 0.0)
@@ -465,7 +475,7 @@ def test_extras_keys_are_pinned(monkeypatch, kind, rerun):
     assert r.extras["attempts"] == (2 if reran else 1)
 
 
-@pytest.mark.parametrize("kind", sorted(REPLICATED_KINDS))
+@pytest.mark.parametrize("kind", REPLICATED)
 def test_unallocatable_attempt_draws_nothing(monkeypatch, kind):
     # the one output of all 10**15 replications (8 PB) is allocated before
     # the first block, so an attempt that cannot hold it draws nothing

@@ -3,8 +3,10 @@
 import io
 import math
 import os
+import sys
 import tempfile
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from plevt import (
     simulate_record,
     write_values_csv,
 )
+from plevt.cli import _read_input_values
 from plevt.distribution import _BLOCK
 from plevt.gof import ks_distance_sorted, ks_two_sample
 from plevt.harness import _REP_BLOCK
@@ -34,7 +37,7 @@ from plevt.records import record_log_tails
 from plevt.sampling import (
     _block_rngs,
     _block_seed,
-    parse_values_lines,
+    _read_values_text,
     top_order_statistics_rows,
 )
 
@@ -480,18 +483,23 @@ def test_csv_empty_rejected(tmp_path):
         read_values_csv(str(path))
 
 
+def _read_text(text, label="<stream>"):
+    """The values of ``text`` as the reader turns a stream's into values."""
+    return _read_values_text(io.StringIO(text), label)
+
+
 def test_parse_lines_label_in_error():
     with pytest.raises(CsvFormatError) as exc_info:
-        parse_values_lines(["1.0", "nope"], label="<stdin>")
+        _read_text("1.0\nnope", label="<stdin>")
     assert "<stdin>" in str(exc_info.value)
 
 
 def test_parse_lines_strips_byte_order_mark():
     # a UTF-8 BOM must not turn the first value into a skipped header
-    np.testing.assert_array_equal(parse_values_lines("\ufeff1.5\n2".split("\n")), [1.5, 2.0])
-    np.testing.assert_array_equal(parse_values_lines(["\ufeffvalue", "2"]), [2.0])
+    np.testing.assert_array_equal(_read_text("\ufeff1.5\n2"), [1.5, 2.0])
+    np.testing.assert_array_equal(_read_text("\ufeffvalue\n2"), [2.0])
     with pytest.raises(CsvFormatError) as exc_info:
-        parse_values_lines(["\ufeff1.0", "oops"], label="bom.csv")
+        _read_text("\ufeff1.0\noops", label="bom.csv")
     assert exc_info.value.line_no == 2
 
 
@@ -516,14 +524,20 @@ def _csv_text(lines, crlf, bom):
     return ("\ufeff" if bom else "") + "".join(line + end for line in lines)
 
 
+def _read_stdin(data: bytes):
+    """The values the CLI reads from a stdin that holds ``data``."""
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+        return _read_input_values(None)
+
+
 def _readers(text, directory):
-    # a file is read with universal newlines; stdin lines are split on "\n"
+    # stdin is read as a file is: the same UTF-8 bytes, with universal newlines
     path = os.path.join(directory, "prop.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return [
         (path, lambda: read_values_csv(path)),
-        ("<stdin>", lambda: parse_values_lines(text.split("\n"), label="<stdin>")),
+        ("<stdin>", lambda: _read_stdin(text.encode("utf-8"))),
     ]
 
 
@@ -567,16 +581,32 @@ def test_csv_error_names_the_first_bad_line(head, pad, bad, tail, header, crlf, 
 
 def test_csv_blank_and_nonfinite_lines_pinned():
     with pytest.raises(CsvFormatError, match=r"^s\.csv:3:"):
-        parse_values_lines("1.0\n2.0\n\n".split("\n"), label="s.csv")
+        _read_text("1.0\n2.0\n\n", label="s.csv")
     # a non-finite first line is a bad value, not a header
     for first in ("inf", "-inf", " nan\r"):
         with pytest.raises(CsvFormatError, match=r"^s\.csv:1:"):
-            parse_values_lines([first, "1.0"], label="s.csv")
+            _read_text(first + "\n1.0", label="s.csv")
 
 
-def _parsed(parse, lines):
+@pytest.mark.parametrize("text, expected", [
+    ("", 1), ("\n", 1), ("\ufeff", 1), ("value\n", 1), ("\ufeffvalue\n", 1), ("value", 1),
+    ("value\n\n", 2), ("value\n1\n\n", 3),
+    ("1.5", [1.5]), ("\ufeff1.5\r\n2\r\n", [1.5, 2.0]),
+])
+def test_csv_edge_inputs_pinned(tmp_path, text, expected):
+    # an error's line, or the values, of a file and of stdin alike
+    for label, read in _readers(text, tmp_path):
+        if isinstance(expected, list):
+            assert read().tolist() == expected, label
+            continue
+        with pytest.raises(CsvFormatError) as exc_info:
+            read()
+        assert str(exc_info.value).startswith(f"{label}:{expected}:")
+
+
+def _parsed(parse, source):
     try:
-        return parse(lines, label="p.csv").view(np.uint64).tolist()
+        return parse(source, label="p.csv").view(np.uint64).tolist()
     except CsvFormatError as exc:
         return exc.line_no, str(exc)
 
@@ -610,10 +640,11 @@ def test_csv_bulk_read_matches_the_line_loop(rows, bad, header, crlf, bom):
     # the one-pass read returns what float() gives for each body line, and
     # refuses what the line-by-line reference refuses, at the same line
     lines = [a + num + b for a, num, b in rows]
-    for pos, text in bad:
-        lines.insert(min(pos, len(lines)), text)
-    lines = _csv_text((["value"] if header else []) + lines, crlf, bom).split("\n")
-    parsed = _parsed(parse_values_lines, lines)
+    for pos, line in bad:
+        lines.insert(min(pos, len(lines)), line)
+    text = _csv_text((["value"] if header else []) + lines, crlf, bom)
+    lines = text.split("\n")
+    parsed = _parsed(_read_text, text)
     assert parsed == _parsed(parse_values_lines_loop, lines)
     if isinstance(parsed, list):
         seen = lines[:-1]
