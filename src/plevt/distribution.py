@@ -70,16 +70,17 @@ class Params:
         return _in_data_units(1.0, self, "gamma")
 
 
-def _in_data_units(y, p: Params, what: str):
-    """``y / theta``, the one place plevt divides by theta, for a float or array of ``theta*x``;
-    DomainError naming ``what`` past the double range.  Floats skip numpy's 2-4 us a call."""
+def _in_data_units(y, p: Params, what: str, out=None):
+    """``y / theta``, the one place plevt divides by theta, for a float or array of ``theta*x``
+    (an array written into ``out`` if given); DomainError naming ``what`` past the double
+    range.  Floats skip numpy's 2-4 us a call."""
     if type(y) is float:
         x = y / p.theta
         if math.isfinite(x):
             return x
     else:
         with np.errstate(over="ignore"):  # an infinite value is refused just below
-            x = y / p.theta
+            x = np.divide(y, p.theta, out=out)
         if np.isfinite(x).all():
             return x
     raise DomainError(f"{what} overflows float64 for {p}")

@@ -11,8 +11,11 @@ Newton iteration on the log of the survival function.  The iteration has
 two implementations: a scalar loop for the one-value entry points and a
 vectorized numpy one for arrays, because a numpy solve on a single value
 costs about 33 times the scalar call (80 us against 2.4 us, numpy 2.4).
-The array solver steps only the values that have not settled, in blocks
-of 2**14.  Expanding the fixed point gives the two-term asymptotic
+The array form runs block by block, 2**14 values at a time, from -log(u)
+through the solve to the division by theta into one output.  Within a
+block a settled value stays in place, and the working arrays drop the
+settled values only once they are at least half.  Expanding the fixed
+point gives the two-term asymptotic
 
     Q(u) = (L + log(L) - log(beta)) / theta + O(log(L)/L),
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Params, _blockwise, _in_data_units
+from .distribution import _BLOCK, Params, _in_data_units
 from .errors import DomainError, check_real, check_real_array
 
 __all__ = [
@@ -55,7 +58,7 @@ class QuantileResult:
 
 def _check_tail_mass(u: float) -> float:
     u = check_real(u, "tail mass")
-    if not (0.0 < u < 1.0) or not math.isfinite(u):
+    if not 0.0 < u < 1.0:
         raise DomainError(f"tail mass must lie strictly in (0, 1), got {u!r}")
     return u
 
@@ -78,8 +81,7 @@ def _solve_scaled(L: float, beta: float):
             lo = y
         else:
             hi = y
-        scale = abs_l + y
-        noise = eps8 * (scale if scale > 1.0 else 1.0)
+        noise = eps8 * (abs_l + y)
         if abs(h) <= (noise if noise > _TOL else _TOL):
             break
         hp = 1.0 / (beta + y) - 1.0
@@ -93,44 +95,56 @@ def _solve_scaled(L: float, beta: float):
 
 
 def _solve_block(L, beta):
-    """The array Newton loop of :func:`_solve_scaled_array` on one 1-d block.
+    """The array Newton loop on one 1-d block of ``L = log(1/u)``: y = theta*x.
 
-    A value is written to ``out`` and leaves the working arrays (``at``
-    holds each one's place in ``out``) once it sits at a fixed point of the
-    step: its residual is within tolerance, or its step leaves y unchanged.
-    Each step computes into the block's scratch arrays (cut to the values
-    left) rather than into fresh ones, in the order the expressions in the
-    comments give, so the bits are those of the expressions.  ``L`` is
-    read, never written.
+    h(y) = log1p(y/beta) - y + L is strictly decreasing and concave on
+    y >= 0, so Newton started left of the root overshoots once and then
+    converges monotonically from the right; a bisection bracket is kept as
+    a safeguard.  A value settles once its residual is within tolerance or
+    its step leaves y unchanged.  It then stays in the working arrays with
+    its candidate reset to y, a fixed point of the step: the same y, h, lo
+    and hi give the same candidate.  The working arrays are compacted to
+    the values still moving (``at`` then holds each one's place in
+    ``out``) only once at least half of them have settled, so a few values
+    that settle a step before the rest stay where they are.
+    Each step computes into the block's scratch arrays rather than into
+    fresh ones, in the order the expressions in the comments give, so the
+    bits are those of the expressions and depend neither on the block nor
+    on a value's neighbours.  ``L`` is read, never written.
     """
     y = np.divide(L, beta)
     np.log1p(y, out=y)
     y += L  # y = L + log1p(L/beta), the first fixed-point iterate; lands left of root
     lo = y.copy()
     hi = np.full_like(y, np.inf)
-    out = np.empty_like(y)
-    at = np.arange(y.size)
+    out = at = None
     h, step, scratch = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    live = np.ones(y.size, dtype=bool)  # the values not settled yet
     flags, more = np.empty(y.size, dtype=bool), np.empty(y.size, dtype=bool)
     for _ in range(_MAXITER):
-        h, step, scratch, flags, more = (a[:y.size] for a in (h, step, scratch, flags, more))
         np.divide(y, beta, out=h)
         np.log1p(h, out=h)
         h -= y
         h += L  # h = log1p(y/beta) - y + L
         noise = np.abs(L, out=step)
         noise += y
-        np.maximum(noise, 1.0, out=noise)
-        noise *= 8.0 * _EPS  # noise = 8 eps max(1, |L| + y)
+        noise *= 8.0 * _EPS  # noise = 8 eps (|L| + y)
         np.maximum(noise, _TOL, out=noise)
-        active = np.greater(np.abs(h, out=scratch), noise, out=flags)  # |h| > max(tol, noise)
-        if not active.all():  # written now; those still active are rewritten later
-            out[at] = y
-            keep = np.flatnonzero(active)
-            at, y, L, lo, hi, h = (a.take(keep) for a in (at, y, L, lo, hi, h))
-            step, flags, more = step[:at.size], flags[:at.size], more[:at.size]
-        if not at.size:
+        live &= np.greater(np.abs(h, out=scratch), noise, out=flags)  # |h| > max(tol, noise)
+        moving = np.count_nonzero(live)
+        if not moving:
             break
+        if 2 * moving <= live.size:  # at least half have settled: drop them
+            keep = np.flatnonzero(live)
+            if at is None:  # the settled values are in their places already
+                out, at = y, keep
+            else:
+                out[at] = y
+                at = at.take(keep)
+            y, L, lo, hi, h = (a.take(keep) for a in (y, L, lo, hi, h))
+            step, scratch, live, flags, more = (
+                a[:moving] for a in (step, scratch, live, flags, more))
+            live.fill(True)
         pos = np.greater(h, 0.0, out=flags)
         np.copyto(lo, y, where=pos)
         np.copyto(hi, y, where=np.logical_not(pos, out=pos))
@@ -141,40 +155,41 @@ def _solve_block(L, beta):
         np.subtract(y, cand, out=cand)  # cand = y - h/hp
         inside = np.greater(cand, lo, out=flags)
         inside &= np.less(cand, hi, out=more)
+        if moving < live.size:  # no fallback for a settled value: its candidate is reset below
+            inside |= np.logical_not(live, out=more)
         if not inside.all():
             mid = np.where(np.isinf(hi), y + np.maximum(1.0, y), 0.5 * (lo + hi))
             np.copyto(cand, mid, where=np.logical_not(inside, out=inside))
-        moved = np.not_equal(cand, y, out=flags)
-        if not moved.all():
-            out[at] = y
-            keep = np.flatnonzero(moved)
-            at, cand, L, lo, hi = (a.take(keep) for a in (at, cand, L, lo, hi))
+        live &= np.not_equal(cand, y, out=flags)
+        if not live.all():
+            np.copyto(cand, y, where=np.logical_not(live, out=flags))
         y, step = cand, y
+    if at is None:
+        return y
     out[at] = y
     return out
 
 
-def _solve_scaled_array(log_inv_u, beta):
-    """Solve log1p(y/beta) - y + L = 0 elementwise for y = theta * x.
+def _quantiles_blockwise(x: np.ndarray, p: Params, of_tail_masses: bool):
+    """Quantiles at a checked C-order float64 ``x``, block by block into one output.
 
-    L = log(1/u) is the log of the tail mass, so y is the upper quantile
-    in the scale-free variable theta*x (theta enters only as the caller's
-    final division).  h(y) is strictly decreasing and concave on y >= 0,
-    so a Newton iteration started left of the root overshoots once and
-    then converges monotonically from the right; a bisection bracket is
-    kept as a safeguard.
-
-    The loop runs over blocks of 2**14 values of the flattened input,
-    so that the temporaries of each step stay in cache rather than being
-    fresh arrays the size of the input, and steps only the values that
-    have not settled.  A value settles once its residual is within
-    tolerance or its step leaves it unchanged; its state depends on its
-    own history only, and a further step would reproduce it.  So the
-    bits depend neither on the block size nor on a value's neighbours.
+    ``x`` holds tail masses u when ``of_tail_masses`` (each block's L =
+    -log(u) is computed in a scratch array), else their L = log(1/u).  Each
+    block of 2**14 values of the flattened x is solved and divided by theta
+    into its slice of the output, so no temporary is the size of x; a
+    quantile past the double range raises DomainError at its block.  A 0-d
+    x gives a float.
     """
-    L = np.asarray(log_inv_u, dtype=np.float64, order="C")
-    y = _blockwise(lambda block: _solve_block(block, beta), L.reshape(-1))
-    return float(y[0]) if L.ndim == 0 else y.reshape(L.shape)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    scratch = np.empty(min(flat.size, _BLOCK)) if of_tail_masses else None
+    for start in range(0, flat.size, _BLOCK):
+        L = flat[start:start + _BLOCK]
+        if of_tail_masses:
+            L = np.log(L, out=scratch[:L.size])
+            np.negative(L, out=L)  # L = -log(u)
+        _in_data_units(_solve_block(L, p.beta), p, "quantile", out[start:start + _BLOCK])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def quantile_exact(u: float, p: Params) -> QuantileResult:
@@ -183,11 +198,19 @@ def quantile_exact(u: float, p: Params) -> QuantileResult:
     The iteration runs on ``h(y) = log survival(y/theta) + log(1/u)`` in
     ``y = theta*x``, started from the first fixed-point iterate, and is
     monotone once bracketed.  It stops once ``|h(y)| <= max(1e-13,
-    8*eps*max(1, log(1/u) + y))``: the ~1e-13 is a bound on that residual,
+    8*eps*(log(1/u) + y))``: the ~1e-13 is a bound on that residual,
     not on x.  The result carries the quantile and the number of Newton
     steps.  Raises DomainError when the quantile is not finite.
     """
-    return quantile_from_log_tail(-math.log(_check_tail_mass(u)), p)
+    y, iterations = _solve_scaled(-math.log(_check_tail_mass(u)), p.beta)
+    return QuantileResult(_in_data_units(y, p, "quantile"), iterations)
+
+
+def _check_log_tail(log_inv_u) -> float:
+    L = check_real(log_inv_u, "log(1/u)")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"log(1/u) must be finite and > 0, got {log_inv_u!r}")
+    return L
 
 
 def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
@@ -197,38 +220,38 @@ def quantile_from_log_tail(log_inv_u: float, p: Params) -> QuantileResult:
     mass itself would underflow; the stopping rule bounds the log-scale
     residual ``log survival(x) + L`` as in :func:`quantile_exact`.
     """
-    L = check_real(log_inv_u, "log(1/u)")
-    if not (L > 0.0) or not math.isfinite(L):
-        raise DomainError(f"log(1/u) must be finite and > 0, got {log_inv_u!r}")
-    y, iterations = _solve_scaled(L, p.beta)
+    y, iterations = _solve_scaled(_check_log_tail(log_inv_u), p.beta)
     return QuantileResult(_in_data_units(y, p, "quantile"), iterations)
+
+
+_OUT_OF_RANGE = "tail masses must lie strictly in (0, 1): log(1/u) must be finite and > 0"
 
 
 def _quantiles_at_log_tails(log_inv_u: np.ndarray, p: Params) -> np.ndarray:
     """Quantiles at an array of ``L = log(1/u)`` by the array solver.
 
     The array form of :func:`quantile_from_log_tail`, with its refusals:
-    DomainError unless every L is finite and > 0 and every quantile finite.
-    It can differ from the scalar loop in the last bit (numpy's log1p is
-    not libm's).
+    DomainError unless every L is finite and > 0, checked over the whole
+    array before any is solved, and every quantile finite.  It can differ
+    from the scalar loop in the last bit (numpy's log1p is not libm's).
     """
-    if not (np.isfinite(log_inv_u) & (log_inv_u > 0.0)).all():
-        raise DomainError(
-            "tail masses must lie strictly in (0, 1): log(1/u) must be finite and > 0"
-        )
-    return _in_data_units(_solve_scaled_array(log_inv_u, p.beta), p, "quantile")
+    L = np.asarray(log_inv_u, dtype=np.float64, order="C")
+    if L.size and not (L.min() > 0.0 and L.max() < math.inf):  # a NaN fails both
+        raise DomainError(_OUT_OF_RANGE)
+    return _quantiles_blockwise(L, p, of_tail_masses=False)
 
 
 def quantile_values(u, p: Params) -> np.ndarray:
     """Vectorized quantiles for an array of tail masses (array solver).
 
-    Raises DomainError unless the tail masses are reals strictly in (0, 1)
-    and every quantile is finite.
+    Raises DomainError unless the tail masses are reals strictly in (0, 1),
+    exactly the u whose log(1/u) is finite and > 0, checked over the whole
+    array before any is solved, and every quantile is finite.
     """
     arr = check_real_array(u, "tail masses")
-    with np.errstate(divide="ignore", invalid="ignore"):  # u outside (0, 1): an L refused below
-        log_inv_u = -np.log(arr)
-    return _quantiles_at_log_tails(log_inv_u, p)
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):  # a NaN fails both
+        raise DomainError(_OUT_OF_RANGE)
+    return _quantiles_blockwise(arr, p, of_tail_masses=True)
 
 
 def quantile_tail_expansion(u: float, p: Params) -> float:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Params
+from .distribution import Params, _in_data_units
 from .errors import DomainError, check_int, check_int_array, check_real_array, check_sample
-from .quantile import quantile_from_log_tail
+from .quantile import _check_log_tail, _solve_scaled
 from .sampling import SeedSpec, _block_rngs, _thread_rng
 
 __all__ = [
@@ -69,7 +69,8 @@ def simulate_record(n: int, p: Params, seed: SeedSpec) -> float:
     at every depth, also where exp(-G_n) underflows.
     """
     n = check_int(n, "record index", 1)
-    return quantile_from_log_tail(_thread_rng(seed).standard_gamma(n), p).value
+    y, _ = _solve_scaled(_check_log_tail(_thread_rng(seed).standard_gamma(n)), p.beta)
+    return _in_data_units(y, p, "quantile")
 
 
 def record_log_tails(n: int, seed: SeedSpec, reps: int) -> np.ndarray:

@@ -43,6 +43,9 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
+        seed, stream = self.master_seed, self.stream_id
+        if type(seed) is int and type(stream) is int and 0 <= seed < _U64 and 0 <= stream < _U64:
+            return  # the common case: nothing to refuse or convert
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
             if not 0 <= check_int(v, name) < _U64:

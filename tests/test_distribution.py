@@ -71,15 +71,19 @@ def test_params_derived_fields():
 
 def theta_divisions(source: str) -> list[tuple[str | None, int]]:
     """(enclosing function, line) of each division in ``source`` whose divisor
-    is an attribute named ``theta``, as in ``y / p.theta`` or ``x /= self.theta``."""
+    is an attribute named ``theta``, as in ``y / p.theta``, ``x /= self.theta``
+    or ``np.divide(y, p.theta, out=out)``."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         divisor = getattr(node, "right", getattr(node, "value", None))
-        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-                and isinstance(divisor, ast.Attribute) and divisor.attr == "theta"):
+        divides = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        if (isinstance(node, ast.Call) and len(node.args) > 1
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "divide"):
+            divides, divisor = True, node.args[1]
+        if divides and isinstance(divisor, ast.Attribute) and divisor.attr == "theta":
             found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -89,8 +93,9 @@ def theta_divisions(source: str) -> list[tuple[str | None, int]]:
 
 
 def test_theta_divisions_are_found():
-    source = "def f(p):\n    return 1.0 / p.theta\nx /= q.theta\ny = p.theta / 2\nz = 1 / theta\n"
-    assert theta_divisions(source) == [("f", 2), (None, 3)]
+    source = ("def f(p):\n    return 1.0 / p.theta\nx /= q.theta\ny = p.theta / 2\nz = 1 / theta\n"
+              "w = np.divide(x, p.theta, out=x)\nv = divide(x, q.theta)\nt = np.divide(p.theta, x)\n")
+    assert theta_divisions(source) == [("f", 2), (None, 3), (None, 6), (None, 7)]
 
 
 def test_one_function_divides_by_theta():
