@@ -27,12 +27,12 @@ def std_normal_cdf(x):
     ndtr returns 0.  The values go through ``math.erfc`` one block at a
     time, so the Python floats of only one block are alive at once.
     """
-    return _blockwise(_std_normal_cdf_block, check_real_array(x, "x"))
+    return _blockwise(_std_normal_cdf_into, check_real_array(x, "x"))
 
 
-def _std_normal_cdf_block(arr):
-    erfc = map(math.erfc, (arr * -math.sqrt(0.5)).ravel().tolist())  # scaled as ndtr scales
-    return 0.5 * np.fromiter(erfc, np.float64, arr.size).reshape(arr.shape)
+def _std_normal_cdf_into(x, out):
+    erfc = map(math.erfc, (x * -math.sqrt(0.5)).tolist())  # scaled as ndtr scales
+    np.multiply(0.5, np.fromiter(erfc, np.float64, x.size), out=out)
 
 
 def gumbel_cdf(x):
@@ -53,8 +53,12 @@ def ks_distance_sorted(sorted_values: np.ndarray, cdf_values: np.ndarray) -> flo
                           f"of sorted_values, got {cdf_values.shape}")
     n = cdf_values.size
     i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(i / n - cdf_values))
-    d_minus = float(np.max(cdf_values - (i - 1.0) / n))
+    t = np.divide(i, n)
+    t -= cdf_values  # i/n - cdf
+    d_plus = float(np.max(t))
+    i -= 1.0
+    i /= n
+    d_minus = float(np.max(np.subtract(cdf_values, i, out=i)))  # cdf - (i - 1)/n
     return max(d_plus, d_minus)
 
 

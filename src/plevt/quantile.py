@@ -11,11 +11,12 @@ Newton iteration on the log of the survival function.  The iteration has
 two implementations: a scalar loop for the one-value entry points and a
 vectorized numpy one for arrays, because a numpy solve on a single value
 costs about 33 times the scalar call (80 us against 2.4 us, numpy 2.4).
-The array form runs block by block, 2**14 values at a time, from -log(u)
-through the solve to the division by theta into one output.  Within a
-block a settled value stays in place, and the working arrays drop the
-settled values only once they are at least half.  Expanding the fixed
-point gives the two-term asymptotic
+The array form runs in the one block loop of the array kernels,
+``distribution._blockwise``: each block of 2**14 values has -log(u)
+computed into its slice of the output, solved, and divided by theta into
+the same slice.  Within a block a settled value stays in place, and the
+working arrays drop the settled values only once they are at least half.
+Expanding the fixed point gives the two-term asymptotic
 
     Q(u) = (L + log(L) - log(beta)) / theta + O(log(L)/L),
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _BLOCK, Params, _in_data_units
+from .distribution import Params, _blockwise, _in_data_units
 from .errors import DomainError, check_real, check_real_array
 
 __all__ = [
@@ -170,26 +171,11 @@ def _solve_block(L, beta):
     return out
 
 
-def _quantiles_blockwise(x: np.ndarray, p: Params, of_tail_masses: bool):
-    """Quantiles at a checked C-order float64 ``x``, block by block into one output.
-
-    ``x`` holds tail masses u when ``of_tail_masses`` (each block's L =
-    -log(u) is computed in a scratch array), else their L = log(1/u).  Each
-    block of 2**14 values of the flattened x is solved and divided by theta
-    into its slice of the output, so no temporary is the size of x; a
-    quantile past the double range raises DomainError at its block.  A 0-d
-    x gives a float.
-    """
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    scratch = np.empty(min(flat.size, _BLOCK)) if of_tail_masses else None
-    for start in range(0, flat.size, _BLOCK):
-        L = flat[start:start + _BLOCK]
-        if of_tail_masses:
-            L = np.log(L, out=scratch[:L.size])
-            np.negative(L, out=L)  # L = -log(u)
-        _in_data_units(_solve_block(L, p.beta), p, "quantile", out[start:start + _BLOCK])
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+def _solve_into(L, out, p: Params):
+    """Quantiles at a 1-d block of ``L = log(1/u)``, divided by theta into
+    ``out``, which may be L itself: the solve reads L and returns its own
+    array; DomainError at a quantile past the double range."""
+    _in_data_units(_solve_block(L, p.beta), p, "quantile", out)
 
 
 def quantile_exact(u: float, p: Params) -> QuantileResult:
@@ -238,7 +224,7 @@ def _quantiles_at_log_tails(log_inv_u: np.ndarray, p: Params) -> np.ndarray:
     L = np.asarray(log_inv_u, dtype=np.float64, order="C")
     if L.size and not (L.min() > 0.0 and L.max() < math.inf):  # a NaN fails both
         raise DomainError(_OUT_OF_RANGE)
-    return _quantiles_blockwise(L, p, of_tail_masses=False)
+    return _blockwise(lambda b, out: _solve_into(b, out, p), L)
 
 
 def quantile_values(u, p: Params) -> np.ndarray:
@@ -251,7 +237,9 @@ def quantile_values(u, p: Params) -> np.ndarray:
     arr = check_real_array(u, "tail masses")
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):  # a NaN fails both
         raise DomainError(_OUT_OF_RANGE)
-    return _quantiles_blockwise(arr, p, of_tail_masses=True)
+    # a block's L = -log(u) is computed into its output slice, then solved there
+    return _blockwise(lambda b, out: _solve_into(np.negative(np.log(b, out=out), out=out), out, p),
+                      arr)
 
 
 def quantile_tail_expansion(u: float, p: Params) -> float:

@@ -168,6 +168,16 @@ def ks_two_sample_searchsorted(x, y):
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
+def ks_distance_sorted_six_arrays(sorted_values, cdf_values):
+    """One-sample KS distance with a fresh array for every intermediate (the
+    formula plevt used before it computed D+ and D- in two arrays)."""
+    n = cdf_values.size
+    i = np.arange(1, n + 1, dtype=np.float64)
+    d_plus = float(np.max(i / n - cdf_values))
+    d_minus = float(np.max(cdf_values - (i - 1.0) / n))
+    return max(d_plus, d_minus)
+
+
 def records_naive(stream):
     """Running-maximum records with 1-based indices, as a python loop."""
     values, indices = [], []

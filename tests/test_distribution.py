@@ -26,8 +26,12 @@ from plevt import (
     survival,
     von_mises_ratio,
 )
+from plevt.distribution import _BLOCK
+from plevt.gof import std_normal_cdf
+from plevt.quantile import _quantiles_at_log_tails, quantile_values
 
 from oracles import central_difference, moment_quadrature, survival_quadrature
+from test_quantile import _peak_bytes
 
 GRID = [(0.5, 1.2), (1.0, 2.0), (3.0, 1.5), (0.7, 6.0)]
 
@@ -104,6 +108,43 @@ def test_one_function_divides_by_theta():
     sites = [(path.name, function) for path in sorted(Path(plevt.__file__).parent.glob("*.py"))
              for function, _ in theta_divisions(path.read_text(encoding="utf-8"))]
     assert sites == [("distribution.py", "_in_data_units")] * 2
+
+
+def block_loops(source: str) -> list[str | None]:
+    """The enclosing function of each ``range(..., _BLOCK)`` in ``source``: a
+    loop, or a comprehension, over blocks of ``_BLOCK`` values."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+                and len(node.args) == 3
+                and getattr(node.args[2], "id", getattr(node.args[2], "attr", None)) == "_BLOCK"):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_block_loops_are_found():
+    source = ("def f(x, out):\n    for s in range(0, x.size, _BLOCK):\n        out[s] = 1\n"
+              "def g(n):\n    return [s for s in range(0, n, distribution._BLOCK)]\n"
+              "def h(n):\n    for s in range(0, n, _REP_BLOCK):\n        pass\n"
+              "for s in range(_BLOCK):\n    pass\n"
+              "for s in range(1, 9, _BLOCK):\n    pass\n")
+    assert block_loops(source) == ["f", "g", None]
+
+
+def test_one_function_loops_over_blocks():
+    # every elementwise array kernel runs in distribution._blockwise, which
+    # hands it one block and that block's slice of the output; the KS
+    # reduction carries a count from block to block, so it has its own loop
+    sites = [(path.name, function) for path in sorted(Path(plevt.__file__).parent.glob("*.py"))
+             for function in block_loops(path.read_text(encoding="utf-8"))]
+    assert sites == [("distribution.py", "_blockwise"), ("gof.py", "ks_two_sample")]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +284,49 @@ def test_density_scalar_and_nan_contract(fn):
     with pytest.raises(DomainError, match="NaN"):
         fn(x, p)
     assert x.tobytes() == before.tobytes()
+
+
+def test_density_memory_is_bounded():
+    # at 1e6 points each block's expression built fresh arrays and the
+    # output was assembled from them: a traced peak of 1.066x the input's
+    # bytes.  The kernels write into their output slice, with one block's
+    # theta*x alive beside it: 1.019x
+    p = Params(1.0, 2.0)
+    x = np.random.default_rng(3).uniform(-1.0, 40.0, 1_000_000)
+    for fn in (pdf, survival, cdf):
+        assert _peak_bytes(lambda: fn(x, p)) <= 1.04 * x.nbytes
+
+
+_SEAM_P = Params(0.7, 1.5)
+
+#: Every kernel of distribution._blockwise, with inputs it accepts drawn from a uniform v in (0, 1)
+BLOCKWISE_KERNELS = {
+    "pdf": (lambda x: pdf(x, _SEAM_P), lambda v: 40.0 * v - 1.0),
+    "survival": (lambda x: survival(x, _SEAM_P), lambda v: 40.0 * v - 1.0),
+    "cdf": (lambda x: cdf(x, _SEAM_P), lambda v: 40.0 * v - 1.0),
+    "std_normal_cdf": (std_normal_cdf, lambda v: 16.0 * v - 8.0),
+    "quantile_values": (lambda u: quantile_values(u, _SEAM_P), lambda v: v),
+    "_quantiles_at_log_tails": (lambda L: _quantiles_at_log_tails(L, _SEAM_P),
+                                lambda v: -np.log(v)),
+}
+
+
+@pytest.mark.parametrize("shape", [(m * _BLOCK + d,) for m in (1, 2) for d in (-1, 0, 1)]
+                         + [(), (3, _BLOCK // 2 + 1), (0,), (2, 0)], ids=str)
+@pytest.mark.parametrize("kernel", sorted(BLOCKWISE_KERNELS))
+def test_blockwise_values_do_not_depend_on_the_block_seams(kernel, shape):
+    # the values on both sides of each seam between blocks, and at a few
+    # fixed places, have the bits of the same value evaluated alone; the
+    # output has x's shape, and a 0-d x gives a float
+    fn, inputs = BLOCKWISE_KERNELS[kernel]
+    x = inputs(np.random.default_rng(5).uniform(1e-6, 1.0 - 1e-6, shape))
+    got = fn(x)
+    assert np.shape(got) == shape and (type(got) is float) == (shape == ())
+    size, flat = x.size, x.reshape(-1)
+    at = sorted({i for i in (0, 1, size // 2, size - 1) if 0 <= i < size}
+                | {s + d for s in range(_BLOCK, size, _BLOCK) for d in (-1, 0)})
+    alone = np.concatenate([fn(flat[i:i + 1]) for i in at] or [np.empty(0)])
+    assert alone.tobytes() == np.ravel(got)[at].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,11 @@ from plevt.sampling import (
     top_order_statistics_rows,
 )
 
-from oracles import ks_two_sample_searchsorted, parse_values_lines_loop
+from oracles import (
+    ks_distance_sorted_six_arrays,
+    ks_two_sample_searchsorted,
+    parse_values_lines_loop,
+)
 from oracles import per_stream_generators as rngs
 from test_quantile import _peak_bytes
 
@@ -291,6 +295,28 @@ def test_mixture_passes_ks_against_cdf():
     s = sample_mixture(n, P, SeedSpec(11))
     d = ks_distance_sorted(s.values, cdf(s.values, P))
     assert d <= 1.95 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ks_distance_sorted_equals_the_six_array_formula(seed):
+    # the sampler_gof pair: 1e5 mixture values and their cdf; then the same
+    # values cut to quarters, so that runs of ties share one cdf value.  The
+    # cdf of a faster and a slower law make D- and D+ the larger one
+    values = sample_mixture(100_000, P, SeedSpec(seed)).values
+    tied = np.floor(values * 4.0) / 4.0
+    for v in (values, tied, values[:3], tied[:1]):
+        for law in (P, Params(1.1, 2.0), Params(0.9, 2.0)):
+            c = cdf(v, law)
+            assert ks_distance_sorted(v, c) == ks_distance_sorted_six_arrays(v, c)
+
+
+def test_ks_distance_sorted_memory_is_bounded():
+    # on the sampler_gof pair the formula with a fresh array for each
+    # intermediate peaked at 3.00x the bytes of the cdf values; D+ and D-
+    # computed in two arrays, 2.00x
+    values = sample_mixture(100_000, P, SeedSpec(1)).values
+    c = cdf(values, P)
+    assert _peak_bytes(lambda: ks_distance_sorted(values, c)) <= 2.25 * c.nbytes
 
 
 def test_mixture_mean_near_m1():
