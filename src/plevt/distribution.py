@@ -95,11 +95,11 @@ def _blockwise(kernel, x):
     """Evaluate an elementwise ``kernel`` over a checked C-order ``x``, block by block.
 
     ``kernel(block, out)`` writes the values at each block of ``_BLOCK`` of
-    x's flattened values into ``out``, that block's slice of one output of
-    x's shape; a 0-d x gives a float.
+    x's flattened values into ``out``, that block's slice of one float64
+    output of x's shape; a 0-d x gives a float.
     """
     flat = x.reshape(-1)
-    out = np.empty_like(flat)
+    out = np.empty(flat.shape)
     for start in range(0, flat.size, _BLOCK):
         kernel(flat[start:start + _BLOCK], out[start:start + _BLOCK])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

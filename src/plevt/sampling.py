@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import Params, _in_data_units
+from .distribution import Params, _blockwise, _in_data_units
 from .errors import CsvFormatError, DomainError, check_int, check_sample
+from .plain_decimal import PAD, line_ends, plain_decimals_into
 from .quantile import quantile_values
 
 __all__ = [
@@ -220,39 +221,43 @@ def _read_values_text(fh, label: str) -> np.ndarray:
     reads a file's; ``label`` names the source in errors.
 
     A line holds what Python's ``float`` accepts, surrounding whitespace
-    included, and must be finite.  The lines convert in one pass; only when
-    that fails does a second pass look for the first bad line to name.
+    included, and must be finite.  Plain decimal lines convert in numpy
+    blocks (:mod:`plevt.plain_decimal`), with ``float()``'s bits; every other
+    line goes to ``float()`` one at a time, in file order, so the first bad
+    line is the one named.
     """
     try:
         text = fh.read()
     except UnicodeDecodeError as exc:
         raise CsvFormatError(label, 0, f"not UTF-8 text at byte {exc.start}") from None
-    # a UTF-8 byte order mark is not part of the data
-    lines = text.removeprefix("\ufeff").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    first = 1
-    if lines:
-        try:
-            float(lines[0])
-        except ValueError:
-            del lines[0]  # header
-            first = 2
-    if not lines:  # no line, or a header alone
+    # a UTF-8 byte order mark is not part of the data; rebinding text frees the text read
+    text = PAD + text.removeprefix("\ufeff")
+    data = text.encode()
+    del text
+    ends = line_ends(data)
+    values = _blockwise(lambda b, out: plain_decimals_into(data, b, out), ends)
+    first = 0
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        end = int(ends[i])
+        raw = data[data.rfind(b"\n", 0, end) + 1:end].decode()
+        value = _float_or_none(raw)
+        if value is None and i == 0:
+            first = 1  # header
+        elif value is None or not math.isfinite(value):
+            raise CsvFormatError(label, i + 1, raw)
+        else:
+            values[i] = value
+    if values.size == first:  # no line, or a header alone
         raise CsvFormatError(label, 1, "<no numeric rows>")
+    return values[first:]
+
+
+def _float_or_none(line: str) -> float | None:
+    """``float(line)``, or None for a line that is not a number."""
     try:
-        values = np.fromiter(map(float, lines), np.float64, count=len(lines))
+        return float(line)
     except ValueError:
-        values = None
-    if values is not None and np.isfinite(values).all():
-        return values
-    for line_no, raw in enumerate(lines, start=first):
-        try:
-            if math.isfinite(float(raw)):
-                continue
-        except ValueError:
-            pass
-        raise CsvFormatError(label, line_no, raw)
+        return None
 
 
 def write_values_csv(values, fh) -> None:

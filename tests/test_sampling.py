@@ -1,8 +1,12 @@
 """Seeded streams, the two samplers, sorted samples, CSV I/O."""
 
+import decimal
+import hashlib
 import io
 import math
 import os
+import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -28,7 +32,9 @@ from plevt import (
     simulate_record,
     write_values_csv,
 )
+from plevt import sampling
 from plevt.cli import _read_input_values
+from plevt.cli import main as cli_main
 from plevt.distribution import _BLOCK
 from plevt.gof import ks_distance_sorted, ks_two_sample
 from plevt.harness import _REP_BLOCK
@@ -308,6 +314,15 @@ def test_ks_distance_sorted_equals_the_six_array_formula(seed):
         for law in (P, Params(1.1, 2.0), Params(0.9, 2.0)):
             c = cdf(v, law)
             assert ks_distance_sorted(v, c) == ks_distance_sorted_six_arrays(v, c)
+    # D- alone the largest, at an index i where (i-1)/n and (i-1)*(1/n) differ
+    # in the last bit: the cdf sits at the ecdf's step midpoints, 0.4/n higher
+    # at i.  c - (i-1)/n is then exact (c is within a factor 2 of (i-1)/n)
+    n = values.size
+    steps = np.arange(n, dtype=np.float64)
+    i = np.flatnonzero(steps / n != steps * (1.0 / n))[seed * 1000]
+    c = (steps + 0.5) / n
+    c[i] += 0.4 / n
+    assert ks_distance_sorted(values, c) == ks_distance_sorted_six_arrays(values, c)
 
 
 def test_ks_distance_sorted_memory_is_bounded():
@@ -677,6 +692,155 @@ def test_csv_bulk_read_matches_the_line_loop(rows, bad, header, crlf, bom):
         seen[0] = seen[0][1:] if bom else seen[0]
         body = seen if _is_number(seen[0]) else seen[1:]
         assert parsed == np.array([float(line) for line in body]).view(np.uint64).tolist()
+
+
+# the plain decimal lines that convert in numpy blocks, and the lines left to float()
+
+
+def _plain(line):
+    """Whether the reader converts ``line`` in its array path: ``-?D*.D+``, at most 24
+    bytes after the sign, whose bytes with the '.' read as 0 form an integer below 10**19."""
+    body = line.removeprefix("-")
+    return (re.fullmatch(r"[0-9]*\.[0-9]+", body) is not None and len(body) <= 24
+            and int(body.replace(".", "0")) < 10**19)
+
+
+def _read_counting_float(read):
+    """``read()``, and the lines it handed to float() one at a time."""
+    seen = []
+
+    def counted(line):
+        seen.append(line)
+        return float_or_none(line)
+
+    float_or_none = sampling._float_or_none
+    with mock.patch.object(sampling, "_float_or_none", counted):
+        return read(), seen
+
+
+def _halfway_lines(rng):
+    """Decimal strings of points halfway between adjacent doubles: exact ones with
+    1-4 digits after the '.', and at random doubles, the exact midpoint and the
+    midpoint cut to 18 digits."""
+    lines = ["9007199254740993.0", "9007199254740995.0", "-9007199254740993.0"]
+    with decimal.localcontext(decimal.Context(prec=120)):
+        for fd in range(5):  # doubles in [2**(53-fd), 2**(54-fd)) are 2**(1-fd) apart
+            for x in np.ldexp(rng.random(200) + 1.0, 53 - fd).tolist():
+                lines.append(f"{decimal.Decimal(x) + decimal.Decimal(2) ** -fd:.{max(fd, 1)}f}")
+        for x in (10.0 ** rng.uniform(-4.0, 16.0, 500)).tolist():
+            mid = f"{(decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2:f}"
+            lines += [mid, mid[:19]]
+    return lines
+
+
+def _digit_strings(rng, count):
+    """Random ``-?D*.D+`` strings of 1-25 random digits, some after up to 9 zeros."""
+    lines = []
+    for digits, dot, sign, zeros in zip(rng.integers(1, 26, count), rng.random(count),
+                                        rng.random(count) < 0.5, rng.integers(0, 60, count)):
+        text = "0" * max(zeros - 50, 0) + "".join(map(str, rng.integers(0, 10, digits)))
+        at = int(dot * len(text))
+        lines.append("-" * int(sign) + text[:at] + "." + text[at:])
+    return lines
+
+
+#: plain decimal lines at their limits, zeros, and forms float() takes that the array path leaves
+_DECIMAL_EDGES = [
+    "0.0", "-0.0", ".5", "-.5", "00.000", "000123.4500", "-0000.0001", "0.00012345678901234568",
+    "." + "0" * 4 + "9" * 19, "-." + "0" * 4 + "9" * 19, "." + "0" * 5 + "9" * 19,
+    "." + "9" * 23, "9" * 18 + ".0", "99999999999999999.9", "9999999999999999999.9",
+    "100000000000000000.0", "1" + "0" * 18 + ".0", "0." + "0" * 22,
+    "1.", "5", "+1.5", " 1.5", "1.5 ", "1_0.5", "1e5", "-1E-5", "١.٥", "1.5\r",
+]
+
+
+def _decimal_corpus():
+    rng = np.random.default_rng(44)
+    # four doubles from every binade, subnormals included, of either sign
+    exponents = np.repeat(np.arange(-1074, 1024), 4)
+    doubles = np.ldexp(rng.random(exponents.size) + 1.0, exponents)
+    doubles[rng.random(doubles.size) < 0.5] *= -1.0
+    # and more in the range repr writes in plain decimals
+    plain = np.ldexp(rng.random(20_000) + 1.0, rng.integers(-14, 54, 20_000))
+    return ([repr(x) for x in doubles.tolist() + plain.tolist()] + _halfway_lines(rng)
+            + _digit_strings(rng, 20_000) + _DECIMAL_EDGES)
+
+
+def test_plain_decimal_lines_read_as_float_does():
+    lines = _decimal_corpus()
+    text = "\n".join(lines) + "\n"
+    parsed, seen = _read_counting_float(lambda: _parsed(_read_text, text))
+    assert parsed == _parsed(parse_values_lines_loop, text.split("\n"))
+    # every plain decimal line took the array path, and most lines are plain
+    assert seen == [line for line in lines if not _plain(line)]
+    assert len(seen) < len(lines) / 2
+
+
+@pytest.mark.parametrize("bad", ["1.2.3", "-", ".", "-.", "--1.0", "1.-5", "1.5-", "-1..5",
+                                 "1.5\x00", "1:5", "1/5", "1.5" + "5" * 30, "", "nan", "-inf"])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_plain_decimal_near_misses_are_errors_at_their_line(bad, at):
+    lines = ["12.5", "-0.25", "3.0", "100.125"]
+    lines.insert(at, bad)
+    text = "\n".join(lines) + "\n"
+    assert _parsed(_read_text, text) == _parsed(parse_values_lines_loop, text.split("\n"))
+
+
+def test_plain_decimal_path_reads_a_written_sample(tmp_path):
+    # of a written draw, only the lines repr writes with an exponent reach float()
+    values = mixture_values(100_000, P, SeedSpec(3))
+    path = tmp_path / "draw.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_values_csv(values, fh)
+    back, seen = _read_counting_float(lambda: read_values_csv(str(path)))
+    assert back.tobytes() == values.tobytes()
+    assert seen == [repr(v) for v in values.tolist() if "e" in repr(v)]
+
+
+@pytest.mark.parametrize("size", [m * _BLOCK + d for m in (1, 2) for d in (-1, 0, 1)])
+def test_plain_decimal_blocks_join_cleanly(size):
+    # lines convert _BLOCK at a time; a block finds its first line's start in
+    # the text, so a line on either side of a seam must read, and fail, as alone
+    rng = np.random.default_rng(size)
+    values = mixture_values(size, P, SeedSpec(size))
+    values[rng.random(size) < 0.5] *= -1.0
+    lines = [repr(v) for v in values.tolist()]
+    lines[::7] = [line[:rng.integers(1, len(line) + 1)] for line in lines[::7]]
+    cases = [lines]
+    for seam in range(_BLOCK, size + 1, _BLOCK):
+        for at in (seam - 1, seam):
+            if at < size:
+                cases.append(lines[:at] + ["x.5"] + lines[at + 1:])
+    for case in cases:
+        text = "\n".join(case)
+        assert _parsed(_read_text, text) == _parsed(parse_values_lines_loop, text.split("\n"))
+
+
+def test_csv_read_memory_is_bounded(tmp_path):
+    # the read of a plevt sample file peaked at 5.46x the file's bytes while
+    # each line was a str of its own; as one buffer of UTF-8 bytes, 2.5x
+    path = tmp_path / "draw.csv"
+    assert cli_main(["sample", "-n", "200000", "--seed", "7", "-o", str(path)]) == 0
+    assert _peak_bytes(lambda: read_values_csv(str(path))) <= 3.0 * path.stat().st_size
+
+
+def test_csv_read_does_not_depend_on_simd_dispatch(tmp_path):
+    # numpy's AVX2 kernels move the last bit of log and exp (ROADMAP item 27);
+    # the array path is integer arithmetic and exact conversions, so a child
+    # process that cannot use AVX-512 reads the same bits
+    path = tmp_path / "corpus.csv"
+    values = mixture_values(20_000, P, SeedSpec(5))
+    lines = [repr(v) for v in values.tolist()] + [line for line in _decimal_corpus() if _plain(line)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    probe = ("import hashlib, sys\nfrom plevt import read_values_csv\n"
+             "print(hashlib.sha256(read_values_csv(sys.argv[1]).tobytes()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(sampling.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == hashlib.sha256(read_values_csv(str(path)).tobytes()).hexdigest()
 
 
 def test_unsorted_file_reads_in_file_order(tmp_path):
