@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import os
@@ -63,7 +62,7 @@ from .records import extract_records, simulate_record, standardized_record
 from .sampling import (
     SeedSpec,
     SortedSample,
-    _read_values_text,
+    _read_values_bytes,
     mixture_values,
     read_values_csv,
     sample_mixture,
@@ -122,11 +121,9 @@ def _resolve_seed(args: argparse.Namespace, draws: bool = True) -> SeedSpec:
 
 def _read_input_values(path: str | None) -> np.ndarray:
     """The values of the CSV at ``path``, or of stdin for none or ``-``, which
-    is read as a file is: strict UTF-8 with universal newlines, whatever the
-    locale's encoding."""
+    is read as a file is, as bytes, whatever the locale's encoding."""
     if path in (None, "-"):
-        stdin = io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
-        return _read_values_text(stdin, "<stdin>")
+        return _read_values_bytes(sys.stdin.buffer.read(), "<stdin>")
     return _read_input(read_values_csv, path)
 
 

@@ -93,7 +93,7 @@ def _full_product(a, b):
 
 #: The line put before the text, so that the ``_WINDOW`` bytes that end at any
 #: line's end lie inside the bytes.
-PAD = "\0" * (_WINDOW - 1) + "\n"
+PAD = b"\0" * (_WINDOW - 1) + b"\n"
 
 
 def line_ends(data: bytes) -> np.ndarray:

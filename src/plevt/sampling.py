@@ -212,28 +212,30 @@ def read_values_csv(path: str) -> np.ndarray:
     non-numeric line raises CsvFormatError carrying the line number.  A file
     that is not UTF-8 text raises it at line 0, as input it cannot read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        return _read_values_text(fh, str(path))
+    with open(path, "rb") as fh:
+        return _read_values_bytes(fh.read(), str(path))
 
 
-def _read_values_text(fh, label: str) -> np.ndarray:
-    """The values of the strict UTF-8 text stream ``fh``, as :func:`read_values_csv`
-    reads a file's; ``label`` names the source in errors.
+def _read_values_bytes(data: bytes, label: str) -> np.ndarray:
+    """The values of the CSV bytes ``data``, as :func:`read_values_csv` reads a
+    file's; ``label`` names the source in errors.
 
-    A line holds what Python's ``float`` accepts, surrounding whitespace
-    included, and must be finite.  Plain decimal lines convert in numpy
-    blocks (:mod:`plevt.plain_decimal`), with ``float()``'s bits; every other
-    line goes to ``float()`` one at a time, in file order, so the first bad
-    line is the one named.
+    ``data`` must be strict UTF-8; a leading byte order mark is dropped, and
+    ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n`` does.  A line holds what
+    Python's ``float`` accepts, surrounding whitespace included, and must be
+    finite.  Plain decimal lines convert in numpy blocks
+    (:mod:`plevt.plain_decimal`), with ``float()``'s bits; every other line
+    goes to ``float()`` one at a time, in file order, so the first bad line is
+    the one named.
     """
     try:
-        text = fh.read()
+        data.decode()  # strict UTF-8: the offset is the input's, a BOM included
     except UnicodeDecodeError as exc:
         raise CsvFormatError(label, 0, f"not UTF-8 text at byte {exc.start}") from None
-    # a UTF-8 byte order mark is not part of the data; rebinding text frees the text read
-    text = PAD + text.removeprefix("\ufeff")
-    data = text.encode()
-    del text
+    # a UTF-8 byte order mark is not part of the data
+    data = PAD + data.removeprefix(b"\xef\xbb\xbf")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     ends = line_ends(data)
     values = _blockwise(lambda b, out: plain_decimals_into(data, b, out), ends)
     first = 0

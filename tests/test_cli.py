@@ -226,15 +226,17 @@ def _plevt_process(argv, stdin: bytes, **env) -> subprocess.CompletedProcess:
 
 def test_stdin_is_strict_utf8_as_a_file_is(tmp_path):
     # stdin was decoded with the locale's encoding and surrogateescape, so a
-    # byte that is not UTF-8 became a line that is not a number
-    data = b"1\n2\n\xff\n3\n"
-    path = tmp_path / "bad.csv"
-    path.write_bytes(data)
-    piped = _plevt_process(["hill"], data)
-    from_file = _plevt_process(["hill", "-i", str(path)], b"")
-    assert piped.returncode == from_file.returncode == 4
-    assert piped.stderr == b"error: <stdin>: unreadable input: not UTF-8 text at byte 4\n"
-    assert from_file.stderr == piped.stderr.replace(b"<stdin>", os.fsencode(path))
+    # byte that is not UTF-8 became a line that is not a number; the offset
+    # is the input's, where a byte order mark and each \r count
+    for data, offset in [(b"1\n2\n\xff\n3\n", 4), (b"\xef\xbb\xbf1\n2\n\xff\n3\n", 7),
+                         (b"1\r\n2\r\n\xff\r\n3\r\n", 6)]:
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        piped = _plevt_process(["hill"], data)
+        from_file = _plevt_process(["hill", "-i", str(path)], b"")
+        assert piped.returncode == from_file.returncode == 4
+        assert piped.stderr == b"error: <stdin>: unreadable input: not UTF-8 text at byte %d\n" % offset
+        assert from_file.stderr == piped.stderr.replace(b"<stdin>", os.fsencode(path))
 
 
 def test_stdin_ignores_the_locale_encoding(tmp_path):

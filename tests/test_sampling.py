@@ -43,7 +43,7 @@ from plevt.records import record_log_tails
 from plevt.sampling import (
     _block_rngs,
     _block_seed,
-    _read_values_text,
+    _read_values_bytes,
     top_order_statistics_rows,
 )
 
@@ -525,8 +525,13 @@ def test_csv_empty_rejected(tmp_path):
 
 
 def _read_text(text, label="<stream>"):
-    """The values of ``text`` as the reader turns a stream's into values."""
-    return _read_values_text(io.StringIO(text), label)
+    """The values of ``text``'s UTF-8 bytes, as the reader reads a file's or stdin's."""
+    return _read_values_bytes(text.encode(), label)
+
+
+def _newlines(text):
+    """``text`` with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as the reader reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def test_parse_lines_label_in_error():
@@ -633,6 +638,10 @@ def test_csv_blank_and_nonfinite_lines_pinned():
     ("", 1), ("\n", 1), ("\ufeff", 1), ("value\n", 1), ("\ufeffvalue\n", 1), ("value", 1),
     ("value\n\n", 2), ("value\n1\n\n", 3),
     ("1.5", [1.5]), ("\ufeff1.5\r\n2\r\n", [1.5, 2.0]),
+    # a lone \r ends a line as \r\n and \n do, after a byte order mark too
+    ("1.5\r2.5\r", [1.5, 2.5]), ("1.5\r\n2.5\r3.5\n4.5", [1.5, 2.5, 3.5, 4.5]),
+    ("1.5\n2.5\r\n\r3.5", 3), ("1.5\r\r\n2.5", 2), ("value\r\r", 2),
+    ("\ufeff\r", 1), ("\ufeff\r1.5\n", [1.5]), ("\ufeff\r\n2.5\r", [2.5]),
 ])
 def test_csv_edge_inputs_pinned(tmp_path, text, expected):
     # an error's line, or the values, of a file and of stdin alike
@@ -684,7 +693,7 @@ def test_csv_bulk_read_matches_the_line_loop(rows, bad, header, crlf, bom):
     for pos, line in bad:
         lines.insert(min(pos, len(lines)), line)
     text = _csv_text((["value"] if header else []) + lines, crlf, bom)
-    lines = text.split("\n")
+    lines = _newlines(text).split("\n")
     parsed = _parsed(_read_text, text)
     assert parsed == _parsed(parse_values_lines_loop, lines)
     if isinstance(parsed, list):
@@ -772,7 +781,7 @@ def test_plain_decimal_lines_read_as_float_does():
     parsed, seen = _read_counting_float(lambda: _parsed(_read_text, text))
     assert parsed == _parsed(parse_values_lines_loop, text.split("\n"))
     # every plain decimal line took the array path, and most lines are plain
-    assert seen == [line for line in lines if not _plain(line)]
+    assert seen == [line for line in _newlines(text).split("\n")[:-1] if not _plain(line)]
     assert len(seen) < len(lines) / 2
 
 
@@ -787,14 +796,16 @@ def test_plain_decimal_near_misses_are_errors_at_their_line(bad, at):
 
 
 def test_plain_decimal_path_reads_a_written_sample(tmp_path):
-    # of a written draw, only the lines repr writes with an exponent reach float()
+    # of a written draw, only the lines repr writes with an exponent reach
+    # float(); a line that ends in \r\n is as plain as one that ends in \n
     values = mixture_values(100_000, P, SeedSpec(3))
     path = tmp_path / "draw.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_values_csv(values, fh)
-    back, seen = _read_counting_float(lambda: read_values_csv(str(path)))
-    assert back.tobytes() == values.tobytes()
-    assert seen == [repr(v) for v in values.tolist() if "e" in repr(v)]
+    for newline in ("\n", "\r\n"):
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            write_values_csv(values, fh)
+        back, seen = _read_counting_float(lambda: read_values_csv(str(path)))
+        assert back.tobytes() == values.tobytes()
+        assert seen == [repr(v) for v in values.tolist() if "e" in repr(v)], repr(newline)
 
 
 @pytest.mark.parametrize("size", [m * _BLOCK + d for m in (1, 2) for d in (-1, 0, 1)])
