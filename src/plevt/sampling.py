@@ -18,7 +18,7 @@ import numpy as np
 
 from .distribution import Params, _blockwise, _in_data_units
 from .errors import CsvFormatError, DomainError, check_int, check_sample
-from .plain_decimal import PAD, line_ends, plain_decimals_into
+from .csv_codec import PAD, line_ends, plain_decimals_into, repr_lines
 from .quantile import quantile_values
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 _U64 = 1 << 64
 _MIN_UNIFORM = 2.0**-53
-_CSV_BLOCK = 2**16  # values per write in write_values_csv
+_CSV_BLOCK = 2**14  # values per write in write_values_csv; its word arrays stay in cache
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +224,7 @@ def _read_values_bytes(data: bytes, label: str) -> np.ndarray:
     ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n`` does.  A line holds what
     Python's ``float`` accepts, surrounding whitespace included, and must be
     finite.  Plain decimal lines convert in numpy blocks
-    (:mod:`plevt.plain_decimal`), with ``float()``'s bits; every other line
+    (:mod:`plevt.csv_codec`), with ``float()``'s bits; every other line
     goes to ``float()`` one at a time, in file order, so the first bad line is
     the one named.
     """
@@ -265,9 +265,10 @@ def _float_or_none(line: str) -> float | None:
 def write_values_csv(values, fh) -> None:
     """Write a finite 1-d sample one value per line with full round-trip precision.
 
-    Each block of ``_CSV_BLOCK`` values is joined into one string and
-    written with one call, so memory stays bounded at any sample size.
+    Each line is the value's ``repr``; plain decimal lines are laid out in
+    numpy blocks (:mod:`plevt.csv_codec`).  Each block of ``_CSV_BLOCK`` values
+    is written with one call, so memory stays bounded at any sample size.
     """
     values = check_sample(values, "sample")
     for start in range(0, values.size, _CSV_BLOCK):
-        fh.write("\n".join(map(repr, values[start:start + _CSV_BLOCK].tolist())) + "\n")
+        fh.write(repr_lines(values[start:start + _CSV_BLOCK]))

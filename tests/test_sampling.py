@@ -32,7 +32,7 @@ from plevt import (
     simulate_record,
     write_values_csv,
 )
-from plevt import sampling
+from plevt import csv_codec, sampling
 from plevt.cli import _read_input_values
 from plevt.cli import main as cli_main
 from plevt.distribution import _BLOCK
@@ -41,6 +41,7 @@ from plevt.harness import _REP_BLOCK
 from plevt.quantile import quantile_values
 from plevt.records import record_log_tails
 from plevt.sampling import (
+    _CSV_BLOCK,
     _block_rngs,
     _block_seed,
     _read_values_bytes,
@@ -796,16 +797,19 @@ def test_plain_decimal_near_misses_are_errors_at_their_line(bad, at):
 
 
 def test_plain_decimal_path_reads_a_written_sample(tmp_path):
-    # of a written draw, only the lines repr writes with an exponent reach
-    # float(); a line that ends in \r\n is as plain as one that ends in \n
+    # of a written draw, only the lines repr writes with an exponent are written
+    # by repr and read by float(); a line that ends in \r\n is as plain as one
+    # that ends in \n
     values = mixture_values(100_000, P, SeedSpec(3))
+    exponent_form = [repr(v) for v in values.tolist() if "e" in repr(v)]
     path = tmp_path / "draw.csv"
     for newline in ("\n", "\r\n"):
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            write_values_csv(values, fh)
+            written = _counting_repr(lambda: write_values_csv(values, fh))
         back, seen = _read_counting_float(lambda: read_values_csv(str(path)))
         assert back.tobytes() == values.tobytes()
-        assert seen == [repr(v) for v in values.tolist() if "e" in repr(v)], repr(newline)
+        assert seen == exponent_form, repr(newline)
+        assert list(map(repr, written)) == exponent_form
 
 
 @pytest.mark.parametrize("size", [m * _BLOCK + d for m in (1, 2) for d in (-1, 0, 1)])
@@ -852,6 +856,145 @@ def test_csv_read_does_not_depend_on_simd_dispatch(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == hashlib.sha256(read_values_csv(str(path)).tobytes()).hexdigest()
+
+
+# the plain decimal lines the writer lays out in numpy blocks, and the values left to repr
+
+
+def _repr_join(values):
+    return "".join(repr(v) + "\n" for v in values.tolist())
+
+
+def _counting_repr(write):
+    """The values that ``write()`` handed to repr one at a time."""
+    seen = []
+
+    def counted(value):
+        seen.append(value)
+        return repr(value)
+
+    with mock.patch.object(csv_codec, "repr", counted, create=True):
+        write()
+    return seen
+
+
+def _written(values):
+    """What write_values_csv writes for ``values``, and the values it left to repr."""
+    fh = io.StringIO()
+    seen = _counting_repr(lambda: write_values_csv(values, fh))
+    return fh.getvalue(), seen
+
+
+def _plain_binades(rng, per_binade):
+    """``per_binade`` doubles of either sign from each binade that holds plain
+    decimal reprs, 2**-14 to 2**54, and from two binades on either side."""
+    exponents = np.repeat(np.arange(-16, 56), per_binade)
+    values = np.ldexp(rng.random(exponents.size) + 1.0, exponents)
+    values[rng.random(values.size) < 0.5] *= -1.0
+    return values
+
+
+def _random_doubles(rng, count):
+    """The finite doubles among ``count`` random bit patterns."""
+    values = rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def test_csv_write_matches_repr_in_every_plain_binade():
+    # integers end in ".0", and so do the zeros
+    rng = np.random.default_rng(46)
+    integers = np.concatenate([np.arange(-1000.0, 1001.0), 10.0 ** np.arange(16),
+                               [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 123456789012345.0]])
+    values = np.concatenate([_plain_binades(rng, 200), [0.0, -0.0], integers, -integers])
+    text, seen = _written(values)
+    assert text == _repr_join(values)
+    assert seen == [v for v in values.tolist() if "e" in repr(v)]
+    assert len(seen) < values.size / 10
+
+
+def test_csv_write_matches_repr_at_powers_of_two_and_ties():
+    # at a power of two the rounding interval reaches half as far below as above;
+    # x = c/4 with odd c in [2**52, 2**53) lies halfway between its two shortest
+    # candidates, one digit after the point, and repr takes the even one
+    rng = np.random.default_rng(47)
+    powers = np.ldexp(1.0, np.arange(-20, 60))
+    neighbours = np.concatenate([np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    ties = np.ldexp((rng.integers(2**51, 2**52, 2000) * 2 + 1).astype(np.float64), -2)
+    assert {repr(v)[-2:] for v in ties.tolist()} == {".2", ".8"}
+    values = np.concatenate([powers, neighbours, ties])
+    values = np.concatenate([values, -values])
+    assert _written(values)[0] == _repr_join(values)
+
+
+def test_csv_write_form_follows_the_shortest_digits():
+    # repr writes an exponent when its shortest digits put the point 4 or more
+    # places before the first digit, or past the 16th: not by x against 1e-4 or 1e16
+    plain = [0.0001, 0.00010000000000000002, 9999999999999998.0, 9999999999999996.0]
+    exponent_form = [9.999999999999999e-05, 9.999999999999998e-05, 1e16, 1.0000000000000002e16]
+    values = np.array(plain + exponent_form)
+    values = np.concatenate([values, -values])
+    text, seen = _written(values)
+    assert text == _repr_join(values)
+    assert seen == [v for v in values.tolist() if abs(v) in exponent_form]
+
+
+def test_csv_write_matches_repr_on_random_bit_patterns():
+    values = _random_doubles(np.random.default_rng(48), 100_000)
+    assert _written(values)[0] == _repr_join(values)
+
+
+@pytest.mark.parametrize("size", [m * _CSV_BLOCK + d for m in (1, 2) for d in (-1, 0, 1)])
+def test_csv_write_blocks_join_cleanly(size):
+    # values are written _CSV_BLOCK at a time; a value that goes to repr, on
+    # either side of a seam, keeps its place
+    rng = np.random.default_rng(size)
+    values = mixture_values(size, P, SeedSpec(size))
+    values[rng.random(size) < 0.5] *= -1.0
+    for seam in range(_CSV_BLOCK, size + 1, _CSV_BLOCK):
+        values[seam - 1:seam + 1] = 1e-300
+    values[::97] *= 1e20
+    assert _written(values)[0] == _repr_join(values)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+def test_csv_write_is_the_repr_join(xs):
+    values = np.array(xs)
+    assert _written(values)[0] == _repr_join(values)
+
+
+def test_csv_write_memory_is_bounded():
+    # each block's lines are built and written before the next block's, so the
+    # traced peak is the same multiple of one block's bytes at any sample size:
+    # 23.3 blocks at 2e5 and 8e5 values
+    values = mixture_values(800_000, P, SeedSpec(9))
+    block = 8 * _CSV_BLOCK
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        peaks = [_peak_bytes(lambda: write_values_csv(values[:n], fh)) for n in (200_000, 800_000)]
+    assert peaks[1] - peaks[0] <= block // 4
+    assert peaks[0] <= 28 * block
+
+
+def test_csv_write_does_not_depend_on_simd_dispatch(tmp_path):
+    # the writer is integer arithmetic on the values' bits, so a child process
+    # that cannot use AVX-512 writes the same bytes; it writes stored values,
+    # since a draw moves with numpy's AVX2 log1p (ROADMAP item 27)
+    rng = np.random.default_rng(6)
+    values = np.concatenate([mixture_values(20_000, P, SeedSpec(6)), _plain_binades(rng, 100),
+                             _random_doubles(rng, 2_000)])
+    path = tmp_path / "values.npy"
+    np.save(path, values)
+    probe = ("import hashlib, io, sys\nimport numpy as np\nfrom plevt import write_values_csv\n"
+             "fh = io.StringIO()\nwrite_values_csv(np.load(sys.argv[1]), fh)\n"
+             "print(hashlib.sha256(fh.getvalue().encode()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(sampling.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == hashlib.sha256(_repr_join(values).encode()).hexdigest()
+    assert _written(values)[0] == _repr_join(values)
 
 
 def test_unsorted_file_reads_in_file_order(tmp_path):
